@@ -18,7 +18,8 @@ import itertools
 import sys
 
 from hflz.chc import parse_smtlib_horn
-from hflz.transforms import qf_holds, _int_value
+from hflz.syntax import eval_int
+from hflz.transforms import qf_holds
 
 
 def main() -> int:
@@ -44,7 +45,7 @@ def main() -> int:
             else:
                 _, name, args_ = item
                 try:
-                    tup = tuple(_int_value(a, env) for a in args_)
+                    tup = tuple(eval_int(a, env) for a in args_)
                 except KeyError:
                     return False
                 if tup not in facts[name]:
@@ -65,7 +66,7 @@ def main() -> int:
                 env = dict(zip(cvars, vals))
                 if body_holds(c.body, env):
                     try:
-                        tup = tuple(_int_value(a, env) for a in c.head_args)
+                        tup = tuple(eval_int(a, env) for a in c.head_args)
                     except KeyError:
                         continue
                     if tup not in facts[c.head_pred]:

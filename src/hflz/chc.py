@@ -11,14 +11,14 @@ import subprocess
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import smt
 from .syntax import (
-    Add, And, App, Atom, Box, Diamond, Exists, FALSE, FalseF, Forall, HflError,
-    IConst, INT, INeg, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or, PROP, Sub,
-    TRUE, TrueF, Var, Formula, app, arg_types, arrow, base_name, dual_int_atom,
-    dualize, fresh_name, int_free_vars, lam, subst_int, typecheck,
+    And, App, Atom, Box, Diamond, Exists, FALSE, FalseF, Forall, HflError, INT,
+    IVar, IntExpr, IntType, Lambda, Mu, Or, PROP, TRUE, TrueF, Var, Formula,
+    app, arg_types, arrow, base_name, dual_int_atom, dualize, fresh_name,
+    int_vars, lam, subst_ints, typecheck,
 )
 from .transforms import EntailmentOracle, WindowEntailment
 
@@ -52,7 +52,7 @@ def _clause_vars(head_args: list[IntExpr], body) -> list[str]:
     seen: list[str] = []
 
     def add(e: IntExpr):
-        for v in _ordered_int_vars(e):
+        for v in int_vars(e):
             if v not in seen:
                 seen.append(v)
 
@@ -66,19 +66,6 @@ def _clause_vars(head_args: list[IntExpr], body) -> list[str]:
             for e in item[2]:
                 add(e)
     return seen
-
-
-def _ordered_int_vars(e: IntExpr) -> list[str]:
-    match e:
-        case IConst(_):
-            return []
-        case IVar(x):
-            return [x]
-        case Add(l, r) | Sub(l, r):
-            return _ordered_int_vars(l) + _ordered_int_vars(r)
-        case INeg(b):
-            return _ordered_int_vars(b)
-    raise TypeError(f"not an integer expression: {e!r}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +137,7 @@ def chc_to_hfl(system: ChcSystem) -> Formula:
 
     def goal_formula(goal: GoalClause) -> Formula:
         gvars = goal.variables()
-        env = {v: fresh_name(v) for v in gvars}
+        env = {v: IVar(fresh_name(v)) for v in gvars}
         parts: list[Formula] = []
         for item in goal.body:
             if item[0] == "atom":
@@ -158,7 +145,7 @@ def chc_to_hfl(system: ChcSystem) -> Formula:
             else:
                 _, name, args = item
                 pred = dualize(pred_formula(name, {}))
-                parts.append(app(pred, *[_rename(e, env) for e in args]))
+                parts.append(app(pred, *[subst_ints(e, env) for e in args]))
         if not parts:
             body: Formula = FALSE
         else:
@@ -166,7 +153,7 @@ def chc_to_hfl(system: ChcSystem) -> Formula:
             for p in parts[1:]:
                 body = Or(body, p)
         for v in reversed(gvars):
-            body = Forall(env[v], body)
+            body = Forall(env[v].name, body)
         return body
 
     goals = [goal_formula(g) for g in system.goals]
@@ -187,28 +174,22 @@ def _param_names(clauses: list[DefiniteClause], arity: int) -> list[str]:
     return [f"x{i + 1}" for i in range(arity)]
 
 
-def _rename(e: IntExpr, env: dict[str, str]) -> IntExpr:
-    for v, internal in env.items():
-        e = subst_int(e, v, IVar(internal))
-    return e
-
-
-def _rename_atom(a: Atom, env: dict[str, str]) -> Atom:
-    return Atom(a.op, _rename(a.lhs, env), _rename(a.rhs, env))
+def _rename_atom(a: Atom, env: dict[str, IVar]) -> Atom:
+    return Atom(a.op, subst_ints(a.lhs, env), subst_ints(a.rhs, env))
 
 
 def _clause_body(c: DefiniteClause, params: list[str],
                  outer: dict[str, Var], pred_formula) -> Formula:
-    env: dict[str, str] = {}
+    env: dict[str, IVar] = {}
     equalities: list[Atom] = []
     for param, arg in zip(params, c.head_args):
         if isinstance(arg, IVar) and arg.name not in env:
-            env[arg.name] = param
+            env[arg.name] = IVar(param)
         else:
             equalities.append(Atom("=", IVar(param), arg))
     local_sources = [v for v in c.variables() if v not in env]
     for v in local_sources:
-        env[v] = fresh_name(v)
+        env[v] = IVar(fresh_name(v))
     # equalities may mention locals, so rename them after env is complete
     equalities = [_rename_atom(a, env) for a in equalities]
 
@@ -220,7 +201,7 @@ def _clause_body(c: DefiniteClause, params: list[str],
             _, name, args = item
             target: Formula = outer[name] if name in outer \
                 else pred_formula(name, outer)
-            parts.append(app(target, *[_rename(e, env) for e in args]))
+            parts.append(app(target, *[subst_ints(e, env) for e in args]))
     if not parts:
         body: Formula = TRUE
     else:
@@ -228,7 +209,7 @@ def _clause_body(c: DefiniteClause, params: list[str],
         for p in parts[1:]:
             body = And(body, p)
     for v in reversed(local_sources):
-        body = Exists(env[v], body)
+        body = Exists(env[v].name, body)
     return body
 
 
@@ -265,7 +246,7 @@ def hfl_to_chc(phi: Formula) -> ChcSystem:
         preds[name] = len(ats)
         params: list[str] = []
         body = mu.body
-        ienv: dict[str, str] = {}
+        ienv: dict[str, IVar] = {}
         taken: set[str] = set()
         for at in ats:
             if not isinstance(at, IntType):
@@ -278,7 +259,7 @@ def hfl_to_chc(phi: Formula) -> ChcSystem:
                     "parameters")
             p = _source_local(base_name(body.var), taken)
             taken.add(p)
-            ienv[body.var] = p
+            ienv[body.var] = IVar(p)
             params.append(p)
             body = body.body
         penv = {mu.var: name}
@@ -319,7 +300,7 @@ def _source_local(base: str, taken: set[str]) -> str:
     return f"{base or 'v'}{i}"
 
 
-def _disjuncts(phi: Formula, ienv: dict[str, str], penv: dict[str, str],
+def _disjuncts(phi: Formula, ienv: dict[str, IVar], penv: dict[str, str],
                taken: set[str], define) -> list[list[BodyItem]]:
     """DNF expansion of a dualized (mu-side) body into clause item lists."""
     match phi:
@@ -339,7 +320,7 @@ def _disjuncts(phi: Formula, ienv: dict[str, str], penv: dict[str, str],
                                    _to_source(r, ienv)))]]
         case Exists(x, b, pieces):
             lname = _source_local(base_name(x), taken)
-            ienv2 = {**ienv, x: lname}
+            ienv2 = {**ienv, x: IVar(lname)}
             guards: list[BodyItem] = [
                 ("atom", Atom(">=", IVar(lname), _to_source(p, ienv)))
                 for p in pieces]
@@ -378,23 +359,13 @@ def _disjuncts(phi: Formula, ienv: dict[str, str], penv: dict[str, str],
         f"{type(phi).__name__} is outside the CHC fragment")
 
 
-def _to_source(e: IntExpr, ienv: dict[str, str]) -> IntExpr:
-    match e:
-        case IConst(_):
-            return e
-        case IVar(x):
-            if x not in ienv:
-                raise ChcShapeError(
-                    f"integer variable {base_name(x)} is bound outside the "
-                    "clause being extracted")
-            return IVar(ienv[x])
-        case Add(l, r):
-            return Add(_to_source(l, ienv), _to_source(r, ienv))
-        case Sub(l, r):
-            return Sub(_to_source(l, ienv), _to_source(r, ienv))
-        case INeg(b):
-            return INeg(_to_source(b, ienv))
-    raise TypeError(f"not an integer expression: {e!r}")
+def _to_source(e: IntExpr, ienv: dict[str, IVar]) -> IntExpr:
+    for x in int_vars(e):
+        if x not in ienv:
+            raise ChcShapeError(
+                f"integer variable {base_name(x)} is bound outside the "
+                "clause being extracted")
+    return subst_ints(e, ienv)
 
 
 # ---------------------------------------------------------------------------
@@ -614,23 +585,9 @@ def validate_model(system: ChcSystem,
 
 
 def _qf_subst_parallel(phi: Formula, mapping: dict[str, IntExpr]) -> Formula:
-    def ie(e: IntExpr) -> IntExpr:
-        match e:
-            case IConst(_):
-                return e
-            case IVar(x):
-                return mapping.get(x, e)
-            case Add(l, r):
-                return Add(ie(l), ie(r))
-            case Sub(l, r):
-                return Sub(ie(l), ie(r))
-            case INeg(b):
-                return INeg(ie(b))
-        raise TypeError(f"not an integer expression: {e!r}")
-
     match phi:
         case Atom(op, l, r):
-            return Atom(op, ie(l), ie(r))
+            return Atom(op, subst_ints(l, mapping), subst_ints(r, mapping))
         case And(l, r):
             return And(_qf_subst_parallel(l, mapping),
                        _qf_subst_parallel(r, mapping))

@@ -14,9 +14,8 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
-from . import chc as chc_mod
 from .chc import SolverConfig, hfl_to_chc, chc_to_hfl, parse_smtlib_horn, \
     emit_smtlib_horn, solve_external
 from .lts import Lts, parse_lts, trivial_model
@@ -215,9 +214,17 @@ def _cmd_validity(cfg: RunConfig) -> int:
     psi = dualize(phi)
     cancel = threading.Event()
     results: list[_SideResult | None] = [None, None]
+    errors: list[Exception] = []
 
     def work(i, f):
-        results[i] = _run_side(f, lts, cfg, cancel)
+        try:
+            results[i] = _run_side(f, lts, cfg, cancel)
+        except Exception as e:
+            # a failed side is an error, never a verdict: stop the other
+            # side and let the main thread raise it
+            errors.append(e)
+            cancel.set()
+            return
         if results[i].valid or results[i].exact_false:
             cancel.set()
 
@@ -233,6 +240,8 @@ def _cmd_validity(cfg: RunConfig) -> int:
             work(i, f)
             if cancel.is_set():
                 break
+    if errors:
+        raise errors[0]
 
     pos, neg = results
     if pos and pos.valid and neg and neg.valid:
@@ -390,6 +399,11 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command][0](cfg)
     except (HflError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except Exception as e:
+        # an internal failure (a RecursionError on a very deeply nested
+        # formula, say) is an error too, never a verdict
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 
 

@@ -11,12 +11,12 @@ functions nor events) are ignored, as in single-handle protocol examples.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
-    And, Atom, Diamond, HflError, IConst, INT, IVar, IntExpr, Lambda, Mu, Nu,
-    Or, PROP, TRUE, Var, Formula, SimpleType, app, arrow, dual_int_atom,
-    fresh_name, lam, Add, Sub, INeg,
+    And, Atom, Diamond, HflError, IConst, INT, IVar, IntExpr, Mu, Nu, Or, PROP,
+    TRUE, Var, Formula, SimpleType, app, arrow, dual_int_atom, fresh_name, lam,
+    subst_ints, Add, Sub, INeg,
 )
 
 
@@ -498,17 +498,18 @@ def translate_program(program: Program, polarity: str = "mu") -> Formula:
     fix = Mu if polarity == "mu" else Nu
     denot: dict[str, Formula] = {}
 
-    def tr(e: Expr, env: dict[str, tuple[str, SimpleType]]) -> Formula:
+    def tr(e: Expr, env: dict[str, tuple[str, SimpleType]],
+           ints: dict[str, IVar]) -> Formula:
+        """ints renames integer parameters to their internal names."""
         match e:
             case Unit():
                 return Diamond("end", TRUE)
             case Event(label, cont):
-                return Diamond(label, tr(cont, env))
+                return Diamond(label, tr(cont, env, ints))
             case If(c, t, el):
-                c = Atom(c.op, _rename_ints(c.lhs, env),
-                         _rename_ints(c.rhs, env))
-                return And(Or(dual_int_atom(c), tr(t, env)),
-                           Or(c, tr(el, env)))
+                c = Atom(c.op, subst_ints(c.lhs, ints), subst_ints(c.rhs, ints))
+                return And(Or(dual_int_atom(c), tr(t, env, ints)),
+                           Or(c, tr(el, env, ints)))
             case Call(name, args):
                 if name in env:
                     internal, t = env[name]
@@ -517,11 +518,8 @@ def translate_program(program: Program, polarity: str = "mu") -> Formula:
                     head = denot[name]
                 else:
                     raise ProgramError(f"unknown function {name!r}")
-                targs = [a if isinstance(a, IntExpr)
-                         else tr(a, env) for a in args]
-                # rename integer parameters to their internal names
-                targs = [_rename_ints(a, env) if isinstance(a, IntExpr)
-                         else a for a in targs]
+                targs = [subst_ints(a, ints) if isinstance(a, IntExpr)
+                         else tr(a, env, ints) for a in args]
                 return app(head, *targs)
         raise ProgramError(f"cannot translate {e!r}")
 
@@ -530,25 +528,10 @@ def translate_program(program: Program, polarity: str = "mu") -> Formula:
         binder = fresh_name(d.name)
         env = {p: (fresh_name(p), t) for p, t in d.params}
         env[d.name] = (binder, ftype)
-        body = tr(d.body, env)
+        body = tr(d.body, env,
+                  {x: IVar(internal) for x, (internal, _) in env.items()})
         body = lam([(env[p][0], t) for p, t in d.params], body)
         denot[d.name] = fix(binder, ftype, body)
 
-    return tr(program.main, {})
+    return tr(program.main, {}, {})
 
-
-def _rename_ints(e: IntExpr, env) -> IntExpr:
-    match e:
-        case IConst(_):
-            return e
-        case IVar(x):
-            if x in env:
-                return IVar(env[x][0])
-            return e
-        case Add(l, r):
-            return Add(_rename_ints(l, env), _rename_ints(r, env))
-        case Sub(l, r):
-            return Sub(_rename_ints(l, env), _rename_ints(r, env))
-        case INeg(b):
-            return INeg(_rename_ints(b, env))
-    raise TypeError(f"not an integer expression: {e!r}")

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from . import transforms
 from .lts import Lts, trivial_model
 from .syntax import (
-    Add, And, App, Arrow, Atom, Box, Diamond, Exists, FalseF, Forall, HflError,
-    IConst, INeg, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or, PropType, Sub,
-    TrueF, Var, Formula, SimpleType, arg_types, free_vars, is_pure, typecheck,
+    And, App, Arrow, Atom, Box, CMP_FN, Diamond, Exists, FalseF, Forall,
+    HflError, IntExpr, IntType, Lambda, Mu, Nu, Or, PropType, TrueF, Var,
+    Formula, SimpleType, arg_types, eval_int, free_vars, is_pure, typecheck,
 )
 
 
@@ -30,16 +30,6 @@ class ImpureFormulaError(HflError):
 
 class TableCapError(HflError):
     pass
-
-
-_CMP_FN = {
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +404,15 @@ class _BoundedEvaluator:
                 return fix
             case App(f, a):
                 fv = self.eval(f, env)
-                av = self.eval_int(a, env) if isinstance(a, IntExpr) \
+                av = eval_int(a, env) if isinstance(a, IntExpr) \
                     else self.eval(a, env)
                 return self.apply(fv, av)
             case Atom(op, l, r):
-                lv = self.eval_int(l, env)
-                rv = self.eval_int(r, env)
+                lv = eval_int(l, env)
+                rv = eval_int(r, env)
                 if abs(lv) > self.window or abs(rv) > self.window:
                     return frozenset()
-                return self.full if _CMP_FN[op](lv, rv) else frozenset()
+                return self.full if CMP_FN[op](lv, rv) else frozenset()
             case Exists(_, _, _) | Forall(_, _, _):
                 raise HflError("quantifier sugar must be desugared before "
                                "bounded evaluation")
@@ -446,20 +436,6 @@ class _BoundedEvaluator:
                 self.fix_cache[key] = fix
             return fix
         return _FixFun(node, env, self)
-
-    def eval_int(self, e: IntExpr, env: dict) -> int:
-        match e:
-            case IConst(n):
-                return n
-            case IVar(x):
-                return env[x]
-            case Add(l, r):
-                return self.eval_int(l, env) + self.eval_int(r, env)
-            case Sub(l, r):
-                return self.eval_int(l, env) - self.eval_int(r, env)
-            case INeg(b):
-                return -self.eval_int(b, env)
-        raise TypeError(f"not an integer expression: {e!r}")
 
 
 def eval_bounded(phi: Formula, window: int, lts: Lts | None = None,

@@ -129,6 +129,14 @@ IntExpr = IConst | IVar | Add | Sub | INeg
 
 CMP_OPS = ("<=", "<", "=", "!=", ">=", ">")
 DUAL_OP = {"<=": ">", ">": "<=", "<": ">=", ">=": "<", "=": "!=", "!=": "="}
+CMP_FN = {
+    "<=": lambda a, b: a <= b,
+    "<": lambda a, b: a < b,
+    "=": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    ">=": lambda a, b: a >= b,
+    ">": lambda a, b: a > b,
+}
 
 
 @dataclass(frozen=True)
@@ -276,7 +284,9 @@ def fresh_name(base: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Traversal helpers
+# Traversal kernel: the one place that knows every node kind's children.
+# Add a node kind here and in the few walkers that give nodes their own
+# meaning (typecheck, dualize, the printers, the evaluators).
 
 
 def children(phi: Formula) -> list[Formula]:
@@ -295,22 +305,84 @@ def children(phi: Formula) -> list[Formula]:
             return []
 
 
+def map_children(phi: Formula, f) -> Formula:
+    """Rebuild phi with f applied to each formula child, left to right;
+    integer arguments, quantifier bounds and leaves are kept as they are."""
+    match phi:
+        case Or(l, r):
+            return Or(f(l), f(r))
+        case And(l, r):
+            return And(f(l), f(r))
+        case Diamond(a, b):
+            return Diamond(a, f(b))
+        case Box(a, b):
+            return Box(a, f(b))
+        case Mu(x, t, b):
+            return Mu(x, t, f(b))
+        case Nu(x, t, b):
+            return Nu(x, t, f(b))
+        case Lambda(x, t, b):
+            return Lambda(x, t, f(b))
+        case Exists(x, b, lower):
+            return Exists(x, f(b), lower)
+        case Forall(x, b, lower):
+            return Forall(x, f(b), lower)
+        case App(g, a):
+            return App(f(g), a if isinstance(a, IntExpr) else f(a))
+        case Var(_, _) | TrueF() | FalseF() | Atom(_, _, _):
+            return phi
+    raise TypeError(f"not a formula: {phi!r}")
+
+
 def subformulas(phi: Formula):
     yield phi
     for c in children(phi):
         yield from subformulas(c)
 
 
-def int_free_vars(e: IntExpr) -> set[str]:
+def int_vars(e: IntExpr) -> list[str]:
+    """Variable occurrences of e, left to right (with repetitions)."""
     match e:
         case IConst(_):
-            return set()
-        case IVar(n):
-            return {n}
+            return []
+        case IVar(x):
+            return [x]
         case Add(l, r) | Sub(l, r):
-            return int_free_vars(l) | int_free_vars(r)
+            return int_vars(l) + int_vars(r)
         case INeg(b):
-            return int_free_vars(b)
+            return int_vars(b)
+    raise TypeError(f"not an integer expression: {e!r}")
+
+
+def subst_ints(e: IntExpr, mapping: dict[str, IntExpr]) -> IntExpr:
+    """Replace every IVar named in mapping at once (parallel substitution)."""
+    match e:
+        case IConst(_):
+            return e
+        case IVar(x):
+            return mapping.get(x, e)
+        case Add(l, r):
+            return Add(subst_ints(l, mapping), subst_ints(r, mapping))
+        case Sub(l, r):
+            return Sub(subst_ints(l, mapping), subst_ints(r, mapping))
+        case INeg(b):
+            return INeg(subst_ints(b, mapping))
+    raise TypeError(f"not an integer expression: {e!r}")
+
+
+def eval_int(e: IntExpr, env: dict) -> int:
+    # one direct match, not a fold: this is the evaluators' inner loop
+    match e:
+        case IConst(n):
+            return n
+        case IVar(x):
+            return env[x]
+        case Add(l, r):
+            return eval_int(l, env) + eval_int(r, env)
+        case Sub(l, r):
+            return eval_int(l, env) - eval_int(r, env)
+        case INeg(b):
+            return -eval_int(b, env)
     raise TypeError(f"not an integer expression: {e!r}")
 
 
@@ -329,14 +401,14 @@ def free_vars(phi: Formula) -> set[str]:
         case Exists(x, b, lower) | Forall(x, b, lower):
             fv = free_vars(b) - {x}
             for e in lower:
-                fv |= int_free_vars(e)
+                fv.update(int_vars(e))
             return fv
         case App(f, a):
             fv = free_vars(f)
-            fv |= int_free_vars(a) if isinstance(a, IntExpr) else free_vars(a)
+            fv.update(int_vars(a) if isinstance(a, IntExpr) else free_vars(a))
             return fv
         case Atom(_, l, r):
-            return int_free_vars(l) | int_free_vars(r)
+            return set(int_vars(l) + int_vars(r))
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -353,33 +425,18 @@ def is_pure(phi: Formula) -> bool:
             return all(is_pure(c) for c in children(phi))
 
 
-def has_sugar(phi: Formula) -> bool:
-    return any(isinstance(s, (Exists, Forall)) for s in subformulas(phi))
-
-
 # ---------------------------------------------------------------------------
 # Typing
 
 
 def typecheck_int(e: IntExpr, env: dict[str, SimpleType]) -> SimpleType:
-    match e:
-        case IConst(_):
-            return INT
-        case IVar(n):
-            t = env.get(n)
-            if t is None:
-                raise HflTypeError(f"unbound variable {base_name(n)}")
-            if not isinstance(t, IntType):
-                raise HflTypeError(f"{base_name(n)} has type {t}, expected int")
-            return INT
-        case Add(l, r) | Sub(l, r):
-            typecheck_int(l, env)
-            typecheck_int(r, env)
-            return INT
-        case INeg(b):
-            typecheck_int(b, env)
-            return INT
-    raise TypeError(f"not an integer expression: {e!r}")
+    for n in int_vars(e):
+        t = env.get(n)
+        if t is None:
+            raise HflTypeError(f"unbound variable {base_name(n)}")
+        if not isinstance(t, IntType):
+            raise HflTypeError(f"{base_name(n)} has type {t}, expected int")
+    return INT
 
 
 def typecheck(phi: Formula, env: dict[str, SimpleType] | None = None) -> SimpleType:
@@ -444,45 +501,24 @@ def typecheck(phi: Formula, env: dict[str, SimpleType] | None = None) -> SimpleT
 # Substitution
 
 
-def subst_int(e: IntExpr, x: str, repl: IntExpr) -> IntExpr:
-    match e:
-        case IConst(_):
-            return e
-        case IVar(n):
-            return repl if n == x else e
-        case Add(l, r):
-            return Add(subst_int(l, x, repl), subst_int(r, x, repl))
-        case Sub(l, r):
-            return Sub(subst_int(l, x, repl), subst_int(r, x, repl))
-        case INeg(b):
-            return INeg(subst_int(b, x, repl))
-    raise TypeError(f"not an integer expression: {e!r}")
-
-
 def substitute(phi: Formula, x: str, repl: Formula | IntExpr) -> Formula:
     """Capture-avoiding substitution of repl for the free variable x."""
-    repl_fv = int_free_vars(repl) if isinstance(repl, IntExpr) else free_vars(repl)
+    int_repl = isinstance(repl, IntExpr)
+    repl_fv = set(int_vars(repl)) if int_repl else free_vars(repl)
+    mapping = {x: repl}
 
     def go(phi: Formula) -> Formula:
         match phi:
             case Var(n, t):
                 if n != x:
                     return phi
-                if isinstance(repl, IntExpr):
+                if int_repl:
                     raise HflTypeError(
                         f"cannot substitute an integer expression for "
                         f"formula variable {base_name(n)}")
                 return repl
-            case TrueF() | FalseF() | Atom(_, _, _):
-                return _subst_ints_in(phi, x, repl)
-            case Or(l, r):
-                return Or(go(l), go(r))
-            case And(l, r):
-                return And(go(l), go(r))
-            case Diamond(a, b):
-                return Diamond(a, go(b))
-            case Box(a, b):
-                return Box(a, go(b))
+            case Atom(op, l, r) if int_repl:
+                return Atom(op, subst_ints(l, mapping), subst_ints(r, mapping))
             case Mu(y, t, b) | Nu(y, t, b) | Lambda(y, t, b) as node:
                 ctor = type(node)
                 if y == x:
@@ -495,8 +531,8 @@ def substitute(phi: Formula, x: str, repl: Formula | IntExpr) -> Formula:
                 return ctor(y, t, go(b))
             case Exists(y, b, lower) | Forall(y, b, lower) as node:
                 ctor = type(node)
-                lower2 = tuple(subst_int(e, x, repl) for e in lower) \
-                    if isinstance(repl, IntExpr) else lower
+                lower2 = tuple(subst_ints(e, mapping) for e in lower) \
+                    if int_repl else lower
                 if y == x:
                     return ctor(y, b, lower2)
                 if y in repl_fv and x in free_vars(b):
@@ -504,23 +540,15 @@ def substitute(phi: Formula, x: str, repl: Formula | IntExpr) -> Formula:
                     b = substitute(b, y, IVar(y2))
                     y = y2
                 return ctor(y, go(b), lower2)
-            case App(f, a):
-                a2 = (subst_int(a, x, repl) if isinstance(a, IntExpr)
-                      and isinstance(repl, IntExpr)
-                      else a if isinstance(a, IntExpr) else go(a))
-                if isinstance(a, IntExpr) and not isinstance(repl, IntExpr) \
-                        and x in int_free_vars(a):
+            case App(f, a) if isinstance(a, IntExpr):
+                if int_repl:
+                    return App(go(f), subst_ints(a, mapping))
+                if x in int_vars(a):
                     raise HflTypeError(
                         f"cannot substitute a formula for integer variable "
                         f"{base_name(x)}")
-                return App(go(f), a2)
-        raise TypeError(f"not a formula: {phi!r}")
-
-    def _subst_ints_in(phi, x, repl):
-        if isinstance(phi, Atom) and isinstance(repl, IntExpr):
-            return Atom(phi.op, subst_int(phi.lhs, x, repl),
-                        subst_int(phi.rhs, x, repl))
-        return phi
+                return App(go(f), a)
+        return map_children(phi, go)
 
     return go(phi)
 
@@ -597,54 +625,19 @@ def beta_step(phi: Formula) -> Formula:
 
 def beta_step_anywhere(phi: Formula) -> Formula:
     """Reduce the leftmost-outermost beta redex anywhere in phi."""
+    done = False
 
-    def go(phi: Formula) -> Formula | None:
+    def go(phi: Formula) -> Formula:
+        nonlocal done
+        if done:
+            return phi
         if isinstance(phi, App) and isinstance(phi.fun, Lambda):
+            done = True
             return beta_step(phi)
-        match phi:
-            case Or(l, r):
-                l2 = go(l)
-                if l2 is not None:
-                    return Or(l2, r)
-                r2 = go(r)
-                return None if r2 is None else Or(l, r2)
-            case And(l, r):
-                l2 = go(l)
-                if l2 is not None:
-                    return And(l2, r)
-                r2 = go(r)
-                return None if r2 is None else And(l, r2)
-            case Diamond(a, b):
-                b2 = go(b)
-                return None if b2 is None else Diamond(a, b2)
-            case Box(a, b):
-                b2 = go(b)
-                return None if b2 is None else Box(a, b2)
-            case Mu(x, t, b):
-                b2 = go(b)
-                return None if b2 is None else Mu(x, t, b2)
-            case Nu(x, t, b):
-                b2 = go(b)
-                return None if b2 is None else Nu(x, t, b2)
-            case Lambda(x, t, b):
-                b2 = go(b)
-                return None if b2 is None else Lambda(x, t, b2)
-            case Exists(x, b, lower) | Forall(x, b, lower) as node:
-                b2 = go(b)
-                return None if b2 is None else type(node)(x, b2, lower)
-            case App(f, a):
-                f2 = go(f)
-                if f2 is not None:
-                    return App(f2, a)
-                if isinstance(a, IntExpr):
-                    return None
-                a2 = go(a)
-                return None if a2 is None else App(f, a2)
-            case _:
-                return None
+        return map_children(phi, go)
 
     out = go(phi)
-    if out is None:
+    if not done:
         raise NoRedex("no beta redex anywhere in the formula")
     return out
 

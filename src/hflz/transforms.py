@@ -14,11 +14,11 @@ import warnings
 from dataclasses import dataclass, field
 
 from .syntax import (
-    Add, And, App, Arrow, Atom, Box, Diamond, Exists, FALSE, FalseF, Forall,
+    Add, And, App, Atom, Box, CMP_FN, Diamond, Exists, FALSE, FalseF, Forall,
     HflError, IConst, INT, INeg, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or,
-    PROP, PropType, Sub, TRUE, TrueF, Var, Formula, SimpleType, app,
-    arg_types, arrow, base_name, children, fresh_name, int_free_vars, lam,
-    subst_int, substitute,
+    PROP, Sub, TRUE, TrueF, Var, Formula, SimpleType, app, arg_types, arrow,
+    base_name, eval_int, fresh_name, int_vars, lam, map_children, subst_ints,
+    substitute,
 )
 
 
@@ -172,35 +172,9 @@ def desugar_quantifiers(phi: Formula) -> Formula:
                     start = pieces[0]
                 return App(Nu(q, qt, Lambda(x, INT, body)), start)
             case _:
-                return _rebuild(phi, go)
+                return map_children(phi, go)
 
     return go(phi)
-
-
-def _rebuild(phi: Formula, go) -> Formula:
-    match phi:
-        case Or(l, r):
-            return Or(go(l), go(r))
-        case And(l, r):
-            return And(go(l), go(r))
-        case Diamond(a, b):
-            return Diamond(a, go(b))
-        case Box(a, b):
-            return Box(a, go(b))
-        case Mu(x, t, b):
-            return Mu(x, t, go(b))
-        case Nu(x, t, b):
-            return Nu(x, t, go(b))
-        case Lambda(x, t, b):
-            return Lambda(x, t, go(b))
-        case Exists(x, b, pieces):
-            return Exists(x, go(b), pieces)
-        case Forall(x, b, pieces):
-            return Forall(x, go(b), pieces)
-        case App(f, a):
-            return App(go(f), a if isinstance(a, IntExpr) else go(a))
-        case _:
-            return phi
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +222,7 @@ def eliminate_mu(phi: Formula, bound: BoundExpr,
                 return type(node)(x, go(b, {**scope, base_name(x): x}),
                                   pieces)
             case _:
-                return _rebuild(phi, lambda c: go(c, scope))
+                return map_children(phi, lambda c: go(c, scope))
 
     return _contract_admin(go(phi, {}))
 
@@ -309,7 +283,7 @@ def _contract_admin(phi: Formula) -> Formula:
                     changed = changed or ch
                     return c2
 
-                return _rebuild(phi, go), changed
+                return map_children(phi, go), changed
 
     changed = True
     while changed:
@@ -393,20 +367,10 @@ class SmtEntailment(EntailmentOracle):
         return None
 
 
-_CMP_FN = {
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
-
-
 def qf_int_vars(phi: Formula) -> set[str]:
     match phi:
         case Atom(_, l, r):
-            return int_free_vars(l) | int_free_vars(r)
+            return set(int_vars(l) + int_vars(r))
         case And(l, r) | Or(l, r):
             return qf_int_vars(l) | qf_int_vars(r)
         case TrueF() | FalseF():
@@ -418,7 +382,7 @@ def qf_int_vars(phi: Formula) -> set[str]:
 def qf_holds(phi: Formula, env: dict[str, int]) -> bool:
     match phi:
         case Atom(op, l, r):
-            return _CMP_FN[op](_int_value(l, env), _int_value(r, env))
+            return CMP_FN[op](eval_int(l, env), eval_int(r, env))
         case And(l, r):
             return qf_holds(l, env) and qf_holds(r, env)
         case Or(l, r):
@@ -429,21 +393,6 @@ def qf_holds(phi: Formula, env: dict[str, int]) -> bool:
             return False
     raise AbstractionError(
         f"not a quantifier-free arithmetic formula: {type(phi).__name__}")
-
-
-def _int_value(e: IntExpr, env: dict[str, int]) -> int:
-    match e:
-        case IConst(n):
-            return n
-        case IVar(x):
-            return env[x]
-        case Add(l, r):
-            return _int_value(l, env) + _int_value(r, env)
-        case Sub(l, r):
-            return _int_value(l, env) - _int_value(r, env)
-        case INeg(b):
-            return -_int_value(b, env)
-    raise TypeError(f"not an integer expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +494,8 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
                 raise AbstractionError(
                     "call-site instantiation only supports predicates over "
                     f"the binder variable alone, got extra vars {extra}")
-            target = Atom(a.op, subst_int(a.lhs, tvar, e),
-                          subst_int(a.rhs, tvar, e))
+            target = Atom(a.op, subst_ints(a.lhs, {tvar: e}),
+                          subst_ints(a.rhs, {tvar: e}))
             out.append(weakest(benv, target))
         return out
 
@@ -591,8 +540,8 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
                 if isinstance(t, IntType):
                     templates = preds.for_binder(base_name(x))
                     bools = [(fresh_name("b"),
-                              Atom(a.op, subst_int(a.lhs, tv, IVar(x)),
-                                   subst_int(a.rhs, tv, IVar(x))))
+                              Atom(a.op, subst_ints(a.lhs, {tv: IVar(x)}),
+                                   subst_ints(a.rhs, {tv: IVar(x)})))
                              for tv, a in templates]
                     body, _ = go(b, benv + bools, sigs)
                     for bx, _a in reversed(bools):

@@ -1,3 +1,4 @@
+import os
 import pathlib
 import warnings
 
@@ -5,6 +6,12 @@ import pytest
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# the scripts the tests start as child processes (the naive solver, the
+# demo) import hflz from this checkout, installed or not
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(autouse=True)

@@ -145,3 +145,23 @@ def test_json_format(corpus, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "Unknown"
     assert "timings" in doc
+
+
+def test_deep_formula_is_an_error_not_a_verdict(tmp_path, capsys):
+    f = tmp_path / "deep.hfl"
+    f.write_text(" /\\ ".join(["true"] * 3000) + "\n")
+    assert main(["validity", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--no-race"]])
+def test_failing_side_is_an_error_in_both_modes(tmp_path, capsys, mode):
+    f = tmp_path / "e.hfl"
+    f.write_text("exists x. x = 3\n")
+    assert main(["validity", str(f), "--table-cap", "1", *mode]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        "error: fixpoint table exceeded the configured cap 1"]

@@ -1,10 +1,12 @@
 import pytest
 
 from hflz.syntax import (
-    App, Arrow, Atom, FALSE, HflTypeError, IConst, INT, IVar, Lambda, Mu, Nu,
-    Or, PROP, Sub, TRUE, Var, alpha_eq, app, arrow, beta_step,
-    beta_step_anywhere, dualize, free_vars, is_predicate_type, is_pure, lam,
-    order_of, substitute, typecheck, unfold_fixpoint, NotAFixpoint, NoRedex,
+    Add, And, App, Arrow, Atom, Box, Diamond, Exists, FALSE, Forall,
+    HflTypeError, IConst, INT, INeg, IVar, Lambda, Mu, Nu, Or, PROP, Sub,
+    TRUE, Var, alpha_eq, app, arrow, beta_step, beta_step_anywhere, children,
+    dualize, eval_int, free_vars, int_vars, is_predicate_type, is_pure, lam,
+    map_children, order_of, subst_ints, substitute, typecheck,
+    unfold_fixpoint, NotAFixpoint, NoRedex,
 )
 from hflz.parser import parse_formula
 
@@ -97,3 +99,71 @@ def test_app_lam_helpers():
             Atom("<=", IVar("a"), IVar("b")))
     assert typecheck(f) == arrow(INT, INT, PROP)
     assert typecheck(app(f, IConst(1), IConst(2))) == PROP
+
+
+def _one_node_of_each_kind():
+    """(node, its formula children) for each of the 14 formula kinds; App
+    appears twice, with a formula and with an integer argument."""
+    p, q = Var("p", PROP), Var("q", PROP)
+    f = Var("f", arrow(PROP, PROP))
+    g = Var("g", arrow(INT, PROP))
+    atom = Atom("<=", IVar("x"), IConst(3))
+    return [
+        (p, []), (TRUE, []), (FALSE, []), (atom, []),
+        (Or(p, q), [p, q]), (And(q, p), [q, p]),
+        (Diamond("a", p), [p]), (Box("b", q), [q]),
+        (Mu("m", PROP, p), [p]), (Nu("n", PROP, q), [q]),
+        (Lambda("y", INT, atom), [atom]),
+        (App(f, p), [f, p]), (App(g, Add(IVar("x"), IConst(1))), [g]),
+        (Exists("x", atom, (IConst(0),)), [atom]),
+        (Forall("x", atom, (IVar("z"),)), [atom]),
+    ]
+
+
+def test_map_children_and_children_agree_on_every_kind():
+    nodes = _one_node_of_each_kind()
+    assert len({type(n) for n, _ in nodes}) == 14
+    for node, kids in nodes:
+        assert children(node) == kids
+        assert map_children(node, lambda c: c) == node
+        seen = []
+        map_children(node, lambda c: seen.append(c) or c)
+        assert seen == kids
+        replaced = map_children(node, lambda c: TRUE)
+        assert type(replaced) is type(node)
+        assert children(replaced) == [TRUE] * len(kids)
+    # integer arguments and quantifier bounds are kept as they are
+    int_app = App(Var("g", arrow(INT, PROP)), IVar("x"))
+    assert map_children(int_app, lambda c: TRUE) == App(TRUE, IVar("x"))
+    bounded = Forall("x", TRUE, (IVar("z"),))
+    assert map_children(bounded, lambda c: FALSE) == \
+        Forall("x", FALSE, (IVar("z"),))
+    with pytest.raises(TypeError):
+        map_children(IConst(1), lambda c: c)
+
+
+def test_int_kernel():
+    e = Add(IVar("x"), Sub(IVar("y"), INeg(IVar("x"))))
+    assert int_vars(e) == ["x", "y", "x"]
+    assert eval_int(e, {"x": 2, "y": 5}) == 9
+    # parallel: swapping x and y turns x - y into y - x
+    swapped = subst_ints(Sub(IVar("x"), IVar("y")),
+                         {"x": IVar("y"), "y": IVar("x")})
+    assert swapped == Sub(IVar("y"), IVar("x"))
+
+
+def test_beta_step_anywhere_reduces_leftmost_outermost():
+    idp = Lambda("y", PROP, Var("y", PROP))
+    left, right = App(idp, TRUE), App(idp, FALSE)
+    assert beta_step_anywhere(Or(left, right)) == Or(TRUE, right)
+    # the outer redex goes first; the one in its body is kept
+    inner = App(Lambda("z", PROP, Var("z", PROP)), Var("y", PROP))
+    outer = App(Lambda("y", PROP, inner), TRUE)
+    assert beta_step_anywhere(outer) == \
+        App(Lambda("z", PROP, Var("z", PROP)), TRUE)
+    # a redex in the argument waits for the one in the function position
+    pp = arrow(PROP, PROP)
+    nested = App(App(Lambda("x", pp, Var("x", pp)),
+                     Lambda("w", PROP, Var("w", PROP))), right)
+    assert beta_step_anywhere(nested) == \
+        App(Lambda("w", PROP, Var("w", PROP)), right)
