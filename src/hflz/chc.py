@@ -555,7 +555,7 @@ def validate_model(system: ChcSystem,
             raise ChcShapeError(
                 f"model for {name} has {len(params)} parameters, "
                 f"expected {len(args)}")
-        return _qf_subst_parallel(body, dict(zip(params, args)))
+        return smt.qf_subst(body, dict(zip(params, args)))
 
     def hyps_of(body) -> list[Formula]:
         out: list[Formula] = []
@@ -582,20 +582,3 @@ def validate_model(system: ChcSystem,
         if v is None:
             undecided = True
     return None if undecided else True
-
-
-def _qf_subst_parallel(phi: Formula, mapping: dict[str, IntExpr]) -> Formula:
-    match phi:
-        case Atom(op, l, r):
-            return Atom(op, subst_ints(l, mapping), subst_ints(r, mapping))
-        case And(l, r):
-            return And(_qf_subst_parallel(l, mapping),
-                       _qf_subst_parallel(r, mapping))
-        case Or(l, r):
-            return Or(_qf_subst_parallel(l, mapping),
-                      _qf_subst_parallel(r, mapping))
-        case TrueF() | FalseF():
-            return phi
-    raise ChcShapeError(
-        f"model formulas must be quantifier-free arithmetic, got "
-        f"{type(phi).__name__}")

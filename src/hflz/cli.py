@@ -132,7 +132,12 @@ def _run_side(phi: Formula, lts: Lts, cfg: RunConfig,
                 if _try_chc(phi, bound, label, cfg, cancel, res, timed):
                     return res
                 if len(bound.pieces) == 1:
-                    elim = eliminate_mu(phi, bound, style="apply")
+                    try:
+                        elim = eliminate_mu(phi, bound, style="apply")
+                    except HflError:
+                        # e.g. a mu over a function-typed parameter: this
+                        # stage does not apply, the pipeline moves on
+                        continue
                     if timed(f"eval_bounded[n={label}]", lambda e=elim:
                              eval_bounded(e, cfg.window, lts=lts,
                                           table_cap=cfg.table_cap)):

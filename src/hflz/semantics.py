@@ -1,14 +1,17 @@
-"""Two evaluators over finite lattices.
+"""One demand-driven fixpoint engine over finite models.
 
-``check_pure`` is an exact model checker for pure HFL over a finite LTS:
-lambdas are tabulated over enumerated monotone-function domains and
-fixpoints are iterated from lattice bottom (mu) or top (nu).
+Values are frozensets of states (prop), integers, lambda closures, and
+fixpoint tables.  A fixpoint is solved by chaotic iteration restricted to
+the argument tuples actually reachable from the query; function-typed
+arguments are tabulated over their finite domains (prop values, the integer
+window, or enumerated monotone functions) so they can key the tables.
 
-``eval_bounded`` evaluates full HFL(Z) with integer arguments restricted to
-a window [-B, B].  Out-of-window applications and atoms contribute false,
-which makes the result an underapproximation: true implies M |= phi.
-Fixpoints are solved by demand-driven chaotic iteration restricted to the
-argument tuples actually reachable from the query.
+``check_pure`` runs it on pure HFL, where every domain is finite and the
+answer is exact.  ``eval_bounded`` runs it on full HFL(Z) with integer
+arguments restricted to a window [-B, B].  Out-of-window applications and
+atoms contribute false, which makes the result an underapproximation: true
+implies M |= phi.  ``table_cap`` bounds every tabulated domain and every
+fixpoint table.
 """
 
 from __future__ import annotations
@@ -32,13 +35,10 @@ class TableCapError(HflError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# Exact pure-HFL model checking
-
-
 @dataclass
 class PureStats:
-    """Per-fixpoint iteration counts paired with the lattice-height bound."""
+    """Per-solve round counts, each paired with its bound: the table size
+    times (number of states + 1), the lattice height + 1 at order 0."""
 
     iterations: list[tuple[int, int]] = field(default_factory=list)
 
@@ -47,150 +47,8 @@ class PureStats:
         return max((i for i, _ in self.iterations), default=0)
 
 
-class _PureEvaluator:
-    def __init__(self, lts: Lts, table_cap: int):
-        self.lts = lts
-        self.table_cap = table_cap
-        self.full = frozenset(lts.states)
-        self._elems: dict[SimpleType, list] = {}
-        self._index: dict[SimpleType, dict] = {}
-        self.stats = PureStats()
-
-    # -- lattice structure
-
-    def elems(self, t: SimpleType) -> list:
-        if t in self._elems:
-            return self._elems[t]
-        if isinstance(t, PropType):
-            states = list(self.lts.states)
-            if 2 ** len(states) > self.table_cap:
-                raise TableCapError(
-                    f"prop lattice has 2^{len(states)} elements, over the "
-                    f"table cap {self.table_cap}")
-            out = []
-            for mask in range(2 ** len(states)):
-                out.append(frozenset(s for i, s in enumerate(states)
-                                     if mask >> i & 1))
-        elif isinstance(t, Arrow):
-            dom = self.elems(t.arg)
-            cod = self.elems(t.res)
-            le_d = [[self.leq(t.arg, a, b) for b in dom] for a in dom]
-            out = []
-
-            def backtrack(prefix: list):
-                if len(out) > self.table_cap:
-                    raise TableCapError(
-                        f"function domain for {t} exceeds the table cap "
-                        f"{self.table_cap}")
-                i = len(prefix)
-                if i == len(dom):
-                    out.append(tuple(prefix))
-                    return
-                for v in cod:
-                    ok = True
-                    for j in range(i):
-                        if le_d[j][i] and not self.leq(t.res, prefix[j], v):
-                            ok = False
-                            break
-                        if le_d[i][j] and not self.leq(t.res, v, prefix[j]):
-                            ok = False
-                            break
-                    if ok:
-                        backtrack(prefix + [v])
-
-            backtrack([])
-        else:
-            raise ImpureFormulaError("integer type has no finite lattice")
-        self._elems[t] = out
-        self._index[t] = {v: i for i, v in enumerate(out)}
-        return out
-
-    def leq(self, t: SimpleType, a, b) -> bool:
-        if isinstance(t, PropType):
-            return a <= b
-        return all(self.leq(t.res, x, y) for x, y in zip(a, b))
-
-    def bottom(self, t: SimpleType):
-        if isinstance(t, PropType):
-            return frozenset()
-        return tuple(self.bottom(t.res) for _ in self.elems(t.arg))
-
-    def top(self, t: SimpleType):
-        if isinstance(t, PropType):
-            return self.full
-        return tuple(self.top(t.res) for _ in self.elems(t.arg))
-
-    def height(self, t: SimpleType) -> int:
-        if isinstance(t, PropType):
-            return len(self.lts.states)
-        return len(self.elems(t.arg)) * self.height(t.res)
-
-    # -- evaluation; values are frozensets (prop) or tuples (functions)
-
-    def eval(self, phi: Formula, env: dict, tenv: dict):
-        match phi:
-            case Var(n, _):
-                return env[n]
-            case TrueF():
-                return self.full
-            case FalseF():
-                return frozenset()
-            case Or(l, r):
-                return self.eval(l, env, tenv) | self.eval(r, env, tenv)
-            case And(l, r):
-                return self.eval(l, env, tenv) & self.eval(r, env, tenv)
-            case Diamond(a, b):
-                bv = self.eval(b, env, tenv)
-                return frozenset(s for s in self.lts.states
-                                 if self.lts.successors(s, a) & bv)
-            case Box(a, b):
-                bv = self.eval(b, env, tenv)
-                return frozenset(s for s in self.lts.states
-                                 if self.lts.successors(s, a) <= bv)
-            case Lambda(x, t, b):
-                return tuple(self.eval(b, {**env, x: d}, {**tenv, x: t})
-                             for d in self.elems(t))
-            case App(f, a):
-                ft = typecheck(f, tenv)
-                fv = self.eval(f, env, tenv)
-                av = self.eval(a, env, tenv)
-                return fv[self._index[ft.arg][av]]
-            case Mu(x, t, b) | Nu(x, t, b):
-                cur = self.bottom(t) if isinstance(phi, Mu) else self.top(t)
-                count = 0
-                while True:
-                    nxt = self.eval(b, {**env, x: cur}, {**tenv, x: t})
-                    count += 1
-                    if nxt == cur:
-                        break
-                    cur = nxt
-                self.stats.iterations.append((count, self.height(t) + 1))
-                return cur
-            case _:
-                raise ImpureFormulaError(
-                    f"pure model checking cannot handle {type(phi).__name__}")
-
-
-def check_pure(lts: Lts, phi: Formula, table_cap: int = 200000) -> bool:
-    ok, _ = check_pure_stats(lts, phi, table_cap)
-    return ok
-
-
-def check_pure_stats(lts: Lts, phi: Formula,
-                     table_cap: int = 200000) -> tuple[bool, PureStats]:
-    """Exact M |= phi for closed pure formulas of type prop."""
-    if not is_pure(phi):
-        raise ImpureFormulaError("formula contains integers or quantifier sugar")
-    t = typecheck(phi, {})
-    if not isinstance(t, PropType):
-        raise ImpureFormulaError(f"model checking needs type prop, got {t}")
-    ev = _PureEvaluator(lts, table_cap)
-    denotation = ev.eval(phi, {}, {})
-    return lts.initial in denotation, ev.stats
-
-
 # ---------------------------------------------------------------------------
-# Bounded-integer underapproximating evaluation
+# The engine
 
 
 class _Bot:
@@ -248,20 +106,31 @@ class _FixFun:
         return self.approx[keys]
 
     def solve(self):
+        # Mid-solve, a table need not be monotone in its arguments (f(∅)=S
+        # while f(S)=∅), so plain re-evaluation can oscillate.  Each entry
+        # only grows (mu) or shrinks (nu) instead: every value stays an
+        # underapproximation because the true function is monotone, and the
+        # loop ends after at most len(approx) * (|S| + 1) rounds.
         self.solving = True
+        rounds = 0
         try:
             changed = True
             while changed:
                 changed = False
                 self.new_args = False
+                rounds += 1
                 for keys in list(self.approx):
+                    old = self.approx[keys]
                     v = self.body_value(keys)
-                    if v != self.approx[keys]:
+                    v = v | old if self.is_mu else v & old
+                    if v != old:
                         self.approx[keys] = v
                         changed = True
                 changed = changed or self.new_args
         finally:
             self.solving = False
+        self.ev.stats.iterations.append(
+            (rounds, len(self.approx) * (len(self.ev.full) + 1)))
 
     def body_value(self, keys: tuple) -> frozenset:
         # zero-argument fixpoints denote plain propositions, so recursive
@@ -283,6 +152,7 @@ class _BoundedEvaluator:
         self.full = frozenset(lts.states)
         self.fix_cache: dict = {}
         self._elems: dict[SimpleType, list] = {}
+        self.stats = PureStats()
 
     # -- canonical keys for fixpoint-argument tuples
 
@@ -338,11 +208,47 @@ class _BoundedEvaluator:
             out = [frozenset(s for i, s in enumerate(states) if mask >> i & 1)
                    for mask in range(2 ** len(states))]
         else:
-            raise TableCapError(
-                "tabulating function-typed fixpoint arguments of type "
-                f"{t} is not supported at this order")
+            out = self._monotone_functions(t)
         self._elems[t] = out
         return out
+
+    def _monotone_functions(self, t: Arrow) -> list:
+        dom = self.domain_elems(t.arg)
+        cod = self.domain_elems(t.res)
+        dom_keys = [self.canonical(d) for d in dom]
+        le_d = [[self.leq(t.arg, a, b) for b in dom] for a in dom]
+        out = []
+
+        def backtrack(prefix: list):
+            if len(out) > self.table_cap:
+                raise TableCapError(
+                    f"function domain for {t} exceeds the table cap "
+                    f"{self.table_cap}")
+            i = len(prefix)
+            if i == len(dom):
+                out.append(_TableFun(t.arg, dict(zip(dom_keys, prefix)), self))
+                return
+            for v in cod:
+                ok = True
+                for j in range(i):
+                    if le_d[j][i] and not self.leq(t.res, prefix[j], v):
+                        ok = False
+                        break
+                    if le_d[i][j] and not self.leq(t.res, v, prefix[j]):
+                        ok = False
+                        break
+                if ok:
+                    backtrack(prefix + [v])
+
+        backtrack([])
+        return out
+
+    def leq(self, t: SimpleType, a, b) -> bool:
+        """The lattice order on domain elements of type t."""
+        if isinstance(t, Arrow):
+            return all(self.leq(t.res, a.table[k], b.table[k])
+                       for k in a.table)
+        return a <= b if isinstance(t, PropType) else a == b
 
     # -- application
 
@@ -436,6 +342,27 @@ class _BoundedEvaluator:
                 self.fix_cache[key] = fix
             return fix
         return _FixFun(node, env, self)
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+
+
+def check_pure(lts: Lts, phi: Formula, table_cap: int = 200000) -> bool:
+    ok, _ = check_pure_stats(lts, phi, table_cap)
+    return ok
+
+
+def check_pure_stats(lts: Lts, phi: Formula,
+                     table_cap: int = 200000) -> tuple[bool, PureStats]:
+    """Exact M |= phi for closed pure formulas of type prop."""
+    if not is_pure(phi):
+        raise ImpureFormulaError("formula contains integers or quantifier sugar")
+    t = typecheck(phi, {})
+    if not isinstance(t, PropType):
+        raise ImpureFormulaError(f"model checking needs type prop, got {t}")
+    ev = _BoundedEvaluator(lts, 0, table_cap)
+    return lts.initial in ev.coerce_prop(ev.eval(phi, {})), ev.stats
 
 
 def eval_bounded(phi: Formula, window: int, lts: Lts | None = None,

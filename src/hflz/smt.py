@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .syntax import (
     Add, And, Atom, FalseF, HflError, IConst, INeg, IVar, IntExpr, Or, Sub,
-    TrueF, Formula, base_name,
+    TrueF, Formula, base_name, subst_ints,
 )
 
 
@@ -43,6 +43,22 @@ def qf_formula_to_sexpr(phi: Formula) -> str:
             return "true"
         case FalseF():
             return "false"
+    raise HflError(
+        f"not a quantifier-free arithmetic formula: {type(phi).__name__}")
+
+
+def qf_subst(phi: Formula, mapping: dict[str, IntExpr]) -> Formula:
+    """Parallel substitution of integer variables in a quantifier-free
+    arithmetic formula."""
+    match phi:
+        case Atom(op, l, r):
+            return Atom(op, subst_ints(l, mapping), subst_ints(r, mapping))
+        case And(l, r):
+            return And(qf_subst(l, mapping), qf_subst(r, mapping))
+        case Or(l, r):
+            return Or(qf_subst(l, mapping), qf_subst(r, mapping))
+        case TrueF() | FalseF():
+            return phi
     raise HflError(
         f"not a quantifier-free arithmetic formula: {type(phi).__name__}")
 

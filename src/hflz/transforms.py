@@ -339,14 +339,26 @@ class SmtEntailment(EntailmentOracle):
         self.timeout = timeout
 
     def entails(self, hyps: list[Formula], concl: Formula) -> bool | None:
-        from .smt import qf_formula_to_sexpr
+        from .smt import qf_formula_to_sexpr, qf_subst
 
-        names = sorted(set().union(
-            *(qf_int_vars(h) for h in hyps), qf_int_vars(concl)))
+        # the printer drops fresh-name suffixes (y%2 -> y), so give every
+        # variable its own base name first: y, y_1, ...
+        symbols: dict[str, IntExpr] = {}
+        for n in sorted(set().union(
+                *(qf_int_vars(h) for h in hyps), qf_int_vars(concl))):
+            s, i = base_name(n), 0
+            while IVar(s) in symbols.values():
+                i += 1
+                s = f"{base_name(n)}_{i}"
+            symbols[n] = IVar(s)
+
+        def sexpr(phi: Formula) -> str:
+            return qf_formula_to_sexpr(qf_subst(phi, symbols))
+
         lines = ["(set-logic QF_LIA)"]
-        lines += [f"(declare-const {n} Int)" for n in names]
-        lines += [f"(assert {qf_formula_to_sexpr(h)})" for h in hyps]
-        lines.append(f"(assert (not {qf_formula_to_sexpr(concl)}))")
+        lines += [f"(declare-const {v.name} Int)" for v in symbols.values()]
+        lines += [f"(assert {sexpr(h)})" for h in hyps]
+        lines.append(f"(assert (not {sexpr(concl)}))")
         lines.append("(check-sat)")
         with tempfile.NamedTemporaryFile(
                 "w", suffix=".smt2", delete=False) as f:

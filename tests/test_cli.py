@@ -165,3 +165,15 @@ def test_failing_side_is_an_error_in_both_modes(tmp_path, capsys, mode):
     assert "Traceback" not in captured.err
     assert captured.err.splitlines() == [
         "error: fixpoint table exceeded the configured cap 1"]
+
+
+def test_inapplicable_elimination_stage_is_skipped(corpus, scripts, capsys):
+    # file_rec's mu binder has type int -> prop -> prop, which
+    # eliminate_mu(style="apply") rejects; that stage is skipped, and at
+    # window 8 no other stage decides the formula
+    assert main(["validity", str(corpus / "file_rec.prog"),
+                 "--lts", str(corpus / "mfile.lts"), "--window", "8",
+                 "--solver", solver_cmd(scripts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "Unknown"
+    assert captured.err == ""

@@ -8,9 +8,11 @@ from hflz.semantics import (
     eval_bounded,
 )
 from hflz.syntax import (
-    And, App, Box, Diamond, FALSE, IConst, Mu, Nu, Or, PROP, TRUE, Var, app,
-    dualize,
+    And, App, Arrow, Box, Diamond, FALSE, IConst, Lambda, Mu, Nu, Or, PROP,
+    TRUE, Var, app, dualize,
 )
+
+from pure_reference import reference_check_pure_stats
 
 LABELS = ("a", "b")
 
@@ -20,8 +22,8 @@ LABELS = ("a", "b")
 
 
 @st.composite
-def ltss(draw):
-    n = draw(st.integers(1, 4))
+def ltss(draw, max_states=4):
+    n = draw(st.integers(1, max_states))
     states = tuple(f"s{i}" for i in range(n))
     pairs = [(src, lbl, dst) for src in states for lbl in LABELS
              for dst in states]
@@ -30,14 +32,21 @@ def ltss(draw):
                transitions=frozenset(trans), initial=states[0])
 
 
+PROP_TO_PROP = Arrow(PROP, PROP)
+
+
 @st.composite
-def pure_formulas(draw, depth=0, bound=()):
+def pure_formulas(draw, depth=0, bound=(), funs=()):
+    """Pure formulas over prop variables `bound`; `funs` names variables of
+    type prop -> prop that may be applied."""
     leaf_only = depth >= 4
     options = ["true", "false"]
     if bound:
         options.append("var")
     if not leaf_only:
         options += ["or", "and", "dia", "box", "mu", "nu"]
+        if funs:
+            options.append("app")
     kind = draw(st.sampled_from(options))
     if kind == "true":
         return TRUE
@@ -45,17 +54,35 @@ def pure_formulas(draw, depth=0, bound=()):
         return FALSE
     if kind == "var":
         return Var(draw(st.sampled_from(bound)), PROP)
+    sub = dict(depth=depth + 1, bound=bound, funs=funs)
     if kind in ("or", "and"):
-        l = draw(pure_formulas(depth=depth + 1, bound=bound))
-        r = draw(pure_formulas(depth=depth + 1, bound=bound))
+        l = draw(pure_formulas(**sub))
+        r = draw(pure_formulas(**sub))
         return (Or if kind == "or" else And)(l, r)
     if kind in ("dia", "box"):
         lbl = draw(st.sampled_from(LABELS))
-        b = draw(pure_formulas(depth=depth + 1, bound=bound))
+        b = draw(pure_formulas(**sub))
         return (Diamond if kind == "dia" else Box)(lbl, b)
+    if kind == "app":
+        f = Var(draw(st.sampled_from(funs)), PROP_TO_PROP)
+        return App(f, draw(pure_formulas(**sub)))
     x = f"v{len(bound)}"
-    b = draw(pure_formulas(depth=depth + 1, bound=bound + (x,)))
+    b = draw(pure_formulas(depth=depth + 1, bound=bound + (x,), funs=funs))
     return (Mu if kind == "mu" else Nu)(x, PROP, b)
+
+
+@st.composite
+def order1_formulas(draw):
+    """(mu|nu f: prop -> prop. \\p: prop. body)(arg), possibly twice, where
+    body applies f and may nest mu/nu binders."""
+    body = draw(pure_formulas(depth=1, bound=("p",), funs=("f",)))
+    fix = (Mu if draw(st.booleans()) else Nu)(
+        "f", PROP_TO_PROP, Lambda("p", PROP, body))
+    phi = App(fix, draw(pure_formulas(depth=2)))
+    if draw(st.booleans()):
+        phi = (Or if draw(st.booleans()) else And)(
+            phi, App(fix, draw(pure_formulas(depth=2))))
+    return phi
 
 
 @settings(max_examples=220, deadline=None)
@@ -74,6 +101,17 @@ def test_pure_agreement_and_iteration_bound(m, phi):
         assert count <= bound
     # for pure formulas the window is irrelevant
     assert eval_bounded(phi, 0, lts=m) == ok
+
+
+@settings(max_examples=250, deadline=None)
+@given(ltss(max_states=3), st.one_of(pure_formulas(), order1_formulas()))
+def test_check_pure_matches_reference(m, phi):
+    """The demand-driven engine agrees with the tabulating Knaster-Tarski
+    checker it replaced, on order-0 and order-1 formulas."""
+    ok, stats = check_pure_stats(m, phi)
+    assert ok == reference_check_pure_stats(m, phi)[0]
+    for count, bound in stats.iterations:
+        assert count <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +143,45 @@ def test_check_pure_rejects_impure():
         check_pure(trivial_model(), parse_formula("exists x. x = 0"))
 
 
+THREE_STATES = "states: a b c\ninitial: a\ntrans:\n a x b\n b x c\n"
+
+
 def test_table_cap():
-    # order-2 formula over a 3-state model blows a tiny cap
-    m = parse_lts("states: a b c\ninitial: a\ntrans:\n a x b\n b x c\n")
+    # order-2 formula over a 3-state model blows a tiny cap: tabulating the
+    # argument g needs the 2^3 = 8 prop values
+    m = parse_lts(THREE_STATES)
     phi = parse_formula(
         r"(nu f: (prop -> prop) -> prop. \g: prop -> prop. g(true))"
         r"(\y: prop. y)")
     with pytest.raises(TableCapError):
-        check_pure(m, phi, table_cap=10)
+        check_pure(m, phi, table_cap=7)
+    assert check_pure(m, phi, table_cap=10)
+
+
+def test_order3_arguments():
+    # f's argument h is itself a function of functions, so keying f's table
+    # tabulates h over the monotone functions prop -> prop
+    phi = parse_formula(
+        r"(nu f: ((prop -> prop) -> prop) -> prop. "
+        r"\h: (prop -> prop) -> prop. h(\y: prop. y))"
+        r"(\g: prop -> prop. g(true))")
+    assert check_pure(trivial_model(), phi)
+    assert check_pure(parse_lts(THREE_STATES), phi)
+    # the 8000 monotone functions prop -> prop on three states
+    with pytest.raises(TableCapError, match="function domain"):
+        check_pure(parse_lts(THREE_STATES), phi, table_cap=10)
+
+
+def test_non_monotone_intermediate_table_terminates():
+    # while f is solved its table has f(false) = S but f(true) = {}, so a
+    # re-evaluated inner nu would oscillate; solving must accumulate
+    phi = parse_formula(
+        r"(mu f: prop -> prop. \p: prop. true \/ (nu z1: prop. f(z1)))"
+        r"(false)")
+    m = trivial_model()
+    assert reference_check_pure_stats(m, phi)[0]
+    assert check_pure(m, phi)
+    assert eval_bounded(phi, 0, lts=m)
 
 
 # ---------------------------------------------------------------------------

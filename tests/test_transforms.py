@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hflz.parser import parse_formula
 from hflz.pretty import to_text
 from hflz.semantics import eval_bounded
+from hflz.smt import parse_sexprs
 from hflz.syntax import (
     App, Atom, HflError, IConst, INT, IVar, Lambda, Mu, Or, PROP, Var,
     alpha_eq, app, arrow,
@@ -197,6 +198,28 @@ def test_smt_entailment_query_content(tmp_path):
     assert "(declare-const y Int)" in text
     assert "(assert (not (>= y 0)))" in text
     assert "(check-sat)" in text
+
+
+def test_smt_entailment_declares_every_symbol(tmp_path):
+    # y%1 and y%2 are two fresh copies of one source variable y; y_1 is a
+    # third variable whose name a careless suffix would collide with
+    out = tmp_path / "seen.smt2"
+    stub = _stub_solver(tmp_path, "spy.sh", f'cp "$1" {out}; echo unsat')
+    y1, y2, y_1 = IVar("y%1"), IVar("y%2"), IVar("y_1")
+    SmtEntailment(f"{stub} {{file}}").entails(
+        [Atom(">", y1, IConst(0)), Atom("<", y2, y_1)],
+        Atom(">=", y2, y1))
+    script = parse_sexprs(out.read_text())
+    declared = [c[1] for c in script if c[0] == "declare-const"]
+
+    def symbols(s):
+        if isinstance(s, str):
+            return set() if s.isdigit() else {s}
+        return set().union(*(symbols(a) for a in s[1:]))
+
+    used = set().union(*(symbols(c[1]) for c in script if c[0] == "assert"))
+    assert sorted(declared) == sorted(used)
+    assert len(set(declared)) == 3
 
 
 def test_qf_helpers():
