@@ -376,12 +376,13 @@ def emit_smtlib_horn(system: ChcSystem) -> str:
     lines = ["(set-logic HORN)"]
     for name in sorted(system.preds):
         sorts = " ".join(["Int"] * system.preds[name])
-        lines.append(f"(declare-fun {name} ({sorts}) Bool)")
+        lines.append(f"(declare-fun {smt.symbol(name)} ({sorts}) Bool)")
 
     def item_sexpr(item: BodyItem) -> str:
         if item[0] == "atom":
             return smt.atom_to_sexpr(item[1])
         _, name, args = item
+        name = smt.symbol(name)
         if not args:
             return name
         return f"({name} {' '.join(smt.int_expr_to_sexpr(a) for a in args)})"
@@ -395,7 +396,7 @@ def emit_smtlib_horn(system: ChcSystem) -> str:
             conj = " ".join(item_sexpr(i) for i in body)
             impl = f"(=> (and {conj}) {head})"
         if variables:
-            binds = " ".join(f"({v} Int)" for v in variables)
+            binds = " ".join(f"({smt.symbol(v)} Int)" for v in variables)
             return f"(assert (forall ({binds}) {impl}))"
         return f"(assert {impl})"
 

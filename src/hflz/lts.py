@@ -21,12 +21,13 @@ class Lts:
     initial: str
 
     def __post_init__(self):
-        if len(set(self.states)) != len(self.states):
+        declared = set(self.states)
+        if len(declared) != len(self.states):
             raise LtsFormatError("duplicate state ids")
-        if self.initial not in self.states:
+        if self.initial not in declared:
             raise LtsFormatError(f"initial state {self.initial!r} not declared")
         for src, lbl, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
+            if src not in declared or dst not in declared:
                 raise LtsFormatError(
                     f"transition {src} {lbl} {dst} uses an undeclared state")
             if lbl not in self.labels:
@@ -45,7 +46,7 @@ def trivial_model() -> Lts:
 
 
 def parse_lts(text: str) -> Lts:
-    states: list[str] = []
+    states: dict[str, None] = {}  # a set that keeps declaration order
     declared_labels: list[str] | None = None
     transitions: list[tuple[str, str, str]] = []
     initial: str | None = None
@@ -58,7 +59,7 @@ def parse_lts(text: str) -> Lts:
             for s in line[len("states:"):].split():
                 if s in states:
                     raise LtsFormatError(f"line {lineno}: duplicate state {s!r}")
-                states.append(s)
+                states[s] = None
             continue
         if line.startswith("labels:"):
             declared_labels = line[len("labels:"):].split()

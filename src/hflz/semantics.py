@@ -1,10 +1,12 @@
 """One demand-driven fixpoint engine over finite models.
 
-Values are frozensets of states (prop), integers, lambda closures, and
-fixpoint tables.  A fixpoint is solved by chaotic iteration restricted to
-the argument tuples actually reachable from the query; function-typed
-arguments are tabulated over their finite domains (prop values, the integer
-window, or enumerated monotone functions) so they can key the tables.
+Values are state bitmasks (prop: bit i stands for ``lts.states[i]``),
+integers, lambda closures, and fixpoint tables.  ``<a>`` and ``[a]`` are
+computed from a per-label predecessor index built once per evaluator.  A
+fixpoint is solved by chaotic iteration restricted to the argument tuples
+actually reachable from the query; function-typed arguments are tabulated
+over their finite domains (prop values, the integer window, or enumerated
+monotone functions) so they can key the tables.
 
 ``check_pure`` runs it on pure HFL, where every domain is finite and the
 answer is exact.  ``eval_bounded`` runs it on full HFL(Z) with integer
@@ -16,6 +18,7 @@ fixpoint table.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import transforms
@@ -88,12 +91,12 @@ class _FixFun:
         self.ev = ev
         self.is_mu = isinstance(node, Mu)
         self.argts = arg_types(node.vtype)
-        self.init = frozenset() if self.is_mu else ev.full
-        self.approx: dict[tuple, frozenset] = {}
+        self.init = 0 if self.is_mu else ev.full
+        self.approx: dict[tuple, int] = {}
         self.solving = False
         self.new_args = False
 
-    def call(self, keys: tuple) -> frozenset:
+    def call(self, keys: tuple) -> int:
         if keys not in self.approx:
             if len(self.approx) >= self.ev.table_cap:
                 raise TableCapError(
@@ -130,9 +133,9 @@ class _FixFun:
         finally:
             self.solving = False
         self.ev.stats.iterations.append(
-            (rounds, len(self.approx) * (len(self.ev.full) + 1)))
+            (rounds, len(self.approx) * (len(self.ev.lts.states) + 1)))
 
-    def body_value(self, keys: tuple) -> frozenset:
+    def body_value(self, keys: tuple) -> int:
         # zero-argument fixpoints denote plain propositions, so recursive
         # occurrences stand for the current approximation rather than a
         # re-applicable function value
@@ -149,9 +152,15 @@ class _BoundedEvaluator:
         self.lts = lts
         self.window = window
         self.table_cap = table_cap
-        self.full = frozenset(lts.states)
+        self.full = (1 << len(lts.states)) - 1
+        # pre[a][i]: the states with an a-transition into lts.states[i]
+        index = {s: i for i, s in enumerate(lts.states)}
+        self.pre: dict[str, list[int]] = {}
+        for src, lbl, dst in lts.transitions:
+            masks = self.pre.setdefault(lbl, [0] * len(lts.states))
+            masks[index[dst]] |= 1 << index[src]
         self.fix_cache: dict = {}
-        self._elems: dict[SimpleType, list] = {}
+        self._elems: dict[SimpleType, Sequence] = {}
         self.stats = PureStats()
 
     # -- canonical keys for fixpoint-argument tuples
@@ -161,8 +170,6 @@ class _BoundedEvaluator:
             raise TypeError("boolean is not a semantic value")
         if isinstance(v, int):
             return v
-        if isinstance(v, frozenset):
-            return ("p", v)
         if v is BOT:
             return ("bot",)
         # function-typed argument: tabulate over its first-argument domain
@@ -187,8 +194,6 @@ class _BoundedEvaluator:
             return key
         if key == ("bot",):
             return BOT
-        if key[0] == "p":
-            return key[1]
         _, at_text, items = key
         at = next(t for t in self._elems if str(t) == at_text)
         dom_keys = [self.canonical(d) for d in self.domain_elems(at)]
@@ -196,17 +201,15 @@ class _BoundedEvaluator:
                                       [self.key_to_value(i) for i in items])),
                          self)
 
-    def domain_elems(self, t: SimpleType) -> list:
+    def domain_elems(self, t: SimpleType) -> Sequence:
         if t in self._elems:
             return self._elems[t]
         if isinstance(t, IntType):
             out = list(range(-self.window, self.window + 1))
         elif isinstance(t, PropType):
-            states = list(self.lts.states)
-            if 2 ** len(states) > self.table_cap:
+            if 2 ** len(self.lts.states) > self.table_cap:
                 raise TableCapError("prop domain exceeds the table cap")
-            out = [frozenset(s for i, s in enumerate(states) if mask >> i & 1)
-                   for mask in range(2 ** len(states))]
+            out = range(self.full + 1)
         else:
             out = self._monotone_functions(t)
         self._elems[t] = out
@@ -248,21 +251,19 @@ class _BoundedEvaluator:
         if isinstance(t, Arrow):
             return all(self.leq(t.res, a.table[k], b.table[k])
                        for k in a.table)
-        return a <= b if isinstance(t, PropType) else a == b
+        return a & ~b == 0 if isinstance(t, PropType) else a == b
 
     # -- application
 
-    def coerce_prop(self, v) -> frozenset:
+    def coerce_prop(self, v) -> int:
         if v is BOT:
-            return frozenset()
-        if isinstance(v, frozenset):
+            return 0
+        if isinstance(v, int):
             return v
         raise HflError(f"expected a proposition value, got {v!r}")
 
     def apply(self, fv, av):
         if fv is BOT:
-            return BOT
-        if isinstance(av, int) and abs(av) > self.window:
             return BOT
         if isinstance(fv, _Closure):
             return self.eval(fv.node.body, {**fv.env, fv.node.var: av})
@@ -279,6 +280,10 @@ class _BoundedEvaluator:
 
     # -- evaluation
 
+    def holds_initially(self, phi: Formula) -> bool:
+        denotation = self.coerce_prop(self.eval(phi, {}))
+        return bool(denotation >> self.lts.states.index(self.lts.initial) & 1)
+
     def eval(self, phi: Formula, env: dict):
         match phi:
             case Var(n, _):
@@ -286,7 +291,7 @@ class _BoundedEvaluator:
             case TrueF():
                 return self.full
             case FalseF():
-                return frozenset()
+                return 0
             case Or(l, r):
                 return self.coerce_prop(self.eval(l, env)) \
                     | self.coerce_prop(self.eval(r, env))
@@ -294,13 +299,10 @@ class _BoundedEvaluator:
                 return self.coerce_prop(self.eval(l, env)) \
                     & self.coerce_prop(self.eval(r, env))
             case Diamond(a, b):
-                bv = self.coerce_prop(self.eval(b, env))
-                return frozenset(s for s in self.lts.states
-                                 if self.lts.successors(s, a) & bv)
+                return self.pre_image(a, self.coerce_prop(self.eval(b, env)))
             case Box(a, b):
                 bv = self.coerce_prop(self.eval(b, env))
-                return frozenset(s for s in self.lts.states
-                                 if self.lts.successors(s, a) <= bv)
+                return self.full & ~self.pre_image(a, self.full & ~bv)
             case Lambda(_, _, _):
                 return _Closure(phi, env, self)
             case Mu(_, _, _) | Nu(_, _, _):
@@ -310,26 +312,40 @@ class _BoundedEvaluator:
                 return fix
             case App(f, a):
                 fv = self.eval(f, env)
-                av = eval_int(a, env) if isinstance(a, IntExpr) \
-                    else self.eval(a, env)
-                return self.apply(fv, av)
+                if not isinstance(a, IntExpr):
+                    return self.apply(fv, self.eval(a, env))
+                av = eval_int(a, env)
+                # out-of-window arguments contribute false
+                return BOT if abs(av) > self.window else self.apply(fv, av)
             case Atom(op, l, r):
                 lv = eval_int(l, env)
                 rv = eval_int(r, env)
                 if abs(lv) > self.window or abs(rv) > self.window:
-                    return frozenset()
-                return self.full if CMP_FN[op](lv, rv) else frozenset()
+                    return 0
+                return self.full if CMP_FN[op](lv, rv) else 0
             case Exists(_, _, _) | Forall(_, _, _):
                 raise HflError("quantifier sugar must be desugared before "
                                "bounded evaluation")
         raise TypeError(f"not a formula: {phi!r}")
+
+    def pre_image(self, label: str, b: int) -> int:
+        """The states with a label-transition into the set b."""
+        masks = self.pre.get(label)
+        if masks is None:
+            return 0
+        out = 0
+        while b:
+            low = b & -b
+            out |= masks[low.bit_length() - 1]
+            b ^= low
+        return out
 
     def fixpoint(self, node, env) -> _FixFun:
         key_parts = []
         cacheable = True
         for n in sorted(free_vars(node)):
             v = env[n]
-            if isinstance(v, (int, frozenset)):
+            if isinstance(v, int):
                 key_parts.append((n, v))
             else:
                 cacheable = False
@@ -362,7 +378,7 @@ def check_pure_stats(lts: Lts, phi: Formula,
     if not isinstance(t, PropType):
         raise ImpureFormulaError(f"model checking needs type prop, got {t}")
     ev = _BoundedEvaluator(lts, 0, table_cap)
-    return lts.initial in ev.coerce_prop(ev.eval(phi, {})), ev.stats
+    return ev.holds_initially(phi), ev.stats
 
 
 def eval_bounded(phi: Formula, window: int, lts: Lts | None = None,
@@ -376,5 +392,4 @@ def eval_bounded(phi: Formula, window: int, lts: Lts | None = None,
     if not isinstance(t, PropType):
         raise HflError(f"bounded evaluation needs type prop, got {t}")
     phi = transforms.desugar_quantifiers(phi)
-    ev = _BoundedEvaluator(m, window, table_cap)
-    return m.initial in ev.coerce_prop(ev.eval(phi, {}))
+    return _BoundedEvaluator(m, window, table_cap).holds_initially(phi)

@@ -3,10 +3,27 @@ entailment oracles."""
 
 from __future__ import annotations
 
+import re
+
 from .syntax import (
     Add, And, Atom, FalseF, HflError, IConst, INeg, IVar, IntExpr, Or, Sub,
     TrueF, Formula, base_name, subst_ints,
 )
+
+
+_SIMPLE_SYMBOL = re.compile(
+    r"[A-Za-z~!@$%^&*_+=<>.?/-][A-Za-z0-9~!@$%^&*_+=<>.?/-]*")
+_RESERVED_WORDS = frozenset({
+    "!", "_", "as", "BINARY", "DECIMAL", "exists", "forall", "HEXADECIMAL",
+    "let", "match", "NUMERAL", "par", "STRING"})
+
+
+def symbol(name: str) -> str:
+    """name as an SMT-LIB symbol: unchanged when it is a simple symbol,
+    otherwise quoted as |name| (source names may contain an apostrophe)."""
+    if _SIMPLE_SYMBOL.fullmatch(name) and name not in _RESERVED_WORDS:
+        return name
+    return f"|{name}|"
 
 
 def int_expr_to_sexpr(e: IntExpr) -> str:
@@ -14,7 +31,7 @@ def int_expr_to_sexpr(e: IntExpr) -> str:
         case IConst(n):
             return str(n) if n >= 0 else f"(- {-n})"
         case IVar(x):
-            return base_name(x)
+            return symbol(base_name(x))
         case Add(l, r):
             return f"(+ {int_expr_to_sexpr(l)} {int_expr_to_sexpr(r)})"
         case Sub(l, r):

@@ -339,7 +339,7 @@ class SmtEntailment(EntailmentOracle):
         self.timeout = timeout
 
     def entails(self, hyps: list[Formula], concl: Formula) -> bool | None:
-        from .smt import qf_formula_to_sexpr, qf_subst
+        from .smt import qf_formula_to_sexpr, qf_subst, symbol
 
         # the printer drops fresh-name suffixes (y%2 -> y), so give every
         # variable its own base name first: y, y_1, ...
@@ -356,7 +356,8 @@ class SmtEntailment(EntailmentOracle):
             return qf_formula_to_sexpr(qf_subst(phi, symbols))
 
         lines = ["(set-logic QF_LIA)"]
-        lines += [f"(declare-const {v.name} Int)" for v in symbols.values()]
+        lines += [f"(declare-const {symbol(v.name)} Int)"
+                  for v in symbols.values()]
         lines += [f"(assert {sexpr(h)})" for h in hyps]
         lines.append(f"(assert (not {sexpr(concl)}))")
         lines.append("(check-sat)")

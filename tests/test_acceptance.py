@@ -97,12 +97,12 @@ def test_criterion_1_golden_suite(corpus):
         "z > 0 /\\ (y <= 0 \\/ x'(z - 1, y - 1)))(u, i)")
     ok &= emit_smtlib_horn(hfl_to_chc(elim)) == (
         "(set-logic HORN)\n"
-        "(declare-fun x' (Int Int) Bool)\n"
-        "(assert (forall ((z Int) (y Int)) (=> (<= z 0) (x' z y))))\n"
+        "(declare-fun |x'| (Int Int) Bool)\n"
+        "(assert (forall ((z Int) (y Int)) (=> (<= z 0) (|x'| z y))))\n"
         "(assert (forall ((z Int) (y Int)) "
-        "(=> (and (> y 0) (x' (- z 1) (- y 1))) (x' z y))))\n"
+        "(=> (and (> y 0) (|x'| (- z 1) (- y 1))) (|x'| z y))))\n"
         "(assert (forall ((u Int) (i Int)) "
-        "(=> (and (>= u (+ i 1)) (>= u 1) (x' u i)) false)))\n"
+        "(=> (and (>= u (+ i 1)) (>= u 1) (|x'| u i)) false)))\n"
         "(check-sat)\n")
 
     # abstracted formula

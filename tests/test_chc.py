@@ -1,4 +1,5 @@
 import stat
+import sys
 import threading
 import time
 
@@ -12,6 +13,7 @@ from hflz.chc import (
 from hflz.parser import parse_formula
 from hflz.pretty import to_text
 from hflz.semantics import eval_bounded
+from hflz.smt import symbol
 from hflz.syntax import (
     Add, Atom, IConst, IVar, Sub, alpha_eq, dualize,
 )
@@ -126,6 +128,26 @@ def test_emit_parse_identity(corpus):
     assert text.strip().endswith("(check-sat)")
     sys1 = parse_smtlib_horn(text)
     assert emit_smtlib_horn(sys1) == text
+
+
+PRIMED = r"(nu x': int -> prop. \y': int. y' < 100 /\ x'(y' + 1))(1)"
+
+
+def test_primed_names_are_quoted_symbols(scripts):
+    # ' is not allowed in an SMT-LIB simple symbol, so such names print
+    # as quoted symbols, which the reader strips again
+    assert [symbol(n) for n in ("x", "y%2", "x'", "1x", "let")] == \
+        ["x", "y%2", "|x'|", "|1x|", "|let|"]
+    s = hfl_to_chc(parse_formula(PRIMED))
+    text = emit_smtlib_horn(s)
+    assert "(declare-fun |x'| (Int) Bool)" in text
+    assert "(forall ((|y'| Int))" in text
+    assert "(|x'| (+ |y'| 1))" in text
+    assert parse_smtlib_horn(text) == s
+    # invalid: from 1 the argument climbs past 100; the window reaches it
+    cfg = SolverConfig(f"{sys.executable} {scripts}/naive_chc_solver.py "
+                       "-w 100 {file}", timeout=120)
+    assert solve_external(s, cfg).kind == "unsat"
 
 
 def test_parse_corpus_smt2(corpus):

@@ -22,12 +22,14 @@ LABELS = ("a", "b")
 
 
 @st.composite
-def ltss(draw, max_states=4):
+def ltss(draw, max_states=4, max_trans=8, moving=LABELS):
+    """LTSs declaring LABELS whose transitions use only the labels in
+    `moving`."""
     n = draw(st.integers(1, max_states))
     states = tuple(f"s{i}" for i in range(n))
-    pairs = [(src, lbl, dst) for src in states for lbl in LABELS
+    pairs = [(src, lbl, dst) for src in states for lbl in moving
              for dst in states]
-    trans = draw(st.sets(st.sampled_from(pairs), max_size=8))
+    trans = draw(st.sets(st.sampled_from(pairs), max_size=max_trans))
     return Lts(states=states, labels=frozenset(LABELS),
                transitions=frozenset(trans), initial=states[0])
 
@@ -36,9 +38,10 @@ PROP_TO_PROP = Arrow(PROP, PROP)
 
 
 @st.composite
-def pure_formulas(draw, depth=0, bound=(), funs=()):
-    """Pure formulas over prop variables `bound`; `funs` names variables of
-    type prop -> prop that may be applied."""
+def pure_formulas(draw, depth=0, bound=(), funs=(), labels=LABELS):
+    """Pure formulas over prop variables `bound` and modalities over
+    `labels`; `funs` names variables of type prop -> prop that may be
+    applied."""
     leaf_only = depth >= 4
     options = ["true", "false"]
     if bound:
@@ -54,34 +57,36 @@ def pure_formulas(draw, depth=0, bound=(), funs=()):
         return FALSE
     if kind == "var":
         return Var(draw(st.sampled_from(bound)), PROP)
-    sub = dict(depth=depth + 1, bound=bound, funs=funs)
+    sub = dict(depth=depth + 1, bound=bound, funs=funs, labels=labels)
     if kind in ("or", "and"):
         l = draw(pure_formulas(**sub))
         r = draw(pure_formulas(**sub))
         return (Or if kind == "or" else And)(l, r)
     if kind in ("dia", "box"):
-        lbl = draw(st.sampled_from(LABELS))
+        lbl = draw(st.sampled_from(labels))
         b = draw(pure_formulas(**sub))
         return (Diamond if kind == "dia" else Box)(lbl, b)
     if kind == "app":
         f = Var(draw(st.sampled_from(funs)), PROP_TO_PROP)
         return App(f, draw(pure_formulas(**sub)))
     x = f"v{len(bound)}"
-    b = draw(pure_formulas(depth=depth + 1, bound=bound + (x,), funs=funs))
+    b = draw(pure_formulas(depth=depth + 1, bound=bound + (x,), funs=funs,
+                           labels=labels))
     return (Mu if kind == "mu" else Nu)(x, PROP, b)
 
 
 @st.composite
-def order1_formulas(draw):
+def order1_formulas(draw, labels=LABELS):
     """(mu|nu f: prop -> prop. \\p: prop. body)(arg), possibly twice, where
     body applies f and may nest mu/nu binders."""
-    body = draw(pure_formulas(depth=1, bound=("p",), funs=("f",)))
+    body = draw(pure_formulas(depth=1, bound=("p",), funs=("f",),
+                              labels=labels))
     fix = (Mu if draw(st.booleans()) else Nu)(
         "f", PROP_TO_PROP, Lambda("p", PROP, body))
-    phi = App(fix, draw(pure_formulas(depth=2)))
+    phi = App(fix, draw(pure_formulas(depth=2, labels=labels)))
     if draw(st.booleans()):
         phi = (Or if draw(st.booleans()) else And)(
-            phi, App(fix, draw(pure_formulas(depth=2))))
+            phi, App(fix, draw(pure_formulas(depth=2, labels=labels))))
     return phi
 
 
@@ -112,6 +117,47 @@ def test_check_pure_matches_reference(m, phi):
     assert ok == reference_check_pure_stats(m, phi)[0]
     for count, bound in stats.iterations:
         assert count <= bound
+
+
+# modalities also over c, which no model declares; in half of the models b
+# is declared but has no transitions
+WIDE_LABELS = LABELS + ("c",)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([LABELS, ("a",)]).flatmap(
+           lambda moving: ltss(max_states=6, max_trans=16, moving=moving)),
+       st.one_of(pure_formulas(labels=WIDE_LABELS),
+                 order1_formulas(labels=WIDE_LABELS)))
+def test_engine_matches_reference_on_wider_models(m, phi):
+    """Both entry points agree with the reference on models of up to six
+    states, deadlock states and labels without transitions included."""
+    expected = reference_check_pure_stats(m, phi)[0]
+    assert check_pure(m, phi) == expected
+    assert eval_bounded(phi, 0, lts=m) == expected
+
+
+def a_chain(n: int) -> Lts:
+    states = tuple(f"s{i}" for i in range(n))
+    return Lts(states=states, labels=frozenset({"a"}),
+               transitions=frozenset((states[i], "a", states[i + 1])
+                                     for i in range(n - 1)),
+               initial=states[0])
+
+
+def test_modal_steps_use_the_predecessor_index(monkeypatch):
+    # a per-state successor scan costs O(|S|*|T|) per modal step; the
+    # engine must answer from the index it builds once per evaluation
+    def no_scan(self, state, label):
+        raise AssertionError("Lts.successors called by the engine")
+
+    monkeypatch.setattr(Lts, "successors", no_scan)
+    m = a_chain(400)
+    reaches_deadlock = parse_formula(r"mu y: prop. [a] false \/ <a> y")
+    safe = parse_formula(r"nu y: prop. [c] false /\ [a] y")
+    for phi in (reaches_deadlock, safe):
+        assert check_pure(m, phi)
+        assert eval_bounded(phi, 0, m)
 
 
 # ---------------------------------------------------------------------------

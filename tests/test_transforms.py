@@ -200,6 +200,17 @@ def test_smt_entailment_query_content(tmp_path):
     assert "(check-sat)" in text
 
 
+def test_smt_entailment_quotes_primed_names(tmp_path):
+    out = tmp_path / "seen.smt2"
+    stub = _stub_solver(tmp_path, "spy.sh", f'cp "$1" {out}; echo unsat')
+    y = IVar("y'")
+    SmtEntailment(f"{stub} {{file}}").entails(
+        [Atom(">", y, IConst(0))], Atom(">=", y, IConst(0)))
+    text = out.read_text()
+    assert "(declare-const |y'| Int)" in text
+    assert "(assert (not (>= |y'| 0)))" in text
+
+
 def test_smt_entailment_declares_every_symbol(tmp_path):
     # y%1 and y%2 are two fresh copies of one source variable y; y_1 is a
     # third variable whose name a careless suffix would collide with
