@@ -6,14 +6,12 @@ A CHC system is satisfiable iff the HFL formula produced by
 
 from __future__ import annotations
 
-import shlex
-import subprocess
-import tempfile
 import threading
-import time
 from dataclasses import dataclass
+from functools import reduce
 
 from . import smt
+from .smt import SolverError  # noqa: F401  (re-exported)
 from .syntax import (
     And, App, Atom, Box, Diamond, Exists, FALSE, FalseF, Forall, HflError, INT,
     IVar, IntExpr, IntType, Lambda, Mu, Or, PROP, TRUE, TrueF, Var, Formula,
@@ -127,12 +125,7 @@ def chc_to_hfl(system: ChcSystem) -> Formula:
 
         bodies = [_clause_body(c, params, outer, pred_formula)
                   for c in clauses]
-        if not bodies:
-            disj: Formula = FALSE
-        else:
-            disj = bodies[0]
-            for b in bodies[1:]:
-                disj = Or(disj, b)
+        disj = reduce(Or, bodies) if bodies else FALSE
         return Mu(binder, t, lam([(x, INT) for x in params], disj))
 
     def goal_formula(goal: GoalClause) -> Formula:
@@ -146,23 +139,13 @@ def chc_to_hfl(system: ChcSystem) -> Formula:
                 _, name, args = item
                 pred = dualize(pred_formula(name, {}))
                 parts.append(app(pred, *[subst_ints(e, env) for e in args]))
-        if not parts:
-            body: Formula = FALSE
-        else:
-            body = parts[0]
-            for p in parts[1:]:
-                body = Or(body, p)
+        body = reduce(Or, parts) if parts else FALSE
         for v in reversed(gvars):
             body = Forall(env[v].name, body)
         return body
 
     goals = [goal_formula(g) for g in system.goals]
-    if not goals:
-        return TRUE
-    out = goals[0]
-    for g in goals[1:]:
-        out = And(out, g)
-    return out
+    return reduce(And, goals) if goals else TRUE
 
 
 def _param_names(clauses: list[DefiniteClause], arity: int) -> list[str]:
@@ -202,12 +185,7 @@ def _clause_body(c: DefiniteClause, params: list[str],
             target: Formula = outer[name] if name in outer \
                 else pred_formula(name, outer)
             parts.append(app(target, *[subst_ints(e, env) for e in args]))
-    if not parts:
-        body: Formula = TRUE
-    else:
-        body = parts[0]
-        for p in parts[1:]:
-            body = And(body, p)
+    body = reduce(And, parts) if parts else TRUE
     for v in reversed(local_sources):
         body = Exists(env[v].name, body)
     return body
@@ -486,10 +464,6 @@ def parse_smtlib_horn(text: str) -> ChcSystem:
 # External solver
 
 
-class SolverError(HflError):
-    pass
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """command is a shell-ish template with a {file} placeholder."""
@@ -505,38 +479,8 @@ def solve_external(system: ChcSystem, config: SolverConfig,
     Timeouts and cancellation give Unknown; a malformed answer gives Unknown
     with the raw output attached; failure to start the process raises.
     """
-    script = emit_smtlib_horn(system)
-    with tempfile.NamedTemporaryFile("w", suffix=".smt2",
-                                     delete=False) as f:
-        f.write(script)
-        path = f.name
-    argv = [a.replace("{file}", path) for a in shlex.split(config.command)]
-    if path not in argv and "{file}" not in config.command:
-        raise SolverError("solver command must contain a {file} placeholder")
-    try:
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True)
-    except OSError as e:
-        raise SolverError(f"could not start solver {argv[0]!r}: {e}") from e
-
-    deadline = time.monotonic() + config.timeout
-    while proc.poll() is None:
-        if cancel is not None and cancel.is_set():
-            proc.kill()
-            proc.wait()
-            return SolverVerdict("unknown", "cancelled")
-        if time.monotonic() > deadline:
-            proc.kill()
-            proc.wait()
-            return SolverVerdict("unknown", "timeout")
-        time.sleep(0.02)
-    out, err = proc.communicate()
-    lines = [ln.strip() for ln in out.splitlines() if ln.strip()]
-    verdict = lines[0] if lines else ""
-    if verdict in ("sat", "unsat", "unknown"):
-        return SolverVerdict(verdict, "\n".join(lines[1:]))
-    return SolverVerdict("unknown",
-                         f"malformed solver output: {out!r} {err!r}")
+    return SolverVerdict(*smt.run_solver(
+        config.command, emit_smtlib_horn(system), config.timeout, cancel))
 
 
 # ---------------------------------------------------------------------------

@@ -149,12 +149,7 @@ def _run_side(phi: Formula, lts: Lts, cfg: RunConfig,
                 return res
 
         if cfg.preds_path and not _has_mu(phi):
-            with open(cfg.preds_path) as f:
-                preds = PredicateSet.parse(f.read())
-            oracle = SmtEntailment(cfg.solver, timeout=cfg.timeout) \
-                if cfg.solver else WindowEntailment(width=cfg.window)
-            abstracted = timed("abstract", lambda: abstract_predicates(
-                desugar_quantifiers(phi), preds, oracle))
+            abstracted = timed("abstract", lambda: _abstract(phi, cfg))
             if is_pure(abstracted) and timed(
                     "abstract+check_pure", lambda: check_pure(
                         lts, abstracted, table_cap=cfg.table_cap)):
@@ -165,15 +160,25 @@ def _run_side(phi: Formula, lts: Lts, cfg: RunConfig,
     return res
 
 
+def _abstract(phi: Formula, cfg: RunConfig) -> Formula:
+    """Predicate abstraction of phi with the --preds file, deciding
+    entailments with the --solver if given, else over the window."""
+    with open(cfg.preds_path) as f:
+        preds = PredicateSet.parse(f.read())
+    oracle = SmtEntailment(cfg.solver, timeout=cfg.timeout) if cfg.solver \
+        else WindowEntailment(width=cfg.window)
+    return abstract_predicates(desugar_quantifiers(phi), preds, oracle)
+
+
 def _try_chc(phi: Formula, bound: BoundExpr | None, label: str,
              cfg: RunConfig, cancel, res: _SideResult, timed) -> bool:
     """CHC path for first-order Horn-shaped formulas; True when proved."""
+    if not cfg.solver:
+        return False
     try:
         elim = eliminate_mu(phi, bound) if bound is not None else phi
         system = hfl_to_chc(elim)
     except HflError:
-        return False
-    if not cfg.solver:
         return False
     verdict = timed(f"chc[n={label}]", lambda: solve_external(
         system, SolverConfig(cfg.solver, cfg.timeout), cancel))
@@ -300,14 +305,10 @@ def _cmd_elim_mu(cfg: RunConfig) -> int:
 
 
 def _cmd_abstract(cfg: RunConfig) -> int:
-    phi = desugar_quantifiers(_load_formula(cfg.inputs[0], cfg))
+    phi = _load_formula(cfg.inputs[0], cfg)
     if not cfg.preds_path:
         raise HflError("abstract needs --preds FILE")
-    with open(cfg.preds_path) as f:
-        preds = PredicateSet.parse(f.read())
-    oracle = SmtEntailment(cfg.solver, timeout=cfg.timeout) if cfg.solver \
-        else WindowEntailment(width=cfg.window)
-    print(to_text(abstract_predicates(phi, preds, oracle)))
+    print(to_text(_abstract(phi, cfg)))
     return 0
 
 

@@ -60,7 +60,6 @@ class Definition:
     name: str
     params: tuple[tuple[str, SimpleType], ...]
     body: Expr
-    rec: bool = False
 
 
 @dataclass(frozen=True)
@@ -175,8 +174,7 @@ class _ProgParser:
         raw_defs = []
         while self.peek() == "let":
             self.next()
-            rec = self.peek() == "rec"
-            if rec:
+            if self.peek() == "rec":
                 self.next()
             name = self.next()
             if not name.isidentifier():
@@ -188,7 +186,7 @@ class _ProgParser:
                     raise ProgramError(f"bad parameter {p!r} in {name}")
                 params.append(p)
             self.expect("=")
-            raw_defs.append((name, params, self.parse_expr(), rec))
+            raw_defs.append((name, params, self.parse_expr()))
         if self.peek() != "main":
             raise ProgramError("expected 'main = <expr>'")
         self.next()
@@ -284,7 +282,7 @@ def parse_program(text: str) -> Program:
 
     # parameter kinds: "int" | "prop" | None (unknown)
     kinds: dict[tuple[str, str], str | None] = {
-        (name, p): None for name, params, _, _ in raw_defs for p in params}
+        (name, p): None for name, params, _ in raw_defs for p in params}
 
     def set_kind(dname, p, kind):
         cur = kinds[(dname, p)]
@@ -295,7 +293,7 @@ def parse_program(text: str) -> Program:
                 f"parameter {p} of {dname} used both as an integer and as "
                 "a continuation")
 
-    arities = {name: len(params) for name, params, _, _ in raw_defs}
+    arities = {name: len(params) for name, params, _ in raw_defs}
 
     def scan(u, dname, params, ctx):
         """ctx: 'expr' | 'int'."""
@@ -332,16 +330,16 @@ def parse_program(text: str) -> Program:
             case _UUnit():
                 pass
 
-    for name, params, body, _ in raw_defs:
+    for name, params, body in raw_defs:
         scan(body, name, set(params), "expr")
     # propagate kinds through call argument positions
     for _ in range(len(raw_defs) + 1):
         changed = False
-        for name, params, body, _ in raw_defs + [("", [], raw_main, False)]:
+        for name, params, body in raw_defs + [("", [], raw_main)]:
             for u in _walk(body):
                 if isinstance(u, _UApp) and u.head in arities:
                     callee = u.head
-                    cparams = next(p for n, p, _, _ in raw_defs
+                    cparams = next(p for n, p, _ in raw_defs
                                    if n == callee)
                     slot = 0
                     for a in u.args:
@@ -371,7 +369,6 @@ def parse_program(text: str) -> Program:
             kinds[key] = "prop"  # unused parameters default to continuations
 
     defs: list[Definition] = []
-    dmap: dict[str, Definition] = {}
 
     def elab_int(u, dname, params) -> IntExpr:
         match u:
@@ -453,13 +450,11 @@ def parse_program(text: str) -> Program:
                 raise ProgramError(f"unknown function {n!r}")
         raise ProgramError(f"expected an expression, got {u!r}")
 
-    for name, params, body, rec in raw_defs:
+    for name, params, body in raw_defs:
         typed = tuple(
             (p, INT if kinds[(name, p)] == "int" else PROP) for p in params)
-        d = Definition(name=name, params=typed,
-                       body=elab_expr(body, name, set(params)), rec=rec)
-        defs.append(d)
-        dmap[name] = d
+        defs.append(Definition(name=name, params=typed,
+                               body=elab_expr(body, name, set(params))))
     main = elab_expr(raw_main, "", set())
     return Program(events=tuple(events), definitions=tuple(defs), main=main)
 

@@ -1,9 +1,15 @@
-"""SMT-LIB s-expression helpers shared by the CHC bridge and the
-entailment oracles."""
+"""SMT-LIB s-expression helpers and the external-solver runner shared by
+the CHC bridge and the entailment oracles."""
 
 from __future__ import annotations
 
+import os
 import re
+import shlex
+import subprocess
+import tempfile
+import threading
+import time
 
 from .syntax import (
     Add, And, Atom, FalseF, HflError, IConst, INeg, IVar, IntExpr, Or, Sub,
@@ -78,6 +84,66 @@ def qf_subst(phi: Formula, mapping: dict[str, IntExpr]) -> Formula:
             return phi
     raise HflError(
         f"not a quantifier-free arithmetic formula: {type(phi).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# External solver runner
+
+
+class SolverError(HflError):
+    pass
+
+
+def run_solver(command: str, script: str, timeout: float,
+               cancel: threading.Event | None = None) -> tuple[str, str]:
+    """Run an external solver on an SMT-LIB script; (kind, detail).
+
+    command is a shell-ish template; its {file} placeholder becomes the path
+    of a temporary .smt2 file holding script, removed once the solver has
+    ended.  kind is the first non-empty output line when that is sat, unsat
+    or unknown (detail: the remaining lines); otherwise kind is unknown and
+    detail is "timeout", "cancelled" or the malformed output.  A command
+    without the placeholder or a solver that cannot start raises.
+    """
+    if "{file}" not in command:
+        raise SolverError("solver command must contain a {file} placeholder")
+    fd, path = tempfile.mkstemp(suffix=".smt2")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(script)
+        argv = [a.replace("{file}", path) for a in shlex.split(command)]
+        try:
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True)
+        except OSError as e:
+            raise SolverError(
+                f"could not start solver {argv[0]!r}: {e}") from e
+        deadline = time.monotonic() + timeout
+        while True:
+            # communicate keeps draining both pipes, so a chatty solver
+            # cannot block on a full one; a retry loses no output
+            try:
+                out, err = proc.communicate(timeout=0.02)
+                break
+            except subprocess.TimeoutExpired:
+                pass
+            if cancel is not None and cancel.is_set():
+                stop = "cancelled"
+            elif time.monotonic() > deadline:
+                stop = "timeout"
+            else:
+                continue
+            # no communicate after kill: an orphaned child of a script
+            # solver may hold the pipes open
+            proc.kill()
+            proc.wait()
+            return "unknown", stop
+    finally:
+        os.unlink(path)
+    lines = [ln.strip() for ln in out.splitlines() if ln.strip()]
+    if lines and lines[0] in ("sat", "unsat", "unknown"):
+        return lines[0], "\n".join(lines[1:])
+    return "unknown", f"malformed solver output: {out!r} {err!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ validity of the input, never the converse.
 from __future__ import annotations
 
 import itertools
-import shlex
-import subprocess
-import tempfile
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
+from .smt import (
+    SolverError, qf_formula_to_sexpr, qf_subst, run_solver, symbol,
+)
 from .syntax import (
     Add, And, App, Atom, Box, CMP_FN, Diamond, Exists, FALSE, FalseF, Forall,
     HflError, IConst, INT, INeg, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or,
@@ -141,36 +142,25 @@ def desugar_quantifiers(phi: Formula) -> Formula:
 
     def go(phi: Formula) -> Formula:
         match phi:
-            case Exists(x, b, pieces):
+            case Exists(x, b, pieces) | Forall(x, b, pieces):
+                # exists walks with mu and \/, guarding its lower bounds
+                # with >= and /\; forall is the dual
+                fix, walk, guard, cmp = (Mu, Or, And, ">=") \
+                    if isinstance(phi, Exists) else (Nu, And, Or, "<")
                 b = go(b)
                 q = fresh_name("q")
                 qt = arrow(INT, PROP)
                 qv = Var(q, qt)
                 if not pieces:
-                    body = Or(Or(b, App(qv, Sub(IVar(x), IConst(1)))),
-                              App(qv, Add(IVar(x), IConst(1))))
+                    body = walk(walk(b, App(qv, Sub(IVar(x), IConst(1)))),
+                                App(qv, Add(IVar(x), IConst(1))))
                     start: IntExpr = IConst(0)
                 else:
                     for piece in pieces[1:]:
-                        b = And(Atom(">=", IVar(x), piece), b)
-                    body = Or(b, App(qv, Add(IVar(x), IConst(1))))
+                        b = guard(Atom(cmp, IVar(x), piece), b)
+                    body = walk(b, App(qv, Add(IVar(x), IConst(1))))
                     start = pieces[0]
-                return App(Mu(q, qt, Lambda(x, INT, body)), start)
-            case Forall(x, b, pieces):
-                b = go(b)
-                q = fresh_name("q")
-                qt = arrow(INT, PROP)
-                qv = Var(q, qt)
-                if not pieces:
-                    body = And(And(b, App(qv, Sub(IVar(x), IConst(1)))),
-                               App(qv, Add(IVar(x), IConst(1))))
-                    start = IConst(0)
-                else:
-                    for piece in pieces[1:]:
-                        b = Or(Atom("<", IVar(x), piece), b)
-                    body = And(b, App(qv, Add(IVar(x), IConst(1))))
-                    start = pieces[0]
-                return App(Nu(q, qt, Lambda(x, INT, body)), start)
+                return App(fix(q, qt, Lambda(x, INT, body)), start)
             case _:
                 return map_children(phi, go)
 
@@ -331,7 +321,9 @@ class WindowEntailment(EntailmentOracle):
 class SmtEntailment(EntailmentOracle):
     """Sound entailment via an external SMT solver speaking SMT-LIB QF_LIA.
 
-    The command template must contain a {file} placeholder.
+    The command template must contain a {file} placeholder; without one,
+    and whenever the solver does not answer sat or unsat, there is no
+    answer (None).
     """
 
     def __init__(self, command: str, timeout: float = 10.0):
@@ -339,8 +331,6 @@ class SmtEntailment(EntailmentOracle):
         self.timeout = timeout
 
     def entails(self, hyps: list[Formula], concl: Formula) -> bool | None:
-        from .smt import qf_formula_to_sexpr, qf_subst, symbol
-
         # the printer drops fresh-name suffixes (y%2 -> y), so give every
         # variable its own base name first: y, y_1, ...
         symbols: dict[str, IntExpr] = {}
@@ -361,23 +351,12 @@ class SmtEntailment(EntailmentOracle):
         lines += [f"(assert {sexpr(h)})" for h in hyps]
         lines.append(f"(assert (not {sexpr(concl)}))")
         lines.append("(check-sat)")
-        with tempfile.NamedTemporaryFile(
-                "w", suffix=".smt2", delete=False) as f:
-            f.write("\n".join(lines) + "\n")
-            path = f.name
-        cmd = [a.replace("{file}", path) for a in shlex.split(self.command)]
         try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=self.timeout)
-        except (subprocess.TimeoutExpired, OSError):
+            kind, _ = run_solver(self.command, "\n".join(lines) + "\n",
+                                 self.timeout)
+        except SolverError:
             return None
-        out = proc.stdout.strip().splitlines()
-        verdict = out[0].strip() if out else ""
-        if verdict == "unsat":
-            return True
-        if verdict == "sat":
-            return False
-        return None
+        return {"unsat": True, "sat": False}.get(kind)
 
 
 def qf_int_vars(phi: Formula) -> set[str]:
@@ -485,18 +464,10 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
                     minimal.append(combo)
         if not minimal:
             return FALSE
-        disjuncts = []
-        for combo in minimal:
-            if not combo:
-                return TRUE
-            conj: Formula = Var(benv[combo[0]][0], PROP)
-            for i in combo[1:]:
-                conj = And(conj, Var(benv[i][0], PROP))
-            disjuncts.append(conj)
-        out = disjuncts[0]
-        for d in disjuncts[1:]:
-            out = Or(out, d)
-        return out
+        if () in minimal:  # then minimal == [()]
+            return TRUE
+        return reduce(Or, [reduce(And, [Var(benv[i][0], PROP) for i in combo])
+                           for combo in minimal])
 
     def abstract_arg(benv, templates: list[tuple[str, Atom]],
                      e: IntExpr) -> list[Formula]:

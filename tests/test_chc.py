@@ -224,6 +224,41 @@ def test_solve_external_errors(tmp_path):
         solve_external(s, SolverConfig("/no/such/solver {file}"))
 
 
+def test_solver_scripts_are_removed(tmp_path, monkeypatch):
+    import tempfile
+    from hflz.transforms import SmtEntailment
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    s = mult_system()
+    sat = _stub(tmp_path, "sat.sh", "echo sat")
+    unsat = _stub(tmp_path, "unsat.sh", "echo unsat")
+    slow = _stub(tmp_path, "slow.sh", "exec sleep 30")
+    assert solve_external(s, SolverConfig(f"{sat} {{file}}")).kind == "sat"
+    v = solve_external(s, SolverConfig(f"{slow} {{file}}", timeout=0.1))
+    assert v.detail == "timeout"
+    cancel = threading.Event()
+    cancel.set()
+    v = solve_external(s, SolverConfig(f"{slow} {{file}}"), cancel)
+    assert v.detail == "cancelled"
+    y = IVar("y")
+    assert SmtEntailment(f"{unsat} {{file}}").entails(
+        [Atom(">", y, IConst(0))], Atom(">=", y, IConst(0))) is True
+    assert list(scratch.glob("*.smt2")) == []
+
+
+def test_solve_external_drains_a_chatty_solver(tmp_path):
+    # more output than a pipe buffer holds: a solver that is not read
+    # while it runs blocks on the full pipe until the timeout
+    chatty = _stub(tmp_path, "chatty.sh",
+                   "echo sat; head -c 200000 /dev/zero | tr '\\0' x; echo")
+    t0 = time.monotonic()
+    v = solve_external(mult_system(),
+                       SolverConfig(f"{chatty} {{file}}", timeout=10))
+    assert v.kind == "sat" and len(v.detail) == 200000
+    assert time.monotonic() - t0 < 5
+
+
 def test_naive_solver_script(scripts, tmp_path):
     import subprocess, sys
     s = mult_system()

@@ -187,6 +187,13 @@ def test_smt_entailment_stubs(tmp_path):
         .entails([gt0], ge0) is None
 
 
+def test_smt_entailment_needs_the_file_placeholder():
+    # echo never sees the query, so its "unsat" must not read as a proof
+    y = IVar("y")
+    assert SmtEntailment("/bin/echo unsat").entails(
+        [Atom("<", y, IConst(0))], Atom(">", y, IConst(5))) is not True
+
+
 def test_smt_entailment_query_content(tmp_path):
     # the stub copies its input aside so we can check the emitted SMT-LIB
     out = tmp_path / "seen.smt2"
