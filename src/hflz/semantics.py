@@ -8,6 +8,13 @@ actually reachable from the query; function-typed arguments are tabulated
 over their finite domains (prop values, the integer window, or enumerated
 monotone functions) so they can key the tables.
 
+Solving is local: outside a solve, every table entry is final.  A call
+with a key already in the table returns its entry at once; a new key
+starts a solve of only the entries added since.  A cached fixpoint closes
+over integers only; any other one lives only within the body evaluation
+that created it, during which no entry of an enclosing table changes.  So
+a finished entry would never change again.
+
 ``check_pure`` runs it on pure HFL, where every domain is finite and the
 answer is exact.  ``eval_bounded`` runs it on full HFL(Z) with integer
 arguments restricted to a window [-B, B].  Out-of-window applications and
@@ -104,11 +111,13 @@ class _FixFun:
                     f"{self.ev.table_cap}")
             self.approx[keys] = self.init
             self.new_args = True
-        if not self.solving:
-            self.solve()
+            if not self.solving:
+                self.solve(len(self.approx) - 1)
         return self.approx[keys]
 
-    def solve(self):
+    def solve(self, first: int):
+        # Only the entries from index `first` on are iterated: the older
+        # ones are final and depend on no newer key.
         # Mid-solve, a table need not be monotone in its arguments (f(∅)=S
         # while f(S)=∅), so plain re-evaluation can oscillate.  Each entry
         # only grows (mu) or shrinks (nu) instead: every value stays an
@@ -122,7 +131,7 @@ class _FixFun:
                 changed = False
                 self.new_args = False
                 rounds += 1
-                for keys in list(self.approx):
+                for keys in list(self.approx)[first:]:
                     old = self.approx[keys]
                     v = self.body_value(keys)
                     v = v | old if self.is_mu else v & old
@@ -160,6 +169,7 @@ class _BoundedEvaluator:
             masks = self.pre.setdefault(lbl, [0] * len(lts.states))
             masks[index[dst]] |= 1 << index[src]
         self.fix_cache: dict = {}
+        self.free_names: dict[int, list[str]] = {}
         self._elems: dict[SimpleType, Sequence] = {}
         self.stats = PureStats()
 
@@ -292,12 +302,18 @@ class _BoundedEvaluator:
                 return self.full
             case FalseF():
                 return 0
+            # an absorbing left operand leaves the right one unevaluated,
+            # so its fixpoint calls add no table entries
             case Or(l, r):
-                return self.coerce_prop(self.eval(l, env)) \
-                    | self.coerce_prop(self.eval(r, env))
+                lv = self.coerce_prop(self.eval(l, env))
+                if lv == self.full:
+                    return lv
+                return lv | self.coerce_prop(self.eval(r, env))
             case And(l, r):
-                return self.coerce_prop(self.eval(l, env)) \
-                    & self.coerce_prop(self.eval(r, env))
+                lv = self.coerce_prop(self.eval(l, env))
+                if not lv:
+                    return 0
+                return lv & self.coerce_prop(self.eval(r, env))
             case Diamond(a, b):
                 return self.pre_image(a, self.coerce_prop(self.eval(b, env)))
             case Box(a, b):
@@ -341,23 +357,17 @@ class _BoundedEvaluator:
         return out
 
     def fixpoint(self, node, env) -> _FixFun:
-        key_parts = []
-        cacheable = True
-        for n in sorted(free_vars(node)):
-            v = env[n]
-            if isinstance(v, int):
-                key_parts.append((n, v))
-            else:
-                cacheable = False
-                break
-        if cacheable:
-            key = (id(node), tuple(key_parts))
-            fix = self.fix_cache.get(key)
-            if fix is None:
-                fix = _FixFun(node, env, self)
-                self.fix_cache[key] = fix
-            return fix
-        return _FixFun(node, env, self)
+        names = self.free_names.get(id(node))
+        if names is None:
+            names = self.free_names[id(node)] = sorted(free_vars(node))
+        vals = tuple(env[n] for n in names)
+        if not all(isinstance(v, int) for v in vals):
+            return _FixFun(node, env, self)
+        key = (id(node), vals)
+        fix = self.fix_cache.get(key)
+        if fix is None:
+            fix = self.fix_cache[key] = _FixFun(node, env, self)
+        return fix
 
 
 # ---------------------------------------------------------------------------

@@ -204,9 +204,9 @@ def test_criterion_4_chc_pipeline(corpus, scripts):
                            ("atom", Atom(">", IVar("x"), IConst(0))),
                            ("atom", Atom(">=", IVar("r"), IVar("y"))))),))
     ok &= solve_external(flipped, cfg).kind == "unsat"
-    # the dual is an existential witness search; nested quantifier walks
-    # under a fixpoint are exponential in the window, and the witness
-    # (1, 1, 1) already sits inside window 2
+    # the dual is an existential witness search whose nested quantifier
+    # walks close over mult; the witness (1, 1, 1) already sits inside
+    # window 2, where it builds about 100 fixpoint tables
     ok &= eval_bounded(dualize(chc_to_hfl(flipped)), 2)
 
     # solver-free fallback: the same instances, one-sided at B=8

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hflz import semantics
+from hflz.chc import ChcSystem, GoalClause, chc_to_hfl, parse_smtlib_horn
 from hflz.lts import Lts, parse_lts, trivial_model
 from hflz.parser import parse_formula
 from hflz.semantics import (
@@ -8,10 +10,13 @@ from hflz.semantics import (
     eval_bounded,
 )
 from hflz.syntax import (
-    And, App, Arrow, Box, Diamond, FALSE, IConst, Lambda, Mu, Nu, Or, PROP,
-    TRUE, Var, app, dualize,
+    INT, Add, And, App, Arrow, Atom, Box, CMP_OPS, Diamond, Exists, FALSE,
+    Forall, IConst, IVar, Lambda, Mu, Nu, Or, PROP, Sub, TRUE, Var, app,
+    arrow, dualize,
 )
+from hflz.transforms import BoundExpr, eliminate_mu
 
+from bounded_reference import reference_eval_bounded
 from pure_reference import reference_check_pure_stats
 
 LABELS = ("a", "b")
@@ -293,3 +298,181 @@ def test_eval_with_lts(corpus):
         r"(25, <end> true)")
     assert not eval_bounded(phi25, 16, lts=m)
     assert eval_bounded(phi25, 32, lts=m)
+
+
+# ---------------------------------------------------------------------------
+# Local solving: a finished table entry is never evaluated again
+
+
+@pytest.fixture
+def engine_counts(monkeypatch):
+    counts = {"body": 0, "fixfuns": 0}
+    body_value = semantics._FixFun.body_value
+    init = semantics._FixFun.__init__
+
+    def counted_body_value(self, keys):
+        counts["body"] += 1
+        return body_value(self, keys)
+
+    def counted_init(self, *args):
+        counts["fixfuns"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(semantics._FixFun, "body_value", counted_body_value)
+    monkeypatch.setattr(semantics._FixFun, "__init__", counted_init)
+    return counts
+
+
+def test_eliminated_walk_evaluates_each_entry_rarely(engine_counts):
+    # a call into the solved inner nu returns its entry; solving the whole
+    # table again on each call costs 56,939 body evaluations here
+    walk = parse_formula(
+        r"forall i. (mu x: int -> prop. \y: int. y <= 4 \/ x(y - 3))(i)")
+    phi = eliminate_mu(walk, BoundExpr.const(4), style="apply")
+    assert not eval_bounded(phi, 12)
+    assert engine_counts["body"] <= 2000
+
+
+def mult_dual(corpus):
+    """The dual of the mult system whose goal is flipped to the reachable
+    x > 0 /\\ r >= y: an existential witness search."""
+    mult = parse_smtlib_horn((corpus / "mult.smt2").read_text())
+    x, y, r = IVar("x"), IVar("y"), IVar("r")
+    flipped = ChcSystem(
+        preds=mult.preds, definite=mult.definite,
+        goals=(GoalClause((("pred", "mult", (x, y, r)),
+                           ("atom", Atom(">", x, IConst(0))),
+                           ("atom", Atom(">=", r, y)))),))
+    return dualize(chc_to_hfl(flipped))
+
+
+def test_mult_dual_builds_few_fixpoints(corpus, engine_counts):
+    # the inner walks close over mult, so they are never cached; solving
+    # finished tables again on each call builds 54,202 of them at window 2
+    phi = mult_dual(corpus)
+    assert eval_bounded(phi, 2)
+    assert engine_counts["fixfuns"] <= 1000
+    assert eval_bounded(phi, 3)
+
+
+# ---------------------------------------------------------------------------
+# Random integer formulas against the whole-table reference
+
+
+@st.composite
+def int_exprs(draw, ivars):
+    """Constants up to 4 (outside windows up to 3) and variables shifted by
+    at most 2."""
+    if not ivars or not draw(st.integers(0, 2)):
+        return IConst(draw(st.integers(-4, 4)))
+    v = IVar(draw(st.sampled_from(ivars)))
+    k = draw(st.integers(-2, 2))
+    if k == 0:
+        return v
+    return Add(v, IConst(k)) if k > 0 else Sub(v, IConst(-k))
+
+
+@st.composite
+def int_formulas(draw, depth=0, ivars=(), funs=(), binders=0,
+                 allow_leaf=False):
+    """Prop formulas over the integer variables `ivars` and the fixpoint
+    variables `funs`, given as (name, arity) pairs.  A nested mu or nu may
+    apply the fixpoints that enclose it, so it closes over them.  The root
+    is a fixpoint, and no binder's body is a constant or an atom."""
+    binding = ["mu", "nu", "exists", "forall"] if binders < 3 else []
+    # calls to the enclosing fixpoints are frequent, so that nested binders
+    # close over them
+    calls = ["app"] * 3 if funs else []
+    if depth == 0:
+        options = ["mu", "nu"]
+    elif depth >= 5:
+        options = ["true", "false", "atom", "atom"] + calls
+    else:
+        options = ["or", "and", "or", "and", "dia", "box"] + binding + calls
+        if allow_leaf:
+            options += ["true", "false", "atom", "atom", "atom"]
+    kind = draw(st.sampled_from(options))
+    if kind == "true":
+        return TRUE
+    if kind == "false":
+        return FALSE
+    if kind == "atom":
+        return Atom(draw(st.sampled_from(CMP_OPS)),
+                    draw(int_exprs(ivars)), draw(int_exprs(ivars)))
+    sub = dict(depth=depth + 1, ivars=ivars, funs=funs, binders=binders,
+               allow_leaf=True)
+    if kind in ("or", "and"):
+        l = draw(int_formulas(**sub))
+        r = draw(int_formulas(**sub))
+        return (Or if kind == "or" else And)(l, r)
+    if kind in ("dia", "box"):
+        b = draw(int_formulas(**sub))
+        return (Diamond if kind == "dia" else Box)(
+            draw(st.sampled_from(LABELS)), b)
+    if kind == "app":
+        name, arity = draw(st.sampled_from(funs))
+        f = Var(name, arrow(*[INT] * arity, PROP))
+        return app(f, *[draw(int_exprs(ivars)) for _ in range(arity)])
+    if kind in ("exists", "forall"):
+        x = f"i{binders}"
+        b = draw(int_formulas(depth=depth + 1, ivars=ivars + (x,),
+                              funs=funs, binders=binders + 1))
+        lower = (draw(int_exprs(ivars)),) if draw(st.booleans()) else ()
+        return (Exists if kind == "exists" else Forall)(x, b, lower)
+    g = f"g{binders}"
+    # each argument counts as a binder, at most three in all, which keeps
+    # the reference's nested tables small
+    arity = draw(st.integers(1, min(2, 3 - binders)))
+    params = tuple(f"y{binders}_{j}" for j in range(arity))
+    body = draw(int_formulas(depth=depth + 1, ivars=ivars + params,
+                             funs=funs + ((g, arity),),
+                             binders=binders + arity))
+    for p in reversed(params):
+        body = Lambda(p, INT, body)
+    fix = (Mu if kind == "mu" else Nu)(g, arrow(*[INT] * arity, PROP), body)
+    return app(fix, *[draw(int_exprs(ivars)) for _ in range(arity)])
+
+
+INT_TO_PROP = arrow(INT, PROP)
+
+
+@st.composite
+def nested_walks(draw):
+    """(fix g. \\y. y cmp c op B)(c'), where the binder B applies g to a
+    shifted argument: B's table holds only while g's approximation does."""
+    g = Var("g", INT_TO_PROP)
+    ops = st.sampled_from([Or, And])
+    base = Atom(draw(st.sampled_from(CMP_OPS)), IVar("y"),
+                IConst(draw(st.integers(-2, 2))))
+    kind = draw(st.sampled_from(["mu", "nu", "exists", "forall"]))
+    if kind in ("exists", "forall"):
+        step = draw(ops)(App(g, draw(int_exprs(("i", "y")))),
+                         draw(int_formulas(depth=3, ivars=("i", "y"),
+                                           funs=(("g", 1),), binders=2,
+                                           allow_leaf=True)))
+        lower = (draw(int_exprs(("y",))),) if draw(st.booleans()) else ()
+        inner = (Exists if kind == "exists" else Forall)("i", step, lower)
+    else:
+        step = draw(ops)(App(g, draw(int_exprs(("z", "y")))),
+                         draw(int_formulas(depth=3, ivars=("z", "y"),
+                                           funs=(("g", 1), ("h", 1)),
+                                           binders=2, allow_leaf=True)))
+        inner = App((Mu if kind == "mu" else Nu)(
+            "h", INT_TO_PROP, Lambda("z", INT, step)),
+            draw(int_exprs(("y",))))
+    # mostly a base case that lets the iteration move: mu g. base \/ B,
+    # nu g. base /\ B
+    fix, op = draw(st.sampled_from([(Mu, Or), (Nu, And), (Mu, Or), (Nu, And),
+                                    (Mu, And), (Nu, Or)]))
+    body = Lambda("y", INT, op(base, inner))
+    return App(fix("g", INT_TO_PROP, body), IConst(draw(st.integers(-2, 2))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ltss(max_states=2, max_trans=3),
+       st.one_of(int_formulas(), nested_walks()), st.integers(0, 3))
+def test_eval_bounded_matches_reference(m, phi, window):
+    """The engine agrees with whole-table Kleene iteration on first-order
+    integer formulas, nested fixpoints of both polarities included."""
+    assert eval_bounded(phi, window, lts=m) == \
+        reference_eval_bounded(phi, window, lts=m)
