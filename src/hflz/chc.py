@@ -447,9 +447,6 @@ def parse_smtlib_horn(text: str) -> ChcSystem:
                 if kind != "pred":
                     raise ChcShapeError(
                         "clause head must be a predicate application or false")
-                if not all(isinstance(a, IVar) or isinstance(a, IntExpr)
-                           for a in args):
-                    raise ChcShapeError("malformed clause head")
                 definite.append(DefiniteClause(
                     head_pred=name, head_args=tuple(args),
                     body=tuple(items)))

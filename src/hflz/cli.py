@@ -1,9 +1,11 @@
 """Command-line driver.
 
-The ``validity`` subcommand realizes the full pipeline: desugar ->
-mu-elimination over a bound schedule -> CHC or bounded-evaluation path,
-racing the formula against its de Morgan dual (a valid dual certifies
-invalidity).  Exit codes: 0 Valid, 1 Invalid, 2 Unknown, 3 error.
+The ``validity`` subcommand races the formula against its de Morgan dual
+(a valid dual certifies invalidity).  Each side runs, until one stage
+decides: ``check_pure`` on a pure formula; else ``eval_bounded`` over the
+window, then with ``--solver`` mu-elimination at each entry of the
+``--bound`` schedule and the CHC path, then with ``--preds`` predicate
+abstraction.  Exit codes: 0 Valid, 1 Invalid, 2 Unknown, 3 error.
 """
 
 from __future__ import annotations
@@ -32,45 +34,23 @@ from .transforms import (
 )
 
 
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    window: int = 16
-    bounds: tuple[int, ...] = (1, 2, 4, 8)
-    bound_expr: str | None = None
-    solver: str | None = None
-    timeout: float = 60.0
-    table_cap: int = 200000
-    polarity: str = "mu"
-    fmt: str = "text"
-    race: bool = True
-    lts_path: str | None = None
-    preds_path: str | None = None
-    style: str = "forall"
-
-    def __post_init__(self):
-        if self.window < 0 or self.table_cap <= 0 or self.timeout <= 0:
-            raise ValueError("caps must be positive")
-
-
 class _Decided(Exception):
     pass
 
 
-def _load_formula(path: str, cfg: RunConfig) -> Formula:
+def _load_formula(path: str, args: argparse.Namespace) -> Formula:
     with open(path) as f:
         text = f.read()
     if path.endswith(".prog"):
-        return translate_program(parse_program(text), polarity=cfg.polarity)
+        return translate_program(parse_program(text), polarity=args.polarity)
     if path.endswith(".smt2"):
         return chc_to_hfl(parse_smtlib_horn(text))
     return parse_formula(text)
 
 
-def _load_lts(cfg: RunConfig) -> Lts:
-    if cfg.lts_path:
-        with open(cfg.lts_path) as f:
+def _load_lts(args: argparse.Namespace) -> Lts:
+    if args.lts:
+        with open(args.lts) as f:
             return parse_lts(f.read())
     return trivial_model()
 
@@ -89,7 +69,8 @@ class _SideResult:
     timings: dict = field(default_factory=dict)
 
 
-def _run_side(phi: Formula, lts: Lts, cfg: RunConfig,
+def _run_side(phi: Formula, lts: Lts, args: argparse.Namespace,
+              schedule: list[tuple[str, BoundExpr]],
               cancel: threading.Event) -> _SideResult:
     """Run the one-sided pipeline; result.valid means this side's formula
     was proved valid.  exact_false is only set by the exact pure checker."""
@@ -106,7 +87,7 @@ def _run_side(phi: Formula, lts: Lts, cfg: RunConfig,
     try:
         if is_pure(phi):
             verdict = timed("check_pure", lambda: check_pure(
-                lts, phi, table_cap=cfg.table_cap))
+                lts, phi, table_cap=args.table_cap))
             res.stage = "check_pure"
             res.valid = verdict
             res.exact_false = not verdict
@@ -114,45 +95,22 @@ def _run_side(phi: Formula, lts: Lts, cfg: RunConfig,
 
         # cheap first try: window-bounded evaluation of the formula as is
         if timed("eval_bounded", lambda: eval_bounded(
-                phi, cfg.window, lts=lts, table_cap=cfg.table_cap)):
-            res.stage, res.valid, res.bound = "eval_bounded", True, cfg.window
+                phi, args.window, lts=lts, table_cap=args.table_cap)):
+            res.stage, res.valid, res.bound = "eval_bounded", True, args.window
             return res
 
-        if _has_mu(phi):
-            schedule: list[tuple[str, BoundExpr]] = []
-            if cfg.bound_expr:
-                schedule.append((cfg.bound_expr,
-                                 BoundExpr.parse(cfg.bound_expr)))
-            else:
-                schedule.extend((str(n), BoundExpr.const(n))
-                                for n in cfg.bounds)
-            for label, bound in schedule:
+        if args.solver:
+            for label, bound in schedule if _has_mu(phi) else [("-", None)]:
                 if cancel.is_set():
                     raise _Decided()
-                if _try_chc(phi, bound, label, cfg, cancel, res, timed):
+                if _try_chc(phi, bound, label, args, cancel, res, timed):
                     return res
-                if len(bound.pieces) == 1:
-                    try:
-                        elim = eliminate_mu(phi, bound, style="apply")
-                    except HflError:
-                        # e.g. a mu over a function-typed parameter: this
-                        # stage does not apply, the pipeline moves on
-                        continue
-                    if timed(f"eval_bounded[n={label}]", lambda e=elim:
-                             eval_bounded(e, cfg.window, lts=lts,
-                                          table_cap=cfg.table_cap)):
-                        res.stage = "eliminate_mu+eval_bounded"
-                        res.valid, res.bound = True, label
-                        return res
-        else:
-            if _try_chc(phi, None, "-", cfg, cancel, res, timed):
-                return res
 
-        if cfg.preds_path and not _has_mu(phi):
-            abstracted = timed("abstract", lambda: _abstract(phi, cfg))
+        if args.preds and not _has_mu(phi):
+            abstracted = timed("abstract", lambda: _abstract(phi, args))
             if is_pure(abstracted) and timed(
                     "abstract+check_pure", lambda: check_pure(
-                        lts, abstracted, table_cap=cfg.table_cap)):
+                        lts, abstracted, table_cap=args.table_cap)):
                 res.stage, res.valid = "abstract+check_pure", True
                 return res
     except _Decided:
@@ -160,28 +118,27 @@ def _run_side(phi: Formula, lts: Lts, cfg: RunConfig,
     return res
 
 
-def _abstract(phi: Formula, cfg: RunConfig) -> Formula:
+def _abstract(phi: Formula, args: argparse.Namespace) -> Formula:
     """Predicate abstraction of phi with the --preds file, deciding
     entailments with the --solver if given, else over the window."""
-    with open(cfg.preds_path) as f:
+    with open(args.preds) as f:
         preds = PredicateSet.parse(f.read())
-    oracle = SmtEntailment(cfg.solver, timeout=cfg.timeout) if cfg.solver \
-        else WindowEntailment(width=cfg.window)
+    oracle = SmtEntailment(args.solver, timeout=args.timeout) if args.solver \
+        else WindowEntailment(width=args.window)
     return abstract_predicates(desugar_quantifiers(phi), preds, oracle)
 
 
 def _try_chc(phi: Formula, bound: BoundExpr | None, label: str,
-             cfg: RunConfig, cancel, res: _SideResult, timed) -> bool:
+             args: argparse.Namespace, cancel, res: _SideResult,
+             timed) -> bool:
     """CHC path for first-order Horn-shaped formulas; True when proved."""
-    if not cfg.solver:
-        return False
     try:
         elim = eliminate_mu(phi, bound) if bound is not None else phi
         system = hfl_to_chc(elim)
     except HflError:
         return False
     verdict = timed(f"chc[n={label}]", lambda: solve_external(
-        system, SolverConfig(cfg.solver, cfg.timeout), cancel))
+        system, SolverConfig(args.solver, args.timeout), cancel))
     res.solver_verdict = verdict.kind
     if verdict.kind == "sat":
         res.stage, res.valid, res.bound = "chc", True, label
@@ -189,16 +146,14 @@ def _try_chc(phi: Formula, bound: BoundExpr | None, label: str,
     return False
 
 
-def _verdict_report(cfg: RunConfig, verdict: str, side: _SideResult | None,
-                    extra: dict | None = None) -> str:
-    if cfg.fmt == "json":
+def _verdict_report(args: argparse.Namespace, verdict: str,
+                    side: _SideResult | None) -> str:
+    if args.format == "json":
         doc = {"verdict": verdict,
                "stage": side.stage if side else None,
                "bound": side.bound if side else None,
                "solver_verdict": side.solver_verdict if side else None,
                "timings": side.timings if side else {}}
-        if extra:
-            doc.update(extra)
         return json.dumps(doc, sort_keys=True)
     lines = [verdict]
     if side and side.stage:
@@ -215,12 +170,13 @@ def _verdict_report(cfg: RunConfig, verdict: str, side: _SideResult | None,
 _EXIT = {"Valid": 0, "Invalid": 1, "Unknown": 2}
 
 
-def _cmd_validity(cfg: RunConfig) -> int:
-    phi = _load_formula(cfg.inputs[0], cfg)
+def _cmd_validity(args: argparse.Namespace) -> int:
+    phi = _load_formula(args.inputs[0], args)
     t = typecheck(phi)
     if t != PROP:
         raise HflError(f"formula must have type prop, got {type_to_text(t)}")
-    lts = _load_lts(cfg)
+    lts = _load_lts(args)
+    schedule = BoundExpr.schedule(args.bound)
     psi = dualize(phi)
     cancel = threading.Event()
     results: list[_SideResult | None] = [None, None]
@@ -228,7 +184,7 @@ def _cmd_validity(cfg: RunConfig) -> int:
 
     def work(i, f):
         try:
-            results[i] = _run_side(f, lts, cfg, cancel)
+            results[i] = _run_side(f, lts, args, schedule, cancel)
         except Exception as e:
             # a failed side is an error, never a verdict: stop the other
             # side and let the main thread raise it
@@ -238,7 +194,7 @@ def _cmd_validity(cfg: RunConfig) -> int:
         if results[i].valid or results[i].exact_false:
             cancel.set()
 
-    if cfg.race:
+    if not args.no_race:
         threads = [threading.Thread(target=work, args=(i, f))
                    for i, f in enumerate((phi, psi))]
         for th in threads:
@@ -268,77 +224,76 @@ def _cmd_validity(cfg: RunConfig) -> int:
         verdict, side = "Valid", neg
     else:
         verdict, side = "Unknown", pos
-    print(_verdict_report(cfg, verdict, side))
+    print(_verdict_report(args, verdict, side))
     return _EXIT[verdict]
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    lts = _load_lts(cfg)
-    phi = _load_formula(cfg.inputs[0], cfg)
+def _cmd_check(args: argparse.Namespace) -> int:
+    lts = _load_lts(args)
+    phi = _load_formula(args.inputs[0], args)
     typecheck(phi)
     if not is_pure(phi):
         raise HflError("check needs a pure formula; use 'validity' or 'eval' "
                        "for formulas with integers")
-    ok = check_pure(lts, phi, table_cap=cfg.table_cap)
+    ok = check_pure(lts, phi, table_cap=args.table_cap)
     verdict = "Valid" if ok else "Invalid"
-    print(_verdict_report(cfg, verdict, None))
+    print(_verdict_report(args, verdict, None))
     return _EXIT[verdict]
 
 
-def _cmd_typecheck(cfg: RunConfig) -> int:
-    phi = _load_formula(cfg.inputs[0], cfg)
+def _cmd_typecheck(args: argparse.Namespace) -> int:
+    phi = _load_formula(args.inputs[0], args)
     print(type_to_text(typecheck(phi)))
     return 0
 
 
-def _cmd_dualize(cfg: RunConfig) -> int:
-    print(to_text(dualize(_load_formula(cfg.inputs[0], cfg))))
+def _cmd_dualize(args: argparse.Namespace) -> int:
+    print(to_text(dualize(_load_formula(args.inputs[0], args))))
     return 0
 
 
-def _cmd_elim_mu(cfg: RunConfig) -> int:
-    phi = _load_formula(cfg.inputs[0], cfg)
-    bound = BoundExpr.parse(cfg.bound_expr) if cfg.bound_expr \
-        else BoundExpr.const(cfg.bounds[-1])
-    print(to_text(eliminate_mu(phi, bound, style=cfg.style)))
+def _cmd_elim_mu(args: argparse.Namespace) -> int:
+    phi = _load_formula(args.inputs[0], args)
+    _, bound = BoundExpr.schedule(args.bound)[-1]
+    print(to_text(eliminate_mu(phi, bound, style=args.style)))
     return 0
 
 
-def _cmd_abstract(cfg: RunConfig) -> int:
-    phi = _load_formula(cfg.inputs[0], cfg)
-    if not cfg.preds_path:
+def _cmd_abstract(args: argparse.Namespace) -> int:
+    phi = _load_formula(args.inputs[0], args)
+    if not args.preds:
         raise HflError("abstract needs --preds FILE")
-    print(to_text(_abstract(phi, cfg)))
+    print(to_text(_abstract(phi, args)))
     return 0
 
 
-def _cmd_to_chc(cfg: RunConfig) -> int:
-    phi = _load_formula(cfg.inputs[0], cfg)
+def _cmd_to_chc(args: argparse.Namespace) -> int:
+    phi = _load_formula(args.inputs[0], args)
     sys.stdout.write(emit_smtlib_horn(hfl_to_chc(phi)))
     return 0
 
 
-def _cmd_from_chc(cfg: RunConfig) -> int:
-    with open(cfg.inputs[0]) as f:
+def _cmd_from_chc(args: argparse.Namespace) -> int:
+    with open(args.inputs[0]) as f:
         system = parse_smtlib_horn(f.read())
     print(to_text(chc_to_hfl(system)))
     return 0
 
 
-def _cmd_translate(cfg: RunConfig) -> int:
-    with open(cfg.inputs[0]) as f:
+def _cmd_translate(args: argparse.Namespace) -> int:
+    with open(args.inputs[0]) as f:
         program = parse_program(f.read())
-    print(to_text(translate_program(program, polarity=cfg.polarity)))
+    print(to_text(translate_program(program, polarity=args.polarity)))
     return 0
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    phi = _load_formula(cfg.inputs[0], cfg)
-    lts = _load_lts(cfg)
-    ok = eval_bounded(phi, cfg.window, lts=lts, table_cap=cfg.table_cap)
+def _cmd_eval(args: argparse.Namespace) -> int:
+    phi = _load_formula(args.inputs[0], args)
+    lts = _load_lts(args)
+    ok = eval_bounded(phi, args.window, lts=lts, table_cap=args.table_cap)
     # one-sided: false only means the window could not certify validity
     verdict = "Valid" if ok else "Unknown"
-    print(_verdict_report(cfg, verdict, None))
+    print(_verdict_report(args, verdict, None))
     return _EXIT[verdict]
 
 
@@ -365,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("inputs", nargs="+",
                        help="input files (.hfl, .lts, .prog, .smt2)")
         p.add_argument("--window", type=int, default=16, metavar="N")
-        p.add_argument("--bounds", default="1,2,4,8", metavar="N,N,...")
-        p.add_argument("--bound", default=None, metavar="EXPR",
-                       help="affine bound template, e.g. 'max(i+1, 1)'")
+        p.add_argument("--bound", default="1,2,4,8", metavar="EXPR,...",
+                       help="bound schedule of affine templates, e.g. "
+                       "'1,2,max(i+1, 1)'; elim-mu uses the last entry")
         p.add_argument("--solver", default=os.environ.get("HFLMC_SOLVER"),
                        metavar="CMD", help="HORN/SMT solver command with "
                        "a {file} placeholder")
@@ -385,24 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    inputs = list(args.inputs)
-    lts_path = args.lts
     # allow an .lts file to be given positionally (e.g. `check m.lts f.hfl`)
-    for path in list(inputs):
+    for path in list(args.inputs):
         if path.endswith(".lts"):
-            lts_path = path
-            inputs.remove(path)
+            args.lts = path
+            args.inputs.remove(path)
     try:
-        cfg = RunConfig(
-            command=args.command, inputs=inputs, window=args.window,
-            bounds=tuple(int(x) for x in args.bounds.split(",") if x),
-            bound_expr=args.bound, solver=args.solver, timeout=args.timeout,
-            table_cap=args.table_cap, polarity=args.polarity,
-            fmt=args.format, race=not args.no_race, lts_path=lts_path,
-            preds_path=args.preds, style=args.style)
-        if not cfg.inputs:
+        if args.window < 0 or args.table_cap <= 0 or args.timeout <= 0:
+            raise ValueError("caps must be positive")
+        if not args.inputs:
             raise HflError("no formula/program input given")
-        return _COMMANDS[args.command][0](cfg)
+        return _COMMANDS[args.command][0](args)
     except (HflError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

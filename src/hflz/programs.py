@@ -332,8 +332,10 @@ def parse_program(text: str) -> Program:
 
     for name, params, body in raw_defs:
         scan(body, name, set(params), "expr")
-    # propagate kinds through call argument positions
-    for _ in range(len(raw_defs) + 1):
+    # propagate kinds through call argument positions, both ways; each
+    # round fixes an unknown kind, so the loop ends
+    changed = True
+    while changed:
         changed = False
         for name, params, body in raw_defs + [("", [], raw_main)]:
             for u in _walk(body):
@@ -349,21 +351,21 @@ def parse_program(text: str) -> Program:
                             continue  # handle argument, dropped
                         if slot >= len(cparams):
                             break
-                        ck = kinds[(callee, cparams[slot])]
+                        slot_key = (callee, cparams[slot])
+                        ck = kinds[slot_key]
                         if name and isinstance(a, _UVar) \
-                                and a.name in set(params) \
-                                and ck is not None \
-                                and kinds[(name, a.name)] is None:
-                            kinds[(name, a.name)] = ck
-                            changed = True
+                                and a.name in set(params):
+                            ak = kinds[(name, a.name)]
+                            if (ak is None) != (ck is None):
+                                kinds[(name, a.name)] = kinds[slot_key] = \
+                                    ak or ck
+                                changed = True
                         if ck is None and not isinstance(a, _UVar):
                             guess = "int" if isinstance(
                                 a, (_UNum, _UOp)) else "prop"
-                            kinds[(callee, cparams[slot])] = guess
+                            kinds[slot_key] = guess
                             changed = True
                         slot += 1
-        if not changed:
-            break
     for key, k in kinds.items():
         if k is None:
             kinds[key] = "prop"  # unused parameters default to continuations

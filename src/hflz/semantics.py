@@ -78,11 +78,12 @@ class _Closure:
     ev: "_BoundedEvaluator"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _TableFun:
+    """A tabulated function value, its own table key: items[i] is its value
+    at the i-th element of its argument domain."""
     argtype: SimpleType
-    table: dict
-    ev: "_BoundedEvaluator"
+    items: tuple
 
 
 @dataclass
@@ -152,7 +153,7 @@ class _FixFun:
         env = {**self.env, self.node.var: rec}
         val = self.ev.eval(self.node.body, env)
         for key in keys:
-            val = self.ev.apply(val, self.ev.key_to_value(key))
+            val = self.ev.apply(val, key)
         return self.ev.coerce_prop(val)
 
 
@@ -171,22 +172,20 @@ class _BoundedEvaluator:
         self.fix_cache: dict = {}
         self.free_names: dict[int, list[str]] = {}
         self._elems: dict[SimpleType, Sequence] = {}
+        self._positions: dict[SimpleType, dict] = {}
         self.stats = PureStats()
 
-    # -- canonical keys for fixpoint-argument tuples
+    # -- canonical values: the keys of fixpoint-argument tuples
 
     def canonical(self, v):
         if isinstance(v, bool):
             raise TypeError("boolean is not a semantic value")
-        if isinstance(v, int):
+        if isinstance(v, (int, _TableFun)) or v is BOT:
             return v
-        if v is BOT:
-            return ("bot",)
         # function-typed argument: tabulate over its first-argument domain
         at = self._first_arg_type(v)
-        items = tuple(self.canonical(self.apply(v, d))
-                      for d in self.domain_elems(at))
-        return ("f", str(at), items)
+        return _TableFun(at, tuple(self.canonical(self.apply(v, d))
+                                   for d in self.domain_elems(at)))
 
     def _first_arg_type(self, v) -> SimpleType:
         if isinstance(v, _Closure):
@@ -195,21 +194,7 @@ class _BoundedEvaluator:
             return v.argts[0]
         if isinstance(v, _Partial):
             return v.fix.argts[len(v.args)]
-        if isinstance(v, _TableFun):
-            return v.argtype
         raise HflError(f"not a function value: {v!r}")
-
-    def key_to_value(self, key):
-        if isinstance(key, int):
-            return key
-        if key == ("bot",):
-            return BOT
-        _, at_text, items = key
-        at = next(t for t in self._elems if str(t) == at_text)
-        dom_keys = [self.canonical(d) for d in self.domain_elems(at)]
-        return _TableFun(at, dict(zip(dom_keys,
-                                      [self.key_to_value(i) for i in items])),
-                         self)
 
     def domain_elems(self, t: SimpleType) -> Sequence:
         if t in self._elems:
@@ -225,10 +210,17 @@ class _BoundedEvaluator:
         self._elems[t] = out
         return out
 
+    def position(self, t: SimpleType, v) -> int | None:
+        """The index of the canonical value v in domain_elems(t)."""
+        pos = self._positions.get(t)
+        if pos is None:
+            pos = self._positions[t] = {
+                d: i for i, d in enumerate(self.domain_elems(t))}
+        return pos.get(v)
+
     def _monotone_functions(self, t: Arrow) -> list:
         dom = self.domain_elems(t.arg)
         cod = self.domain_elems(t.res)
-        dom_keys = [self.canonical(d) for d in dom]
         le_d = [[self.leq(t.arg, a, b) for b in dom] for a in dom]
         out = []
 
@@ -239,7 +231,7 @@ class _BoundedEvaluator:
                     f"{self.table_cap}")
             i = len(prefix)
             if i == len(dom):
-                out.append(_TableFun(t.arg, dict(zip(dom_keys, prefix)), self))
+                out.append(_TableFun(t.arg, tuple(prefix)))
                 return
             for v in cod:
                 ok = True
@@ -259,8 +251,8 @@ class _BoundedEvaluator:
     def leq(self, t: SimpleType, a, b) -> bool:
         """The lattice order on domain elements of type t."""
         if isinstance(t, Arrow):
-            return all(self.leq(t.res, a.table[k], b.table[k])
-                       for k in a.table)
+            return all(self.leq(t.res, x, y)
+                       for x, y in zip(a.items, b.items))
         return a & ~b == 0 if isinstance(t, PropType) else a == b
 
     # -- application
@@ -278,7 +270,8 @@ class _BoundedEvaluator:
         if isinstance(fv, _Closure):
             return self.eval(fv.node.body, {**fv.env, fv.node.var: av})
         if isinstance(fv, _TableFun):
-            return fv.table.get(self.canonical(av), BOT)
+            i = self.position(fv.argtype, self.canonical(av))
+            return BOT if i is None else fv.items[i]
         if isinstance(fv, _FixFun):
             fv = _Partial(fv, ())
         if isinstance(fv, _Partial):

@@ -58,6 +58,13 @@ class BoundExpr:
             parts = [text]
         return cls(pieces=tuple(_parse_affine(p) for p in parts))
 
+    @classmethod
+    def schedule(cls, text: str) -> list[tuple[str, BoundExpr]]:
+        """A comma-separated bound schedule, split at top-level commas so
+        ``max(a, b)`` stays one entry; each entry is labelled by its text."""
+        return [(part.strip(), cls.parse(part))
+                for part in _split_commas(text)]
+
     def to_int_exprs(self, scope: dict[str, str]) -> list[IntExpr]:
         """Instantiate pieces; scope maps source variable names to the
         in-scope internal names."""

@@ -127,7 +127,37 @@ def test_validity_unknown_without_solver(tmp_path, capsys):
     f = tmp_path / "phi.hfl"
     # valid, but not certifiable by any window and no solver configured
     f.write_text("forall x. x <= 0 \\/ x >= 1\n")
-    assert main(["validity", str(f), "--no-race", "--bounds", "1,2"]) == 2
+    assert main(["validity", str(f), "--no-race", "--bound", "1,2"]) == 2
+
+
+def test_validity_without_solver_evaluates_only_the_window(
+        tmp_path, monkeypatch, capsys):
+    # valid, but its unfolding from 100 leaves window 8; no stage after
+    # the window evaluation can decide it without a solver
+    monkeypatch.delenv("HFLMC_SOLVER", raising=False)
+    f = tmp_path / "phi.hfl"
+    f.write_text("(mu x: int -> prop. \\y: int. y <= 0 \\/ x(y - 1))(100)\n")
+    assert main(["validity", str(f), "--no-race", "--window", "8",
+                 "--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "Unknown"
+    assert list(doc["timings"]) == ["eval_bounded"]
+
+
+def test_bound_schedule_keeps_templates_whole(corpus, scripts, capsys):
+    assert main(["validity", str(corpus / "sec41.hfl"),
+                 "--bound", "1, max(i + 1, 1)",
+                 "--solver", solver_cmd(scripts), "--no-race"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "Valid"
+    assert "  bound: max(i + 1, 1)" in lines
+
+
+def test_malformed_bound_entry_is_an_error(corpus, capsys):
+    assert main(["validity", str(corpus / "sec41.hfl"),
+                 "--bound", "1,x*y"]) == 3
+    assert main(["elim-mu", str(corpus / "sec41.hfl"), "--bound", "1,"]) == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_error_exit_codes(tmp_path, capsys):
@@ -169,7 +199,7 @@ def test_failing_side_is_an_error_in_both_modes(tmp_path, capsys, mode):
 
 def test_inapplicable_elimination_stage_is_skipped(corpus, scripts, capsys):
     # file_rec's mu binder has type int -> prop -> prop, which
-    # eliminate_mu(style="apply") rejects; that stage is skipped, and at
+    # eliminate_mu rejects; the CHC stage is skipped at every bound, and at
     # window 8 no other stage decides the formula
     assert main(["validity", str(corpus / "file_rec.prog"),
                  "--lts", str(corpus / "mfile.lts"), "--window", "8",

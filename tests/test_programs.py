@@ -5,7 +5,7 @@ from hflz.parser import parse_formula
 from hflz.pretty import to_text
 from hflz.programs import ProgramError, parse_program, translate_program
 from hflz.semantics import check_pure, eval_bounded
-from hflz.syntax import alpha_eq
+from hflz.syntax import PROP, alpha_eq, typecheck
 
 
 def test_straight_line_program(corpus):
@@ -71,6 +71,17 @@ def test_kind_inference_through_call_sites():
     phi = translate_program(prog)
     m = parse_lts("states: s t\ninitial: s\ntrans:\n s end t\n")
     assert eval_bounded(phi, 8, lts=m)
+
+
+def test_kind_inference_from_caller_to_callee():
+    # g never uses m, but f passes its integer n to g's slot
+    prog = parse_program(
+        "events: e\n"
+        "let g m k = k\n"
+        "let f n k = if n <= 0 then k else g n k\n"
+        "main = f 2 ()\n")
+    phi = translate_program(prog)
+    assert typecheck(phi) == PROP
 
 
 def test_polarity_flag():

@@ -14,7 +14,7 @@ from hflz.syntax import (
     Forall, IConst, IVar, Lambda, Mu, Nu, Or, PROP, Sub, TRUE, Var, app,
     arrow, dualize,
 )
-from hflz.transforms import BoundExpr, eliminate_mu
+from hflz.transforms import BoundExpr, HigherOrderMuError, eliminate_mu
 
 from bounded_reference import reference_eval_bounded
 from pure_reference import reference_check_pure_stats
@@ -476,3 +476,22 @@ def test_eval_bounded_matches_reference(m, phi, window):
     integer formulas, nested fixpoints of both polarities included."""
     assert eval_bounded(phi, window, lts=m) == \
         reference_eval_bounded(phi, window, lts=m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ltss(max_states=2, max_trans=3),
+       st.one_of(int_formulas(), nested_walks()), st.integers(0, 3),
+       st.sampled_from([1, 2, 4]))
+def test_eliminated_formula_holds_only_where_the_original_does(
+        m, phi, window, n):
+    """mu-elimination replaces each mu by its n-th Kleene approximant, which
+    lies below the windowed least fixpoint, and evaluation is monotone: over
+    the same window the eliminated formula is true only where the original
+    is.  So validity evaluates only the original over its window."""
+    try:
+        elim = eliminate_mu(phi, BoundExpr.const(n), style="apply")
+        if not eval_bounded(elim, window, lts=m):
+            return
+        assert eval_bounded(phi, window, lts=m)
+    except (HigherOrderMuError, TableCapError):
+        pass
