@@ -170,6 +170,19 @@ def _verdict_report(args: argparse.Namespace, verdict: str,
 _EXIT = {"Valid": 0, "Invalid": 1, "Unknown": 2}
 
 
+def _emit(text: str, end: str = "\n") -> None:
+    """Write a command's output.  A reader that has gone (`| head -1`) is
+    no error: the command keeps its exit code, and stdout becomes
+    os.devnull so that the flush at exit cannot fail either."""
+    try:
+        sys.stdout.write(text + end)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _cmd_validity(args: argparse.Namespace) -> int:
     phi = _load_formula(args.inputs[0], args)
     t = typecheck(phi)
@@ -224,7 +237,7 @@ def _cmd_validity(args: argparse.Namespace) -> int:
         verdict, side = "Valid", neg
     else:
         verdict, side = "Unknown", pos
-    print(_verdict_report(args, verdict, side))
+    _emit(_verdict_report(args, verdict, side))
     return _EXIT[verdict]
 
 
@@ -237,25 +250,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
                        "for formulas with integers")
     ok = check_pure(lts, phi, table_cap=args.table_cap)
     verdict = "Valid" if ok else "Invalid"
-    print(_verdict_report(args, verdict, None))
+    _emit(_verdict_report(args, verdict, None))
     return _EXIT[verdict]
 
 
 def _cmd_typecheck(args: argparse.Namespace) -> int:
     phi = _load_formula(args.inputs[0], args)
-    print(type_to_text(typecheck(phi)))
+    _emit(type_to_text(typecheck(phi)))
     return 0
 
 
 def _cmd_dualize(args: argparse.Namespace) -> int:
-    print(to_text(dualize(_load_formula(args.inputs[0], args))))
+    _emit(to_text(dualize(_load_formula(args.inputs[0], args))))
     return 0
 
 
 def _cmd_elim_mu(args: argparse.Namespace) -> int:
     phi = _load_formula(args.inputs[0], args)
     _, bound = BoundExpr.schedule(args.bound)[-1]
-    print(to_text(eliminate_mu(phi, bound, style=args.style)))
+    _emit(to_text(eliminate_mu(phi, bound, style=args.style)))
     return 0
 
 
@@ -263,27 +276,27 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
     phi = _load_formula(args.inputs[0], args)
     if not args.preds:
         raise HflError("abstract needs --preds FILE")
-    print(to_text(_abstract(phi, args)))
+    _emit(to_text(_abstract(phi, args)))
     return 0
 
 
 def _cmd_to_chc(args: argparse.Namespace) -> int:
     phi = _load_formula(args.inputs[0], args)
-    sys.stdout.write(emit_smtlib_horn(hfl_to_chc(phi)))
+    _emit(emit_smtlib_horn(hfl_to_chc(phi)), end="")
     return 0
 
 
 def _cmd_from_chc(args: argparse.Namespace) -> int:
     with open(args.inputs[0]) as f:
         system = parse_smtlib_horn(f.read())
-    print(to_text(chc_to_hfl(system)))
+    _emit(to_text(chc_to_hfl(system)))
     return 0
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
     with open(args.inputs[0]) as f:
         program = parse_program(f.read())
-    print(to_text(translate_program(program, polarity=args.polarity)))
+    _emit(to_text(translate_program(program, polarity=args.polarity)))
     return 0
 
 
@@ -293,7 +306,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     ok = eval_bounded(phi, args.window, lts=lts, table_cap=args.table_cap)
     # one-sided: false only means the window could not certify validity
     verdict = "Valid" if ok else "Unknown"
-    print(_verdict_report(args, verdict, None))
+    _emit(_verdict_report(args, verdict, None))
     return _EXIT[verdict]
 
 

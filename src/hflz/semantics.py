@@ -15,6 +15,14 @@ over integers only; any other one lives only within the body evaluation
 that created it, during which no entry of an enclosing table changes.  So
 a finished entry would never change again.
 
+Each evaluator compiles the formula once, into closures (Feeley &
+Lapalme, "Using closures for code generation", 1987): ``compile`` matches
+each node a single time and returns a function from an environment to the
+node's value.  What a node fixes is bound into that function: its
+children's functions, a fixpoint's sorted free names, a comparison, the
+window, a label's predecessor masks.  Lambda and fixpoint values carry
+their compiled bodies, so evaluation never walks the syntax tree.
+
 ``check_pure`` runs it on pure HFL, where every domain is finite and the
 answer is exact.  ``eval_bounded`` runs it on full HFL(Z) with integer
 arguments restricted to a window [-B, B].  Out-of-window applications and
@@ -25,15 +33,17 @@ fixpoint table.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import transforms
 from .lts import Lts, trivial_model
 from .syntax import (
-    And, App, Arrow, Atom, Box, CMP_FN, Diamond, Exists, FalseF, Forall,
-    HflError, IntExpr, IntType, Lambda, Mu, Nu, Or, PropType, TrueF, Var,
-    Formula, SimpleType, arg_types, eval_int, free_vars, is_pure, typecheck,
+    Add, And, App, Arrow, Atom, Box, CMP_FN, Diamond, Exists, FalseF, Forall,
+    HflError, IConst, INeg, IntExpr, IntType, IVar, Lambda, Mu, Nu, Or,
+    PropType, Sub, TrueF, Var, Formula, SimpleType, arg_types, free_vars,
+    is_pure, typecheck,
 )
 
 
@@ -71,11 +81,52 @@ class _Bot:
 BOT = _Bot()
 
 
+def _prop(v) -> int:
+    if v is BOT:
+        return 0
+    if isinstance(v, int):
+        return v
+    raise HflError(f"expected a proposition value, got {v!r}")
+
+
+def _pre_image(masks: list[int] | None, b: int) -> int:
+    """The union of masks[i] over the states i in b: with a label's
+    predecessor masks, the states with a label-transition into b."""
+    if masks is None:
+        return 0
+    out = 0
+    while b:
+        low = b & -b
+        out |= masks[low.bit_length() - 1]
+        b ^= low
+    return out
+
+
+def _compile_int(e: IntExpr) -> Callable[[dict], int]:
+    """e as a function from an environment to its value."""
+    match e:
+        case IConst(n):
+            return lambda env: n
+        case IVar(x):
+            return itemgetter(x)
+        case Add(l, r):
+            lf, rf = _compile_int(l), _compile_int(r)
+            return lambda env: lf(env) + rf(env)
+        case Sub(l, r):
+            lf, rf = _compile_int(l), _compile_int(r)
+            return lambda env: lf(env) - rf(env)
+        case INeg(b):
+            bf = _compile_int(b)
+            return lambda env: -bf(env)
+    raise TypeError(f"not an integer expression: {e!r}")
+
+
 @dataclass
 class _Closure:
-    node: Lambda
+    var: str
+    vtype: SimpleType
+    body: Callable[[dict], object]
     env: dict
-    ev: "_BoundedEvaluator"
 
 
 @dataclass(frozen=True)
@@ -92,13 +143,22 @@ class _Partial:
     args: tuple
 
 
+@dataclass(frozen=True)
+class _FixCode:
+    """A compiled mu or nu node, shared by all of its instances."""
+    var: str
+    body: Callable[[dict], object]
+    is_mu: bool
+    argts: list[SimpleType]
+
+
 class _FixFun:
-    def __init__(self, node, env, ev: "_BoundedEvaluator"):
-        self.node = node
+    def __init__(self, code: _FixCode, env, ev: "_BoundedEvaluator"):
+        self.code = code
         self.env = env
         self.ev = ev
-        self.is_mu = isinstance(node, Mu)
-        self.argts = arg_types(node.vtype)
+        self.argts = code.argts
+        self.is_mu = code.is_mu
         self.init = 0 if self.is_mu else ev.full
         self.approx: dict[tuple, int] = {}
         self.solving = False
@@ -150,11 +210,10 @@ class _FixFun:
         # occurrences stand for the current approximation rather than a
         # re-applicable function value
         rec = self if self.argts else self.approx[()]
-        env = {**self.env, self.node.var: rec}
-        val = self.ev.eval(self.node.body, env)
+        val = self.code.body({**self.env, self.code.var: rec})
         for key in keys:
             val = self.ev.apply(val, key)
-        return self.ev.coerce_prop(val)
+        return _prop(val)
 
 
 class _BoundedEvaluator:
@@ -170,7 +229,6 @@ class _BoundedEvaluator:
             masks = self.pre.setdefault(lbl, [0] * len(lts.states))
             masks[index[dst]] |= 1 << index[src]
         self.fix_cache: dict = {}
-        self.free_names: dict[int, list[str]] = {}
         self._elems: dict[SimpleType, Sequence] = {}
         self._positions: dict[SimpleType, dict] = {}
         self.stats = PureStats()
@@ -189,7 +247,7 @@ class _BoundedEvaluator:
 
     def _first_arg_type(self, v) -> SimpleType:
         if isinstance(v, _Closure):
-            return v.node.vtype
+            return v.vtype
         if isinstance(v, _FixFun):
             return v.argts[0]
         if isinstance(v, _Partial):
@@ -257,18 +315,11 @@ class _BoundedEvaluator:
 
     # -- application
 
-    def coerce_prop(self, v) -> int:
-        if v is BOT:
-            return 0
-        if isinstance(v, int):
-            return v
-        raise HflError(f"expected a proposition value, got {v!r}")
-
     def apply(self, fv, av):
         if fv is BOT:
             return BOT
         if isinstance(fv, _Closure):
-            return self.eval(fv.node.body, {**fv.env, fv.node.var: av})
+            return fv.body({**fv.env, fv.var: av})
         if isinstance(fv, _TableFun):
             i = self.position(fv.argtype, self.canonical(av))
             return BOT if i is None else fv.items[i]
@@ -281,86 +332,98 @@ class _BoundedEvaluator:
             return _Partial(fv.fix, args)
         raise HflError(f"cannot apply {fv!r}")
 
-    # -- evaluation
+    # -- compilation
 
     def holds_initially(self, phi: Formula) -> bool:
-        denotation = self.coerce_prop(self.eval(phi, {}))
+        denotation = _prop(self.compile(phi)({}))
         return bool(denotation >> self.lts.states.index(self.lts.initial) & 1)
 
-    def eval(self, phi: Formula, env: dict):
+    def compile(self, phi: Formula) -> Callable[[dict], object]:
+        """phi as a function from an environment to its value.  The match
+        runs here, once per node; the returned function only computes."""
         match phi:
             case Var(n, _):
-                return env[n]
+                return itemgetter(n)
             case TrueF():
-                return self.full
+                full = self.full
+                return lambda env: full
             case FalseF():
-                return 0
+                return lambda env: 0
             # an absorbing left operand leaves the right one unevaluated,
             # so its fixpoint calls add no table entries
             case Or(l, r):
-                lv = self.coerce_prop(self.eval(l, env))
-                if lv == self.full:
-                    return lv
-                return lv | self.coerce_prop(self.eval(r, env))
+                lf, rf, full = self.compile(l), self.compile(r), self.full
+
+                def or_(env):
+                    lv = _prop(lf(env))
+                    if lv == full:
+                        return lv
+                    return lv | _prop(rf(env))
+                return or_
             case And(l, r):
-                lv = self.coerce_prop(self.eval(l, env))
-                if not lv:
-                    return 0
-                return lv & self.coerce_prop(self.eval(r, env))
+                lf, rf = self.compile(l), self.compile(r)
+
+                def and_(env):
+                    lv = _prop(lf(env))
+                    if not lv:
+                        return 0
+                    return lv & _prop(rf(env))
+                return and_
             case Diamond(a, b):
-                return self.pre_image(a, self.coerce_prop(self.eval(b, env)))
+                bf, masks = self.compile(b), self.pre.get(a)
+                return lambda env: _pre_image(masks, _prop(bf(env)))
             case Box(a, b):
-                bv = self.coerce_prop(self.eval(b, env))
-                return self.full & ~self.pre_image(a, self.full & ~bv)
-            case Lambda(_, _, _):
-                return _Closure(phi, env, self)
-            case Mu(_, _, _) | Nu(_, _, _):
-                fix = self.fixpoint(phi, env)
-                if not fix.argts:
-                    return fix.call(())
-                return fix
+                bf, masks, full = self.compile(b), self.pre.get(a), self.full
+                return lambda env: full & ~_pre_image(
+                    masks, full & ~_prop(bf(env)))
+            case Lambda(x, t, b):
+                bf = self.compile(b)
+                return lambda env: _Closure(x, t, bf, env)
+            case Mu(x, t, b) | Nu(x, t, b):
+                code = _FixCode(x, self.compile(b), isinstance(phi, Mu),
+                                arg_types(t))
+                names, node_id = sorted(free_vars(phi)), id(phi)
+                cache = self.fix_cache
+
+                def fixpoint(env):
+                    vals = tuple(env[n] for n in names)
+                    if not all(isinstance(v, int) for v in vals):
+                        fix = _FixFun(code, env, self)
+                    else:
+                        fix = cache.get((node_id, vals))
+                        if fix is None:
+                            fix = cache[node_id, vals] = _FixFun(
+                                code, env, self)
+                    return fix if code.argts else fix.call(())
+                return fixpoint
+            case App(f, a) if isinstance(a, IntExpr):
+                ff, af = self.compile(f), _compile_int(a)
+                window, apply = self.window, self.apply
+
+                def app_int(env):
+                    fv = ff(env)
+                    av = af(env)
+                    # out-of-window arguments contribute false
+                    return BOT if abs(av) > window else apply(fv, av)
+                return app_int
             case App(f, a):
-                fv = self.eval(f, env)
-                if not isinstance(a, IntExpr):
-                    return self.apply(fv, self.eval(a, env))
-                av = eval_int(a, env)
-                # out-of-window arguments contribute false
-                return BOT if abs(av) > self.window else self.apply(fv, av)
+                ff, af, apply = self.compile(f), self.compile(a), self.apply
+                return lambda env: apply(ff(env), af(env))
             case Atom(op, l, r):
-                lv = eval_int(l, env)
-                rv = eval_int(r, env)
-                if abs(lv) > self.window or abs(rv) > self.window:
-                    return 0
-                return self.full if CMP_FN[op](lv, rv) else 0
+                lf, rf = _compile_int(l), _compile_int(r)
+                cmp, full, window = CMP_FN[op], self.full, self.window
+
+                def atom(env):
+                    lv = lf(env)
+                    rv = rf(env)
+                    if abs(lv) > window or abs(rv) > window:
+                        return 0
+                    return full if cmp(lv, rv) else 0
+                return atom
             case Exists(_, _, _) | Forall(_, _, _):
                 raise HflError("quantifier sugar must be desugared before "
                                "bounded evaluation")
         raise TypeError(f"not a formula: {phi!r}")
-
-    def pre_image(self, label: str, b: int) -> int:
-        """The states with a label-transition into the set b."""
-        masks = self.pre.get(label)
-        if masks is None:
-            return 0
-        out = 0
-        while b:
-            low = b & -b
-            out |= masks[low.bit_length() - 1]
-            b ^= low
-        return out
-
-    def fixpoint(self, node, env) -> _FixFun:
-        names = self.free_names.get(id(node))
-        if names is None:
-            names = self.free_names[id(node)] = sorted(free_vars(node))
-        vals = tuple(env[n] for n in names)
-        if not all(isinstance(v, int) for v in vals):
-            return _FixFun(node, env, self)
-        key = (id(node), vals)
-        fix = self.fix_cache.get(key)
-        if fix is None:
-            fix = self.fix_cache[key] = _FixFun(node, env, self)
-        return fix
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,8 @@ def subst_ints(e: IntExpr, mapping: dict[str, IntExpr]) -> IntExpr:
 
 
 def eval_int(e: IntExpr, env: dict) -> int:
-    # one direct match, not a fold: this is the evaluators' inner loop
+    # for transforms.qf_holds and the naive CHC solver; the fixpoint engine
+    # compiles integer expressions instead (semantics._compile_int)
     match e:
         case IConst(n):
             return n

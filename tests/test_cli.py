@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -183,6 +185,21 @@ def test_deep_formula_is_an_error_not_a_verdict(tmp_path, capsys):
     assert main(["validity", str(f)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_closed_stdout_keeps_the_verdict_exit_code(corpus):
+    # `hflz validity ... | head -0`: the reader is gone before the verdict
+    # is printed, which is no error, and the exit code is still Unknown's
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hflz.cli", "validity",
+             str(corpus / "sec41.hfl"), "--window", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "")
 
 
 @pytest.mark.parametrize("mode", [[], ["--no-race"]])

@@ -12,9 +12,11 @@ from hflz.semantics import (
 from hflz.syntax import (
     INT, Add, And, App, Arrow, Atom, Box, CMP_OPS, Diamond, Exists, FALSE,
     Forall, IConst, IVar, Lambda, Mu, Nu, Or, PROP, Sub, TRUE, Var, app,
-    arrow, dualize,
+    arrow, dualize, subformulas,
 )
-from hflz.transforms import BoundExpr, HigherOrderMuError, eliminate_mu
+from hflz.transforms import (
+    BoundExpr, HigherOrderMuError, desugar_quantifiers, eliminate_mu,
+)
 
 from bounded_reference import reference_eval_bounded
 from pure_reference import reference_check_pure_stats
@@ -306,9 +308,10 @@ def test_eval_with_lts(corpus):
 
 @pytest.fixture
 def engine_counts(monkeypatch):
-    counts = {"body": 0, "fixfuns": 0}
+    counts = {"body": 0, "fixfuns": 0, "compiles": 0}
     body_value = semantics._FixFun.body_value
     init = semantics._FixFun.__init__
+    compile_ = semantics._BoundedEvaluator.compile
 
     def counted_body_value(self, keys):
         counts["body"] += 1
@@ -318,8 +321,14 @@ def engine_counts(monkeypatch):
         counts["fixfuns"] += 1
         init(self, *args)
 
+    def counted_compile(self, phi):
+        counts["compiles"] += 1
+        return compile_(self, phi)
+
     monkeypatch.setattr(semantics._FixFun, "body_value", counted_body_value)
     monkeypatch.setattr(semantics._FixFun, "__init__", counted_init)
+    monkeypatch.setattr(semantics._BoundedEvaluator, "compile",
+                        counted_compile)
     return counts
 
 
@@ -353,6 +362,32 @@ def test_mult_dual_builds_few_fixpoints(corpus, engine_counts):
     assert eval_bounded(phi, 2)
     assert engine_counts["fixfuns"] <= 1000
     assert eval_bounded(phi, 3)
+
+
+def test_each_node_is_compiled_once(corpus, engine_counts):
+    # hundreds of body evaluations, and never a compile among them
+    walk = parse_formula(
+        r"forall i. (mu x: int -> prop. \y: int. y <= 4 \/ x(y - 3))(i)")
+    cases = ((eliminate_mu(walk, BoundExpr.const(4), style="apply"), 12,
+              False), (mult_dual(corpus), 2, True))
+    for phi, window, holds in cases:
+        engine_counts.update(body=0, compiles=0)
+        assert eval_bounded(phi, window) == holds
+        nodes = sum(1 for _ in subformulas(desugar_quantifiers(phi)))
+        assert engine_counts["compiles"] <= nodes < engine_counts["body"]
+
+
+def test_long_conjunctions_keep_their_stack_depth():
+    # the engine takes one Python frame per conjunct, as when it walked the
+    # syntax tree on every visit; desugar_quantifiers takes two and runs
+    # out of stack first, near 500 conjuncts.  Three per conjunct would
+    # already fail here.
+    walk = parse_formula(
+        r"(mu x: int -> prop. \y: int. y <= 0 \/ x(y - 1))(3)")
+    phi = walk
+    for _ in range(399):
+        phi = And(walk, phi)
+    assert eval_bounded(phi, 4)
 
 
 # ---------------------------------------------------------------------------
