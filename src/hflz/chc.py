@@ -134,7 +134,7 @@ def chc_to_hfl(system: ChcSystem) -> Formula:
         parts: list[Formula] = []
         for item in goal.body:
             if item[0] == "atom":
-                parts.append(dual_int_atom(_rename_atom(item[1], env)))
+                parts.append(dual_int_atom(smt.qf_subst(item[1], env)))
             else:
                 _, name, args = item
                 pred = dualize(pred_formula(name, {}))
@@ -157,10 +157,6 @@ def _param_names(clauses: list[DefiniteClause], arity: int) -> list[str]:
     return [f"x{i + 1}" for i in range(arity)]
 
 
-def _rename_atom(a: Atom, env: dict[str, IVar]) -> Atom:
-    return Atom(a.op, subst_ints(a.lhs, env), subst_ints(a.rhs, env))
-
-
 def _clause_body(c: DefiniteClause, params: list[str],
                  outer: dict[str, Var], pred_formula) -> Formula:
     env: dict[str, IVar] = {}
@@ -174,12 +170,12 @@ def _clause_body(c: DefiniteClause, params: list[str],
     for v in local_sources:
         env[v] = IVar(fresh_name(v))
     # equalities may mention locals, so rename them after env is complete
-    equalities = [_rename_atom(a, env) for a in equalities]
+    equalities = [smt.qf_subst(a, env) for a in equalities]
 
     parts: list[Formula] = list(equalities)
     for item in c.body:
         if item[0] == "atom":
-            parts.append(_rename_atom(item[1], env))
+            parts.append(smt.qf_subst(item[1], env))
         else:
             _, name, args = item
             target: Formula = outer[name] if name in outer \

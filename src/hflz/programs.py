@@ -4,8 +4,11 @@ Programs are reduced to formulas by replacing events with diamond
 modalities, conditionals with their logical reading, and recursion with a
 fixpoint binder; the verification obligation becomes M |= [[program]].
 
-File-handle arguments (bare identifiers that are neither parameters nor
-functions nor events) are ignored, as in single-handle protocol examples.
+`parse_program` builds the parse tree and gives every parameter a kind,
+integer or continuation; `translate_program` resolves the names of the
+tree and translates it in one walk.  File-handle arguments (bare
+identifiers that are neither parameters nor functions nor events) are
+ignored, as in single-handle protocol examples.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import re
 from dataclasses import dataclass
 
 from .syntax import (
-    And, Atom, Diamond, HflError, IConst, INT, IVar, IntExpr, Mu, Nu, Or, PROP,
-    TRUE, Var, Formula, SimpleType, app, arrow, dual_int_atom, fresh_name, lam,
-    subst_ints, Add, Sub, INeg,
+    Add, And, Atom, Diamond, HflError, IConst, INT, INeg, IVar, IntExpr, Mu,
+    Nu, Or, PROP, Sub, TRUE, Var, Formula, SimpleType, app, arrow,
+    dual_int_atom, fresh_name, lam,
 )
 
 
@@ -25,52 +28,7 @@ class ProgramError(HflError):
 
 
 # ---------------------------------------------------------------------------
-# Surface AST
-
-
-@dataclass(frozen=True)
-class Unit:
-    pass
-
-
-@dataclass(frozen=True)
-class Event:
-    label: str
-    cont: "Expr"
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple["IntExpr | Expr", ...] = ()
-
-
-@dataclass(frozen=True)
-class If:
-    cond: Atom
-    then: "Expr"
-    els: "Expr"
-
-
-Expr = Unit | Event | Call | If
-
-
-@dataclass(frozen=True)
-class Definition:
-    name: str
-    params: tuple[tuple[str, SimpleType], ...]
-    body: Expr
-
-
-@dataclass(frozen=True)
-class Program:
-    events: tuple[str, ...]
-    definitions: tuple[Definition, ...]
-    main: Expr
-
-
-# ---------------------------------------------------------------------------
-# Untyped parse tree (resolved against the alphabet and definitions later)
+# Parse tree
 
 
 @dataclass(frozen=True)
@@ -120,10 +78,30 @@ class _UUnit:
     pass
 
 
+@dataclass(frozen=True)
+class Definition:
+    name: str
+    params: tuple[tuple[str, SimpleType], ...]
+    body: object  # parse tree
+
+
+@dataclass(frozen=True)
+class Program:
+    events: tuple[str, ...]
+    definitions: tuple[Definition, ...]
+    main: object  # parse tree
+
+
+def _is_handle(u, bound) -> bool:
+    """A bare identifier that names no parameter, function or event."""
+    return isinstance(u, _UVar) and u.name not in bound
+
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _TOKEN = re.compile(
     r"\s+|#[^\n]*"
     r"|(?P<int>[0-9]+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
+    rf"|(?P<ident>{_IDENT.pattern})"
     r"|(?P<sym><=|>=|!=|\(\)|[()+\-*;=:<>])")
 
 _KEYWORDS = {"let", "rec", "main", "if", "then", "else", "events"}
@@ -149,8 +127,8 @@ class _ProgParser:
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self, ahead=0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self):
+        return self.toks[self.pos]
 
     def next(self):
         t = self.toks[self.pos]
@@ -162,7 +140,6 @@ class _ProgParser:
         t = self.next()
         if t != tok:
             raise ProgramError(f"expected {tok!r}, found {t!r}")
-        return t
 
     def parse(self):
         events: list[str] = []
@@ -177,12 +154,12 @@ class _ProgParser:
             if self.peek() == "rec":
                 self.next()
             name = self.next()
-            if not name.isidentifier():
+            if not _IDENT.fullmatch(name):
                 raise ProgramError(f"bad definition name {name!r}")
             params = []
             while self.peek() != "=":
                 p = self.next()
-                if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", p):
+                if not _IDENT.fullmatch(p):
                     raise ProgramError(f"bad parameter {p!r} in {name}")
                 params.append(p)
             self.expect("=")
@@ -244,8 +221,7 @@ class _ProgParser:
     def _at_atom(self):
         t = self.peek()
         return (t == "(" or t == "()" or t.isdigit()
-                or (re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", t)
-                    and t not in _KEYWORDS))
+                or (_IDENT.fullmatch(t) and t not in _KEYWORDS))
 
     def parse_atom(self):
         t = self.next()
@@ -260,275 +236,199 @@ class _ProgParser:
             return v
         if t.isdigit():
             return _UNum(int(t))
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", t) \
-                and t not in _KEYWORDS:
+        if _IDENT.fullmatch(t) and t not in _KEYWORDS:
             return _UVar(t)
         raise ProgramError(f"unexpected token {t!r}")
 
 
 # ---------------------------------------------------------------------------
-# Elaboration: classify parameters and resolve identifiers
+# Parameter kinds
 
 
 def parse_program(text: str) -> Program:
-    events, raw_defs, raw_main = _ProgParser(text).parse()
+    """Parse a program and give each parameter its kind in one walk.  A
+    parameter used in arithmetic or a condition is an integer, one used as
+    an expression a continuation.  A bare parameter passed to a definition
+    shares the kind of that parameter slot; any other argument fixes the
+    slot's kind (an integer for a number or arithmetic).  A parameter that
+    nothing constrains is a continuation."""
+    events, raw_defs, main = _ProgParser(text).parse()
     if not events:
         events = ["read", "close", "end"]
     if "end" not in events:
         events = events + ["end"]
-    def_names = [d[0] for d in raw_defs]
-    if len(set(def_names)) != len(def_names):
+    slots = {name: params for name, params, _ in raw_defs}
+    if len(slots) != len(raw_defs):
         raise ProgramError("duplicate definition name")
+    names = set(slots) | set(events)
 
-    # parameter kinds: "int" | "prop" | None (unknown)
-    kinds: dict[tuple[str, str], str | None] = {
-        (name, p): None for name, params, _ in raw_defs for p in params}
+    # union-find over (definition, parameter) keys and the kinds INT and
+    # PROP, which are always roots; roots are not keys of `parent`
+    parent: dict = {}
 
-    def set_kind(dname, p, kind):
-        cur = kinds[(dname, p)]
-        if cur is None:
-            kinds[(dname, p)] = kind
-        elif cur != kind:
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    def unify(key: tuple[str, str], other):
+        a, b = find(key), find(other)
+        if a in (INT, PROP):
+            a, b = b, a
+        if a in (INT, PROP) and a != b:
             raise ProgramError(
-                f"parameter {p} of {dname} used both as an integer and as "
-                "a continuation")
+                f"parameter {key[1]} of {key[0]} used both as an integer and "
+                "as a continuation")
+        if a != b:
+            parent[a] = b
 
-    arities = {name: len(params) for name, params, _ in raw_defs}
+    for dname, params, body in raw_defs + [("main", [], main)]:
+        bound = names.union(params)
 
-    def scan(u, dname, params, ctx):
-        """ctx: 'expr' | 'int'."""
-        match u:
-            case _UVar(n):
-                if n in params and ctx != "arg":
-                    set_kind(dname, n, "int" if ctx == "int" else "prop")
-            case _UNum(_):
-                pass
-            case _UOp(_, args):
-                for a in args:
-                    scan(a, dname, params, "int")
-            case _UCmp(_, l, r):
-                scan(l, dname, params, "int")
-                scan(r, dname, params, "int")
-            case _UIf(c, t, e):
-                scan(c, dname, params, "int")
-                scan(t, dname, params, "expr")
-                scan(e, dname, params, "expr")
-            case _USeq(first, cont):
-                scan(first, dname, params, "expr")
-                scan(cont, dname, params, "expr")
-            case _UApp(head, args):
-                if head in events:
-                    # last argument is the continuation; the rest are handles
+        def walk(u, kind):
+            match u:
+                case _UVar(n) if n in params:
+                    unify((dname, n), kind)
+                case _UOp(_, args):
+                    for a in args:
+                        walk(a, INT)
+                case _UCmp(_, l, r):
+                    walk(l, INT)
+                    walk(r, INT)
+                case _UIf(c, t, e):
+                    walk(c, INT)
+                    walk(t, PROP)
+                    walk(e, PROP)
+                case _USeq(first, cont):
+                    walk(first, PROP)
+                    walk(cont, PROP)
+                case _UApp(head, args) if head in events:
+                    # the last argument is the continuation; the bare
+                    # names before it get no kind: they are handles, are
+                    # dropped before ';' or are refused by the translation
                     for a in args[:-1]:
                         if not isinstance(a, _UVar):
-                            scan(a, dname, params, "expr")
+                            walk(a, PROP)
                     if args:
-                        scan(args[-1], dname, params, "expr")
-                else:
+                        walk(args[-1], PROP)
+                case _UApp(head, args) if head not in slots:
                     for a in args:
-                        scan(a, dname, params, "arg")
-            case _UUnit():
-                pass
+                        walk(a, PROP)
+                case _UApp(head, args):
+                    real = [a for a in args if not _is_handle(a, bound)]
+                    for a, p in zip(real, slots[head]):
+                        if isinstance(a, _UVar) and a.name in params:
+                            unify((dname, a.name), (head, p))
+                        else:
+                            k = INT if isinstance(a, (_UNum, _UOp)) else PROP
+                            unify((head, p), k)
+                            walk(a, k)
 
-    for name, params, body in raw_defs:
-        scan(body, name, set(params), "expr")
-    # propagate kinds through call argument positions, both ways; each
-    # round fixes an unknown kind, so the loop ends
-    changed = True
-    while changed:
-        changed = False
-        for name, params, body in raw_defs + [("", [], raw_main)]:
-            for u in _walk(body):
-                if isinstance(u, _UApp) and u.head in arities:
-                    callee = u.head
-                    cparams = next(p for n, p, _ in raw_defs
-                                   if n == callee)
-                    slot = 0
-                    for a in u.args:
-                        if isinstance(a, _UVar) and a.name not in \
-                                set(params) and a.name not in arities \
-                                and a.name not in events:
-                            continue  # handle argument, dropped
-                        if slot >= len(cparams):
-                            break
-                        slot_key = (callee, cparams[slot])
-                        ck = kinds[slot_key]
-                        if name and isinstance(a, _UVar) \
-                                and a.name in set(params):
-                            ak = kinds[(name, a.name)]
-                            if (ak is None) != (ck is None):
-                                kinds[(name, a.name)] = kinds[slot_key] = \
-                                    ak or ck
-                                changed = True
-                        if ck is None and not isinstance(a, _UVar):
-                            guess = "int" if isinstance(
-                                a, (_UNum, _UOp)) else "prop"
-                            kinds[slot_key] = guess
-                            changed = True
-                        slot += 1
-    for key, k in kinds.items():
-        if k is None:
-            kinds[key] = "prop"  # unused parameters default to continuations
+        walk(body, PROP)
 
-    defs: list[Definition] = []
-
-    def elab_int(u, dname, params) -> IntExpr:
-        match u:
-            case _UNum(n):
-                return IConst(n)
-            case _UVar(n):
-                if n in params and kinds[(dname, n)] == "int":
-                    return IVar(n)
-                raise ProgramError(
-                    f"{n!r} is not an integer parameter here")
-            case _UOp("+", (l, r)):
-                return Add(elab_int(l, dname, params),
-                           elab_int(r, dname, params))
-            case _UOp("-", (l, r)):
-                return Sub(elab_int(l, dname, params),
-                           elab_int(r, dname, params))
-            case _UOp("neg", (b,)):
-                return INeg(elab_int(b, dname, params))
-        raise ProgramError(f"expected an integer expression, got {u!r}")
-
-    def is_handle(u, dname, params) -> bool:
-        return (isinstance(u, _UVar) and u.name not in params
-                and u.name not in arities and u.name not in events)
-
-    def elab_call(head, uargs, dname, params) -> Expr:
-        args: list = []
-        for a in uargs:
-            if is_handle(a, dname, params):
-                continue
-            if isinstance(a, (_UNum, _UOp)) or (
-                    isinstance(a, _UVar) and a.name in params
-                    and kinds[(dname, a.name)] == "int"):
-                args.append(elab_int(a, dname, params))
-            else:
-                args.append(elab_expr(a, dname, params))
-        if head in arities and len(args) != arities[head]:
-            raise ProgramError(
-                f"call of {head} with {len(args)} arguments, expected "
-                f"{arities[head]}")
-        return Call(head, tuple(args))
-
-    def elab_expr(u, dname, params) -> Expr:
-        match u:
-            case _UUnit():
-                return Unit()
-            case _UIf(c, t, e):
-                if not isinstance(c, _UCmp):
-                    raise ProgramError("condition must be a linear comparison")
-                cond = Atom(c.op, elab_int(c.lhs, dname, params),
-                            elab_int(c.rhs, dname, params))
-                return If(cond, elab_expr(t, dname, params),
-                          elab_expr(e, dname, params))
-            case _USeq(first, cont):
-                if first.head not in events:
-                    raise ProgramError(
-                        f"';' is only allowed after an event, got "
-                        f"{first.head!r}")
-                return Event(first.head, elab_expr(cont, dname, params))
-            case _UApp(head, args):
-                if head in events:
-                    cont_args = [a for a in args
-                                 if not is_handle(a, dname, params)]
-                    if len(cont_args) > 1:
-                        raise ProgramError(
-                            f"event {head} takes one continuation, got "
-                            f"{len(cont_args)}")
-                    cont = elab_expr(cont_args[0], dname, params) \
-                        if cont_args else Unit()
-                    return Event(head, cont)
-                if head in arities or (head in params
-                                       and kinds[(dname, head)] == "prop"):
-                    return elab_call(head, args, dname, params)
-                raise ProgramError(f"unknown function {head!r}")
-            case _UVar(n):
-                if n in arities:
-                    return elab_call(n, (), dname, params)
-                if n in params and kinds[(dname, n)] == "prop":
-                    return Call(n, ())
-                raise ProgramError(f"unknown function {n!r}")
-        raise ProgramError(f"expected an expression, got {u!r}")
-
-    for name, params, body in raw_defs:
-        typed = tuple(
-            (p, INT if kinds[(name, p)] == "int" else PROP) for p in params)
-        defs.append(Definition(name=name, params=typed,
-                               body=elab_expr(body, name, set(params))))
-    main = elab_expr(raw_main, "", set())
-    return Program(events=tuple(events), definitions=tuple(defs), main=main)
-
-
-def _walk(u):
-    yield u
-    match u:
-        case _UOp(_, args):
-            for a in args:
-                yield from _walk(a)
-        case _UCmp(_, l, r):
-            yield from _walk(l)
-            yield from _walk(r)
-        case _UIf(c, t, e):
-            yield from _walk(c)
-            yield from _walk(t)
-            yield from _walk(e)
-        case _USeq(first, cont):
-            yield from _walk(first)
-            yield from _walk(cont)
-        case _UApp(_, args):
-            for a in args:
-                yield from _walk(a)
+    defs = tuple(
+        Definition(name, tuple((p, INT if find((name, p)) is INT else PROP)
+                               for p in params), body)
+        for name, params, body in raw_defs)
+    return Program(events=tuple(events), definitions=defs, main=main)
 
 
 # ---------------------------------------------------------------------------
 # Translation to formulas
 
 
+_END = Diamond("end", TRUE)
+
+
 def translate_program(program: Program, polarity: str = "mu") -> Formula:
-    """Events become diamonds, Unit becomes <end> true, conditionals their
+    """Events become diamonds, () becomes <end> true, conditionals their
     logical reading, recursion a fixpoint of the chosen polarity (mu demands
     termination)."""
     if polarity not in ("mu", "nu"):
         raise ProgramError(f"polarity must be 'mu' or 'nu', got {polarity!r}")
     fix = Mu if polarity == "mu" else Nu
+    arity = {d.name: len(d.params) for d in program.definitions}
+    names = set(arity) | set(program.events)
     denot: dict[str, Formula] = {}
 
-    def tr(e: Expr, env: dict[str, tuple[str, SimpleType]],
-           ints: dict[str, IVar]) -> Formula:
-        """ints renames integer parameters to their internal names."""
-        match e:
-            case Unit():
-                return Diamond("end", TRUE)
-            case Event(label, cont):
-                return Diamond(label, tr(cont, env, ints))
-            case If(c, t, el):
-                c = Atom(c.op, subst_ints(c.lhs, ints), subst_ints(c.rhs, ints))
-                return And(Or(dual_int_atom(c), tr(t, env, ints)),
-                           Or(c, tr(el, env, ints)))
-            case Call(name, args):
-                if name in env:
-                    internal, t = env[name]
-                    head: Formula = Var(internal, t)
-                elif name in denot:
-                    head = denot[name]
-                else:
-                    raise ProgramError(f"unknown function {name!r}")
-                targs = [subst_ints(a, ints) if isinstance(a, IntExpr)
-                         else tr(a, env, ints) for a in args]
-                return app(head, *targs)
-        raise ProgramError(f"cannot translate {e!r}")
+    def translate(body, kinds: dict[str, SimpleType],
+                  env: dict[str, tuple[str, SimpleType]]) -> Formula:
+        """kinds: the parameters of the enclosing definition; env: the
+        internal name and type of each parameter and of the definition."""
+        bound = names.union(kinds)
+
+        def integer(u) -> IntExpr:
+            match u:
+                case _UNum(n):
+                    return IConst(n)
+                case _UVar(n):
+                    if kinds.get(n) == INT:
+                        return IVar(env[n][0])
+                    raise ProgramError(
+                        f"{n!r} is not an integer parameter here")
+                case _UOp("+", (l, r)):
+                    return Add(integer(l), integer(r))
+                case _UOp("-", (l, r)):
+                    return Sub(integer(l), integer(r))
+                case _UOp("neg", (b,)):
+                    return INeg(integer(b))
+            raise ProgramError(f"expected an integer expression, got {u!r}")
+
+        def call(head: str, args) -> Formula:
+            real = [a for a in args if not _is_handle(a, bound)]
+            f = Var(*env[head]) if head in env else denot.get(head)
+            if f is None:
+                raise ProgramError(f"unknown function {head!r}")
+            if head in kinds and (kinds[head] != PROP or real):
+                raise ProgramError(f"parameter {head} used as a function")
+            # a parameter takes no arguments; one that hides a definition
+            # also takes that definition's arity
+            if len(real) != arity.get(head, 0):
+                raise ProgramError(
+                    f"call of {head} with {len(real)} arguments, expected "
+                    f"{arity[head]}")
+            return app(f, *[
+                integer(a) if isinstance(a, (_UNum, _UOp)) or (
+                    isinstance(a, _UVar) and kinds.get(a.name) == INT)
+                else expr(a) for a in real])
+
+        def expr(u) -> Formula:
+            match u:
+                case _UUnit():
+                    return _END
+                case _UIf(_UCmp(op, l, r), t, e):
+                    c = Atom(op, integer(l), integer(r))
+                    return And(Or(dual_int_atom(c), expr(t)), Or(c, expr(e)))
+                case _UIf():
+                    raise ProgramError("condition must be a linear comparison")
+                case _USeq(first, cont):
+                    if first.head not in program.events:
+                        raise ProgramError(
+                            f"';' is only allowed after an event, got "
+                            f"{first.head!r}")
+                    return Diamond(first.head, expr(cont))
+                case _UApp(head, args) if head in program.events:
+                    conts = [a for a in args if not _is_handle(a, bound)]
+                    if len(conts) > 1:
+                        raise ProgramError(
+                            f"event {head} takes one continuation, got "
+                            f"{len(conts)}")
+                    return Diamond(head, expr(conts[0]) if conts else _END)
+                case _UApp(head, args):
+                    return call(head, args)
+                case _UVar(n):
+                    return call(n, ())
+            raise ProgramError(f"expected an expression, got {u!r}")
+
+        return expr(body)
 
     for d in program.definitions:
-        ftype = arrow(*[t for _, t in d.params], PROP) if d.params else PROP
+        ftype = arrow(*[t for _, t in d.params], PROP)
         binder = fresh_name(d.name)
-        env = {p: (fresh_name(p), t) for p, t in d.params}
-        env[d.name] = (binder, ftype)
-        body = tr(d.body, env,
-                  {x: IVar(internal) for x, (internal, _) in env.items()})
-        body = lam([(env[p][0], t) for p, t in d.params], body)
-        denot[d.name] = fix(binder, ftype, body)
-
-    return tr(program.main, {}, {})
-
+        # a parameter hides the definition's own name
+        env = {d.name: (binder, ftype)}
+        env.update((p, (fresh_name(p), t)) for p, t in d.params)
+        body = translate(d.body, dict(d.params), env)
+        denot[d.name] = fix(binder, ftype,
+                            lam([(env[p][0], t) for p, t in d.params], body))
+    return translate(program.main, {}, {})

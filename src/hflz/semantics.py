@@ -163,6 +163,8 @@ class _FixFun:
         self.approx: dict[tuple, int] = {}
         self.solving = False
         self.new_args = False
+        # the function value itself: no argument applied yet
+        self.partial = _Partial(self, ())
 
     def call(self, keys: tuple) -> int:
         if keys not in self.approx:
@@ -209,7 +211,7 @@ class _FixFun:
         # zero-argument fixpoints denote plain propositions, so recursive
         # occurrences stand for the current approximation rather than a
         # re-applicable function value
-        rec = self if self.argts else self.approx[()]
+        rec = self.partial if self.argts else self.approx[()]
         val = self.code.body({**self.env, self.code.var: rec})
         for key in keys:
             val = self.ev.apply(val, key)
@@ -248,8 +250,6 @@ class _BoundedEvaluator:
     def _first_arg_type(self, v) -> SimpleType:
         if isinstance(v, _Closure):
             return v.vtype
-        if isinstance(v, _FixFun):
-            return v.argts[0]
         if isinstance(v, _Partial):
             return v.fix.argts[len(v.args)]
         raise HflError(f"not a function value: {v!r}")
@@ -323,8 +323,6 @@ class _BoundedEvaluator:
         if isinstance(fv, _TableFun):
             i = self.position(fv.argtype, self.canonical(av))
             return BOT if i is None else fv.items[i]
-        if isinstance(fv, _FixFun):
-            fv = _Partial(fv, ())
         if isinstance(fv, _Partial):
             args = fv.args + (self.canonical(av),)
             if len(args) == len(fv.fix.argts):
@@ -394,7 +392,7 @@ class _BoundedEvaluator:
                         if fix is None:
                             fix = cache[node_id, vals] = _FixFun(
                                 code, env, self)
-                    return fix if code.argts else fix.call(())
+                    return fix.partial if code.argts else fix.call(())
                 return fixpoint
             case App(f, a) if isinstance(a, IntExpr):
                 ff, af = self.compile(f), _compile_int(a)

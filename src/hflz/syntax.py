@@ -335,9 +335,13 @@ def map_children(phi: Formula, f) -> Formula:
 
 
 def subformulas(phi: Formula):
-    yield phi
-    for c in children(phi):
-        yield from subformulas(c)
+    """phi and every formula below it, in preorder; an explicit stack keeps
+    the depth of phi off the Python stack."""
+    stack = [phi]
+    while stack:
+        phi = stack.pop()
+        yield phi
+        stack.extend(reversed(children(phi)))
 
 
 def int_vars(e: IntExpr) -> list[str]:
@@ -415,15 +419,11 @@ def free_vars(phi: Formula) -> set[str]:
 
 def is_pure(phi: Formula) -> bool:
     """True when phi contains no integer expressions, atoms, or quantifier sugar."""
-    match phi:
-        case Atom(_, _, _) | Exists(_, _, _) | Forall(_, _, _):
-            return False
-        case App(_, a) if isinstance(a, IntExpr):
-            return False
-        case Lambda(_, t, _) if isinstance(t, IntType):
-            return False
-        case _:
-            return all(is_pure(c) for c in children(phi))
+    return not any(
+        isinstance(s, (Atom, Exists, Forall))
+        or isinstance(s, App) and isinstance(s.arg, IntExpr)
+        or isinstance(s, Lambda) and isinstance(s.vtype, IntType)
+        for s in subformulas(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from .syntax import (
     Add, And, App, Atom, Box, CMP_FN, Diamond, Exists, FALSE, FalseF, Forall,
     HflError, IConst, INT, INeg, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or,
     PROP, Sub, TRUE, TrueF, Var, Formula, SimpleType, app, arg_types, arrow,
-    base_name, eval_int, fresh_name, int_vars, lam, map_children, subst_ints,
-    substitute,
+    base_name, eval_int, fresh_name, int_vars, lam, map_children, substitute,
 )
 
 
@@ -485,9 +484,7 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
                 raise AbstractionError(
                     "call-site instantiation only supports predicates over "
                     f"the binder variable alone, got extra vars {extra}")
-            target = Atom(a.op, subst_ints(a.lhs, {tvar: e}),
-                          subst_ints(a.rhs, {tvar: e}))
-            out.append(weakest(benv, target))
+            out.append(weakest(benv, qf_subst(a, {tvar: e})))
         return out
 
     # sig entries: list per parameter, either ("int", templates) or ("other",)
@@ -530,9 +527,7 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
             case Lambda(x, t, b):
                 if isinstance(t, IntType):
                     templates = preds.for_binder(base_name(x))
-                    bools = [(fresh_name("b"),
-                              Atom(a.op, subst_ints(a.lhs, {tv: IVar(x)}),
-                                   subst_ints(a.rhs, {tv: IVar(x)})))
+                    bools = [(fresh_name("b"), qf_subst(a, {tv: IVar(x)}))
                              for tv, a in templates]
                     body, _ = go(b, benv + bools, sigs)
                     for bx, _a in reversed(bools):

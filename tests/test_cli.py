@@ -79,6 +79,17 @@ def test_translate(corpus, capsys):
     assert capsys.readouterr().out.strip() == "<read> <read> <close> <end> true"
 
 
+def test_translate_refuses_a_kind_conflict(tmp_path, capsys):
+    # g passes its j on as k and calls itself with 3 for j, so both are
+    # integers; main passes () for j
+    f = tmp_path / "conflict.prog"
+    f.write_text("events: read\nlet g j k = read (g 3 j)\nmain = g (()) 1\n")
+    assert main(["translate", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "used both as an integer and as a continuation" in captured.err
+
+
 def test_validity_pure(corpus, tmp_path, capsys):
     f = tmp_path / "phi.hfl"
     f.write_text("<read> <close> <end> true\n")

@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hflz.lts import parse_lts
 from hflz.parser import parse_formula
 from hflz.pretty import to_text
 from hflz.programs import ProgramError, parse_program, translate_program
 from hflz.semantics import check_pure, eval_bounded
-from hflz.syntax import PROP, alpha_eq, typecheck
+from hflz.syntax import INT, PROP, alpha_eq, typecheck
 
 
 def test_straight_line_program(corpus):
@@ -127,3 +128,123 @@ def test_errors():
         # arity mismatch at the call site
         translate_program(parse_program(
             "let f n k = k\nmain = f ()\n"))
+
+
+def test_primed_definition_names():
+    phi = translate_program(parse_program(
+        "events: a\nlet f' k = a k\nmain = f' ()\n"))
+    assert to_text(phi) == \
+        "(mu f': prop -> prop. \\k: prop. <a> k)(<end> true)"
+
+
+# ---------------------------------------------------------------------------
+# The kind rule
+
+
+@pytest.mark.parametrize("h_body, f_body", [
+    # h compares its m: the kind flows back from h through g to f
+    ("if m <= 0 then k else k", "g m k"),
+    # f compares its m: the kind flows on from f through g to h
+    ("k", "if m <= 0 then k else g m k"),
+])
+def test_kind_reaches_a_parameter_through_two_calls(h_body, f_body):
+    text = (f"events: a\nlet h m k = {h_body}\nlet g m k = h m k\n"
+            f"let f m k = {f_body}\n")
+    # main passes no number that would fix a kind itself
+    prog = parse_program(text + "main = ()\n")
+    for d in prog.definitions:
+        assert d.params == (("m", INT), ("k", PROP)), d.name
+    phi = translate_program(parse_program(text + "main = f 2 ()\n"))
+    assert typecheck(phi) == PROP
+
+
+def test_kind_conflict_in_an_uncalled_definition():
+    # u is never called, but passes () where g compares an integer
+    text = ("events: a\n"
+            "let g m k = if m <= 0 then k else a k\n"
+            "let u k = g () k\n"
+            "main = g 1 ()\n")
+    with pytest.raises(ProgramError, match="parameter m of g used both as an "
+                       "integer and as a continuation"):
+        parse_program(text)
+
+
+def test_continuation_parameters_take_no_arguments():
+    prog = parse_program("events: a\nlet f k = k 1\nlet g k = k x\n"
+                         "main = g ()\n")
+    with pytest.raises(ProgramError, match="parameter k used as a function"):
+        translate_program(prog)
+    # x is a handle, so g's k takes nothing
+    prog = parse_program("events: a\nlet g k = k x\nmain = g ()\n")
+    assert to_text(translate_program(prog)) == \
+        "(mu g: prop -> prop. \\k: prop. k)(<end> true)"
+
+
+@st.composite
+def programs(draw):
+    """Small programs over the events a and b: up to three definitions,
+    each of which may call itself and the ones before it, with conditions,
+    handles and integer, continuation and handle arguments."""
+    defs = [(name, ("n", "k", "m")[:draw(st.integers(0, 3))])
+            for name in ("f", "g", "h")[:draw(st.integers(0, 3))]]
+
+    def integer(params):
+        e = draw(st.sampled_from(["1", "0"] + list(params)))
+        return e if draw(st.booleans()) else f"({e} - 1)"
+
+    def arg(depth, params, callees):
+        kind = draw(st.sampled_from(["int", "cont", "handle", "param"]))
+        if kind == "int":
+            return integer(params)
+        if kind == "handle":
+            return "x"
+        if kind == "param" and params:
+            return draw(st.sampled_from(params))
+        return f"({expr(depth - 1, params, callees)})"
+
+    def expr(depth, params, callees):
+        choices = ["unit", "event", "seq"] + (["if"] + ["call"] * 3
+                                              if depth > 0 else [])
+        if params:
+            choices.append("param")
+        match draw(st.sampled_from(choices)):
+            case "unit":
+                return "()"
+            case "param":
+                return draw(st.sampled_from(params))
+            case "event" | "seq" as form:
+                ev = draw(st.sampled_from(["a", "b"]))
+                handle = " x" if draw(st.booleans()) else ""
+                cont = expr(depth - 1, params, callees)
+                return f"{ev}{handle}; {cont}" if form == "seq" else \
+                    f"{ev}{handle} ({cont})"
+            case "if":
+                op = draw(st.sampled_from(["<=", "=", ">"]))
+                return (f"if {integer(params)} {op} {integer(params)} "
+                        f"then {expr(depth - 1, params, callees)} "
+                        f"else {expr(depth - 1, params, callees)}")
+            case "call":
+                if not callees:
+                    return "()"
+                name, cparams = draw(st.sampled_from(callees))
+                args = [arg(depth, params, callees) for _ in cparams]
+                return " ".join([name] + args)
+
+    lines = ["events: a b"]
+    for i, (name, params) in enumerate(defs):
+        body = expr(2, list(params), defs[:i + 1])
+        lines.append(f"let {name} {' '.join(params)} = {body}")
+    lines.append(f"main = {expr(2, [], defs)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs())
+def test_every_translation_has_type_prop(text):
+    try:
+        prog = parse_program(text)
+        formulas = [translate_program(prog, p) for p in ("mu", "nu")]
+    except ProgramError:
+        return
+    for phi in formulas:
+        assert typecheck(phi) == PROP

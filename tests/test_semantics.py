@@ -390,6 +390,16 @@ def test_long_conjunctions_keep_their_stack_depth():
     assert eval_bounded(phi, 4)
 
 
+def test_long_pure_conjunctions_pass_is_pure():
+    # is_pure and subformulas walk with an explicit stack; a recursive
+    # is_pure ran out of stack near 350 conjuncts, before the engine
+    loop = parse_formula(r"mu x: prop. true \/ x")
+    phi = loop
+    for _ in range(599):
+        phi = And(loop, phi)
+    assert check_pure(parse_lts("states: s\ninitial: s\ntrans:\n"), phi)
+
+
 # ---------------------------------------------------------------------------
 # Random integer formulas against the whole-table reference
 
