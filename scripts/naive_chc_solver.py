@@ -18,7 +18,7 @@ import itertools
 import sys
 
 from hflz.chc import parse_smtlib_horn
-from hflz.syntax import eval_int
+from hflz.syntax import Atom, eval_int
 from hflz.transforms import qf_holds
 
 
@@ -39,17 +39,12 @@ def main() -> int:
 
     def body_holds(body, env):
         for item in body:
-            if item[0] == "atom":
-                if not qf_holds(item[1], env):
+            if isinstance(item, Atom):
+                if not qf_holds(item, env):
                     return False
-            else:
-                _, name, args_ = item
-                try:
-                    tup = tuple(eval_int(a, env) for a in args_)
-                except KeyError:
-                    return False
-                if tup not in facts[name]:
-                    return False
+            elif tuple(eval_int(a, env) for a in item.args) \
+                    not in facts[item.name]:
+                return False
         return True
 
     changed = True
@@ -65,12 +60,9 @@ def main() -> int:
             for vals in rows(cvars):
                 env = dict(zip(cvars, vals))
                 if body_holds(c.body, env):
-                    try:
-                        tup = tuple(eval_int(a, env) for a in c.head_args)
-                    except KeyError:
-                        continue
-                    if tup not in facts[c.head_pred]:
-                        facts[c.head_pred].add(tup)
+                    tup = tuple(eval_int(a, env) for a in c.head.args)
+                    if tup not in facts[c.head.name]:
+                        facts[c.head.name].add(tup)
                         changed = True
 
     for g in system.goals:

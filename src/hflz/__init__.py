@@ -21,8 +21,8 @@ from .transforms import (  # noqa: F401
     AbstractionError,
 )
 from .chc import (  # noqa: F401
-    ChcSystem, DefiniteClause, GoalClause, chc_to_hfl, hfl_to_chc,
-    emit_smtlib_horn, parse_smtlib_horn, solve_external, SolverConfig,
-    SolverVerdict, ChcShapeError, validate_model,
+    ChcSystem, Clause, PredApp, chc_to_hfl, hfl_to_chc, emit_smtlib_horn,
+    parse_smtlib_horn, solve_external, SolverVerdict, ChcShapeError,
+    validate_model,
 )
 from .programs import parse_program, translate_program, Program, ProgramError  # noqa: F401

@@ -20,50 +20,34 @@ from .syntax import (
 )
 from .transforms import EntailmentOracle, WindowEntailment
 
-# Body items keep their clause order: ("atom", Atom) or ("pred", name, args).
-BodyItem = tuple
-
 
 class ChcShapeError(HflError):
     """The formula or clause set falls outside the supported fragment."""
 
 
-@dataclass(frozen=True)
-class DefiniteClause:
-    head_pred: str
-    head_args: tuple[IntExpr, ...]
-    body: tuple[BodyItem, ...]
+@dataclass(frozen=True, slots=True)
+class PredApp:
+    """A predicate applied to integer arguments."""
+
+    name: str
+    args: tuple[IntExpr, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class Clause:
+    """``body => head``: a definite clause, or a goal clause (``body =>
+    false``) when head is None.  Body items keep their clause order."""
+
+    head: PredApp | None
+    body: tuple[Atom | PredApp, ...]
 
     def variables(self) -> list[str]:
-        return _clause_vars(list(self.head_args), self.body)
-
-
-@dataclass(frozen=True)
-class GoalClause:
-    body: tuple[BodyItem, ...]
-
-    def variables(self) -> list[str]:
-        return _clause_vars([], self.body)
-
-
-def _clause_vars(head_args: list[IntExpr], body) -> list[str]:
-    seen: list[str] = []
-
-    def add(e: IntExpr):
-        for v in int_vars(e):
-            if v not in seen:
-                seen.append(v)
-
-    for e in head_args:
-        add(e)
-    for item in body:
-        if item[0] == "atom":
-            add(item[1].lhs)
-            add(item[1].rhs)
-        else:
-            for e in item[2]:
-                add(e)
-    return seen
+        """The clause's variables in order of first occurrence, head first."""
+        exprs = list(self.head.args) if self.head else []
+        for item in self.body:
+            exprs += (item.lhs, item.rhs) if isinstance(item, Atom) \
+                else item.args
+        return list(dict.fromkeys(v for e in exprs for v in int_vars(e)))
 
 
 @dataclass(frozen=True)
@@ -74,27 +58,24 @@ class ChcSystem:
     """
 
     preds: dict[str, int]
-    definite: tuple[DefiniteClause, ...]
-    goals: tuple[GoalClause, ...]
+    definite: tuple[Clause, ...]
+    goals: tuple[Clause, ...]
 
     def __post_init__(self):
-        for c in self.definite:
-            if c.head_pred not in self.preds:
-                raise ChcShapeError(f"undeclared predicate {c.head_pred!r}")
-            if len(c.head_args) != self.preds[c.head_pred]:
-                raise ChcShapeError(
-                    f"head {c.head_pred} has {len(c.head_args)} arguments, "
-                    f"declared arity is {self.preds[c.head_pred]}")
-        for c in list(self.definite) + list(self.goals):
-            for item in c.body:
-                if item[0] == "pred":
-                    _, name, args = item
-                    if name not in self.preds:
-                        raise ChcShapeError(f"undeclared predicate {name!r}")
-                    if len(args) != self.preds[name]:
-                        raise ChcShapeError(
-                            f"application of {name} has {len(args)} "
-                            f"arguments, declared arity is {self.preds[name]}")
+        if any(c.head is None for c in self.definite) \
+                or any(c.head for c in self.goals):
+            raise ChcShapeError("a definite clause needs a head and a goal "
+                                "clause has none")
+        for c in self.definite + self.goals:
+            for p in (c.head, *c.body):
+                if not isinstance(p, PredApp):
+                    continue
+                if p.name not in self.preds:
+                    raise ChcShapeError(f"undeclared predicate {p.name!r}")
+                if len(p.args) != self.preds[p.name]:
+                    raise ChcShapeError(
+                        f"application of {p.name} has {len(p.args)} "
+                        f"arguments, declared arity is {self.preds[p.name]}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +100,7 @@ def chc_to_hfl(system: ChcSystem) -> Formula:
         t = arrow(*([INT] * arity), PROP) if arity else PROP
         binder = fresh_name(p)
         outer = {**outer, p: Var(binder, t)}
-        clauses = [c for c in system.definite if c.head_pred == p]
+        clauses = [c for c in system.definite if c.head.name == p]
         param_bases = _param_names(clauses, arity)
         params = [fresh_name(b) for b in param_bases]
 
@@ -128,17 +109,17 @@ def chc_to_hfl(system: ChcSystem) -> Formula:
         disj = reduce(Or, bodies) if bodies else FALSE
         return Mu(binder, t, lam([(x, INT) for x in params], disj))
 
-    def goal_formula(goal: GoalClause) -> Formula:
+    def goal_formula(goal: Clause) -> Formula:
         gvars = goal.variables()
         env = {v: IVar(fresh_name(v)) for v in gvars}
         parts: list[Formula] = []
         for item in goal.body:
-            if item[0] == "atom":
-                parts.append(dual_int_atom(smt.qf_subst(item[1], env)))
+            if isinstance(item, Atom):
+                parts.append(dual_int_atom(smt.qf_subst(item, env)))
             else:
-                _, name, args = item
-                pred = dualize(pred_formula(name, {}))
-                parts.append(app(pred, *[subst_ints(e, env) for e in args]))
+                pred = dualize(pred_formula(item.name, {}))
+                parts.append(
+                    app(pred, *[subst_ints(e, env) for e in item.args]))
         body = reduce(Or, parts) if parts else FALSE
         for v in reversed(gvars):
             body = Forall(env[v].name, body)
@@ -148,20 +129,20 @@ def chc_to_hfl(system: ChcSystem) -> Formula:
     return reduce(And, goals) if goals else TRUE
 
 
-def _param_names(clauses: list[DefiniteClause], arity: int) -> list[str]:
+def _param_names(clauses: list[Clause], arity: int) -> list[str]:
     for c in clauses:
-        args = c.head_args
+        args = c.head.args
         if all(isinstance(a, IVar) for a in args) \
                 and len({a.name for a in args}) == arity:
             return [a.name for a in args]
     return [f"x{i + 1}" for i in range(arity)]
 
 
-def _clause_body(c: DefiniteClause, params: list[str],
+def _clause_body(c: Clause, params: list[str],
                  outer: dict[str, Var], pred_formula) -> Formula:
     env: dict[str, IVar] = {}
     equalities: list[Atom] = []
-    for param, arg in zip(params, c.head_args):
+    for param, arg in zip(params, c.head.args):
         if isinstance(arg, IVar) and arg.name not in env:
             env[arg.name] = IVar(param)
         else:
@@ -174,13 +155,13 @@ def _clause_body(c: DefiniteClause, params: list[str],
 
     parts: list[Formula] = list(equalities)
     for item in c.body:
-        if item[0] == "atom":
-            parts.append(smt.qf_subst(item[1], env))
+        if isinstance(item, Atom):
+            parts.append(smt.qf_subst(item, env))
         else:
-            _, name, args = item
-            target: Formula = outer[name] if name in outer \
-                else pred_formula(name, outer)
-            parts.append(app(target, *[subst_ints(e, env) for e in args]))
+            target: Formula = outer[item.name] if item.name in outer \
+                else pred_formula(item.name, outer)
+            parts.append(
+                app(target, *[subst_ints(e, env) for e in item.args]))
     body = reduce(And, parts) if parts else TRUE
     for v in reversed(local_sources):
         body = Exists(env[v].name, body)
@@ -206,7 +187,7 @@ def hfl_to_chc(phi: Formula) -> ChcSystem:
 
     psi = dualize(phi)
     preds: dict[str, int] = {}
-    definite: list[DefiniteClause] = []
+    definite: list[Clause] = []
 
     def define(mu: Mu) -> str:
         name = base_name(mu.var)
@@ -236,15 +217,13 @@ def hfl_to_chc(phi: Formula) -> ChcSystem:
             ienv[body.var] = IVar(p)
             params.append(p)
             body = body.body
-        penv = {mu.var: name}
-        for items in _disjuncts(body, ienv, penv, taken, define):
-            definite.append(DefiniteClause(
-                head_pred=name,
-                head_args=tuple(IVar(p) for p in params),
-                body=tuple(items)))
+        head = PredApp(name, tuple(IVar(p) for p in params))
+        definite.extend(
+            Clause(head, tuple(items))
+            for items in _disjuncts(body, ienv, {mu.var: name}, taken, define))
         return name
 
-    goals = [GoalClause(body=tuple(items))
+    goals = [Clause(None, tuple(items))
              for items in _disjuncts(psi, {}, {}, set(), define)]
     return ChcSystem(preds=preds, definite=tuple(definite),
                      goals=tuple(goals))
@@ -275,7 +254,7 @@ def _source_local(base: str, taken: set[str]) -> str:
 
 
 def _disjuncts(phi: Formula, ienv: dict[str, IVar], penv: dict[str, str],
-               taken: set[str], define) -> list[list[BodyItem]]:
+               taken: set[str], define) -> list[list[Atom | PredApp]]:
     """DNF expansion of a dualized (mu-side) body into clause item lists."""
     match phi:
         case Or(l, r):
@@ -290,14 +269,12 @@ def _disjuncts(phi: Formula, ienv: dict[str, IVar], penv: dict[str, str],
         case FalseF():
             return []
         case Atom(op, l, r):
-            return [[("atom", Atom(op, _to_source(l, ienv),
-                                   _to_source(r, ienv)))]]
+            return [[Atom(op, _to_source(l, ienv), _to_source(r, ienv))]]
         case Exists(x, b, pieces):
             lname = _source_local(base_name(x), taken)
             ienv2 = {**ienv, x: IVar(lname)}
-            guards: list[BodyItem] = [
-                ("atom", Atom(">=", IVar(lname), _to_source(p, ienv)))
-                for p in pieces]
+            guards: list[Atom | PredApp] = [
+                Atom(">=", IVar(lname), _to_source(p, ienv)) for p in pieces]
             inner = _disjuncts(b, ienv2, penv, taken | {lname}, define)
             return [guards + items for items in inner]
         case Forall(_, _, _):
@@ -320,9 +297,9 @@ def _disjuncts(phi: Formula, ienv: dict[str, IVar], penv: dict[str, str],
                     raise ChcShapeError(
                         f"application head {base_name(head.name)} is not a "
                         "fixpoint variable")
-                return [[("pred", penv[head.name], sargs)]]
+                return [[PredApp(penv[head.name], sargs)]]
             if isinstance(head, Mu):
-                return [[("pred", define(head), sargs)]]
+                return [[PredApp(define(head), sargs)]]
             raise ChcShapeError(
                 f"unsupported application head {type(head).__name__}")
         case Mu(_, _, _):
@@ -352,53 +329,47 @@ def emit_smtlib_horn(system: ChcSystem) -> str:
         sorts = " ".join(["Int"] * system.preds[name])
         lines.append(f"(declare-fun {smt.symbol(name)} ({sorts}) Bool)")
 
-    def item_sexpr(item: BodyItem) -> str:
-        if item[0] == "atom":
-            return smt.atom_to_sexpr(item[1])
-        _, name, args = item
-        name = smt.symbol(name)
-        if not args:
+    def item_sexpr(item: Atom | PredApp) -> str:
+        if isinstance(item, Atom):
+            return smt.atom_to_sexpr(item)
+        name = smt.symbol(item.name)
+        if not item.args:
             return name
-        return f"({name} {' '.join(smt.int_expr_to_sexpr(a) for a in args)})"
+        args = " ".join(smt.int_expr_to_sexpr(a) for a in item.args)
+        return f"({name} {args})"
 
-    def clause_sexpr(variables: list[str], body, head: str) -> str:
-        if not body:
+    for c in system.definite + system.goals:
+        head = item_sexpr(c.head) if c.head else "false"
+        if not c.body:
             impl = head
-        elif len(body) == 1:
-            impl = f"(=> {item_sexpr(body[0])} {head})"
+        elif len(c.body) == 1:
+            impl = f"(=> {item_sexpr(c.body[0])} {head})"
         else:
-            conj = " ".join(item_sexpr(i) for i in body)
+            conj = " ".join(item_sexpr(i) for i in c.body)
             impl = f"(=> (and {conj}) {head})"
-        if variables:
+        if variables := c.variables():
             binds = " ".join(f"({smt.symbol(v)} Int)" for v in variables)
-            return f"(assert (forall ({binds}) {impl}))"
-        return f"(assert {impl})"
-
-    for c in system.definite:
-        head = item_sexpr(("pred", c.head_pred, c.head_args))
-        lines.append(clause_sexpr(c.variables(), c.body, head))
-    for g in system.goals:
-        lines.append(clause_sexpr(g.variables(), g.body, "false"))
+            impl = f"(forall ({binds}) {impl})"
+        lines.append(f"(assert {impl})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 
 
 def parse_smtlib_horn(text: str) -> ChcSystem:
     preds: dict[str, int] = {}
-    definite: list[DefiniteClause] = []
-    goals: list[GoalClause] = []
+    clauses: list[Clause] = []
 
-    def read_item(s) -> BodyItem:
+    def read_item(s) -> Atom | PredApp:
         if isinstance(s, str):
             if s in preds:
-                return ("pred", s, ())
+                return PredApp(s, ())
             raise ChcShapeError(f"unknown body item {s!r}")
         if s and isinstance(s[0], str) and s[0] in preds:
-            return ("pred", s[0],
-                    tuple(smt.sexpr_to_int_expr(a) for a in s[1:]))
-        return ("atom", smt.sexpr_to_atom(s))
+            return PredApp(s[0],
+                           tuple(smt.sexpr_to_int_expr(a) for a in s[1:]))
+        return smt.sexpr_to_atom(s)
 
-    def read_body(s) -> list[BodyItem]:
+    def read_body(s) -> list[Atom | PredApp]:
         if isinstance(s, list) and s and s[0] == "and":
             return [read_item(x) for x in s[1:]]
         if s == "true":
@@ -428,52 +399,39 @@ def parse_smtlib_horn(text: str) -> ChcSystem:
             if isinstance(body, list) and body and body[0] == "forall":
                 body = body[2]
             if head == "query":
-                goals.append(GoalClause(body=tuple(read_body(body))))
-                continue
-            if isinstance(body, list) and body and body[0] == "=>":
+                pre, post = body, "false"
+            elif isinstance(body, list) and body and body[0] == "=>":
                 _, pre, post = body
-                items = read_body(pre)
             else:
-                pre, post = None, body
-                items = []
-            if post == "false":
-                goals.append(GoalClause(body=tuple(items)))
-            else:
-                kind, name, args = read_item(post)
-                if kind != "pred":
-                    raise ChcShapeError(
-                        "clause head must be a predicate application or false")
-                definite.append(DefiniteClause(
-                    head_pred=name, head_args=tuple(args),
-                    body=tuple(items)))
+                pre, post = "true", body
+            items = tuple(read_body(pre))
+            concl = None if post == "false" else read_item(post)
+            if concl is not None and not isinstance(concl, PredApp):
+                raise ChcShapeError(
+                    "clause head must be a predicate application or false")
+            clauses.append(Clause(concl, items))
             continue
         raise ChcShapeError(f"unsupported command {head!r}")
 
-    return ChcSystem(preds=preds, definite=tuple(definite),
-                     goals=tuple(goals))
+    return ChcSystem(preds=preds,
+                     definite=tuple(c for c in clauses if c.head),
+                     goals=tuple(c for c in clauses if not c.head))
 
 
 # ---------------------------------------------------------------------------
 # External solver
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """command is a shell-ish template with a {file} placeholder."""
-
-    command: str
-    timeout: float = 60.0
-
-
-def solve_external(system: ChcSystem, config: SolverConfig,
+def solve_external(system: ChcSystem, command: str, timeout: float = 60.0,
                    cancel: threading.Event | None = None) -> SolverVerdict:
-    """Run an external HORN solver on the emitted SMT-LIB script.
+    """Run an external HORN solver on the emitted SMT-LIB script; command
+    is a shell-ish template with a {file} placeholder.
 
     Timeouts and cancellation give Unknown; a malformed answer gives Unknown
     with the raw output attached; failure to start the process raises.
     """
     return SolverVerdict(*smt.run_solver(
-        config.command, emit_smtlib_horn(system), config.timeout, cancel))
+        command, emit_smtlib_horn(system), timeout, cancel))
 
 
 # ---------------------------------------------------------------------------
@@ -487,36 +445,23 @@ def validate_model(system: ChcSystem,
     satisfies every clause; None when the oracle cannot decide a clause."""
     oracle = oracle or WindowEntailment()
 
-    def instantiate(name: str, args: tuple[IntExpr, ...]) -> Formula:
-        params, body = model[name]
-        if len(params) != len(args):
+    def instantiate(item: Atom | PredApp | None) -> Formula:
+        if item is None:
+            return FALSE
+        if isinstance(item, Atom):
+            return item
+        params, body = model[item.name]
+        if len(params) != len(item.args):
             raise ChcShapeError(
-                f"model for {name} has {len(params)} parameters, "
-                f"expected {len(args)}")
-        return smt.qf_subst(body, dict(zip(params, args)))
-
-    def hyps_of(body) -> list[Formula]:
-        out: list[Formula] = []
-        for item in body:
-            if item[0] == "atom":
-                out.append(item[1])
-            else:
-                _, name, args = item
-                out.append(instantiate(name, args))
-        return out
+                f"model for {item.name} has {len(params)} parameters, "
+                f"expected {len(item.args)}")
+        return smt.qf_subst(body, dict(zip(params, item.args)))
 
     undecided = False
-    for c in system.definite:
-        concl = instantiate(c.head_pred, c.head_args)
-        v = oracle.entails(hyps_of(c.body), concl)
+    for c in system.definite + system.goals:
+        v = oracle.entails([instantiate(i) for i in c.body],
+                           instantiate(c.head))
         if v is False:
             return False
-        if v is None:
-            undecided = True
-    for g in system.goals:
-        v = oracle.entails(hyps_of(g.body), FALSE)
-        if v is False:
-            return False
-        if v is None:
-            undecided = True
+        undecided |= v is None
     return None if undecided else True

@@ -18,7 +18,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .chc import SolverConfig, hfl_to_chc, chc_to_hfl, parse_smtlib_horn, \
+from .chc import hfl_to_chc, chc_to_hfl, parse_smtlib_horn, \
     emit_smtlib_horn, solve_external
 from .lts import Lts, parse_lts, trivial_model
 from .parser import parse_formula
@@ -138,7 +138,7 @@ def _try_chc(phi: Formula, bound: BoundExpr | None, label: str,
     except HflError:
         return False
     verdict = timed(f"chc[n={label}]", lambda: solve_external(
-        system, SolverConfig(args.solver, args.timeout), cancel))
+        system, args.solver, args.timeout, cancel))
     res.solver_verdict = verdict.kind
     if verdict.kind == "sat":
         res.stage, res.valid, res.bound = "chc", True, label

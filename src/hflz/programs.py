@@ -304,8 +304,8 @@ def parse_program(text: str) -> Program:
                     walk(cont, PROP)
                 case _UApp(head, args) if head in events:
                     # the last argument is the continuation; the bare
-                    # names before it get no kind: they are handles, are
-                    # dropped before ';' or are refused by the translation
+                    # names before it get no kind: they are handles or are
+                    # refused by the translation
                     for a in args[:-1]:
                         if not isinstance(a, _UVar):
                             walk(a, PROP)
@@ -377,6 +377,13 @@ def translate_program(program: Program, polarity: str = "mu") -> Formula:
         def call(head: str, args) -> Formula:
             real = [a for a in args if not _is_handle(a, bound)]
             f = Var(*env[head]) if head in env else denot.get(head)
+            if f is None and head in arity:
+                # definitions are translated top down, so denot holds
+                # exactly the ones above the caller
+                caller = program.definitions[len(denot)].name
+                raise ProgramError(
+                    f"{head!r} is defined below {caller!r}: a definition "
+                    "may call only itself and the definitions above it")
             if f is None:
                 raise ProgramError(f"unknown function {head!r}")
             if head in kinds and (kinds[head] != PROP or real):
@@ -406,6 +413,10 @@ def translate_program(program: Program, polarity: str = "mu") -> Formula:
                         raise ProgramError(
                             f"';' is only allowed after an event, got "
                             f"{first.head!r}")
+                    if not all(_is_handle(a, bound) for a in first.args):
+                        raise ProgramError(
+                            f"event {first.head} before ';' takes only file "
+                            "handles as arguments")
                     return Diamond(first.head, expr(cont))
                 case _UApp(head, args) if head in program.events:
                     conts = [a for a in args if not _is_handle(a, bound)]

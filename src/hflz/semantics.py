@@ -62,10 +62,6 @@ class PureStats:
 
     iterations: list[tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def max_iterations(self) -> int:
-        return max((i for i, _ in self.iterations), default=0)
-
 
 # ---------------------------------------------------------------------------
 # The engine

@@ -10,8 +10,8 @@ import sys
 import time
 
 from hflz.chc import (
-    ChcSystem, GoalClause, SolverConfig, chc_to_hfl, emit_smtlib_horn,
-    hfl_to_chc, parse_smtlib_horn, solve_external, validate_model,
+    ChcSystem, Clause, PredApp, chc_to_hfl, emit_smtlib_horn, hfl_to_chc,
+    parse_smtlib_horn, solve_external, validate_model,
 )
 from hflz.lts import Lts, parse_lts, trivial_model
 from hflz.parser import parse_formula
@@ -38,9 +38,8 @@ def _report(n: int, desc: str, ok: bool, t0: float, limit: float):
 
 
 def _naive_solver(scripts, width=6):
-    return SolverConfig(
-        f"{sys.executable} {scripts}/naive_chc_solver.py -w {width} {{file}}",
-        timeout=120)
+    return (f"{sys.executable} {scripts}/naive_chc_solver.py "
+            f"-w {width} {{file}}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +177,14 @@ def test_criterion_3_duality():
 
 def test_criterion_4_chc_pipeline(corpus, scripts):
     t0 = time.monotonic()
-    cfg = _naive_solver(scripts)
+    solver = _naive_solver(scripts)
     ok = True
 
     # descending-loop system is satisfiable, and the linear model validates
     elim = eliminate_mu(parse_formula((corpus / "sec41.hfl").read_text()),
                         BoundExpr.parse("max(i + 1, 1)"))
     sys41 = hfl_to_chc(elim)
-    ok &= solve_external(sys41, cfg).kind == "sat"
+    ok &= solve_external(sys41, solver, 120).kind == "sat"
     model = {"x'": (["z", "y"],
                     parse_formula("z <= 0 \\/ z <= y",
                                   {"z": INT, "y": INT}))}
@@ -193,17 +192,17 @@ def test_criterion_4_chc_pipeline(corpus, scripts):
 
     # mult system is satisfiable
     mult_sys = parse_smtlib_horn((corpus / "mult.smt2").read_text())
-    ok &= solve_external(mult_sys, cfg).kind == "sat"
+    ok &= solve_external(mult_sys, solver, 120).kind == "sat"
 
     # negated-goal variant: mult(x,y,r) with x>0 and r>=y is reachable,
     # so the system flips to unsat and the dual formula is certified
     flipped = ChcSystem(
         preds=mult_sys.preds, definite=mult_sys.definite,
-        goals=(GoalClause((("pred", "mult",
-                            (IVar("x"), IVar("y"), IVar("r"))),
-                           ("atom", Atom(">", IVar("x"), IConst(0))),
-                           ("atom", Atom(">=", IVar("r"), IVar("y"))))),))
-    ok &= solve_external(flipped, cfg).kind == "unsat"
+        goals=(Clause(None, (PredApp("mult",
+                                     (IVar("x"), IVar("y"), IVar("r"))),
+                             Atom(">", IVar("x"), IConst(0)),
+                             Atom(">=", IVar("r"), IVar("y")))),))
+    ok &= solve_external(flipped, solver, 120).kind == "unsat"
     # the dual is an existential witness search whose nested quantifier
     # walks close over mult; the witness (1, 1, 1) already sits inside
     # window 2, where it builds about 100 fixpoint tables
@@ -302,12 +301,12 @@ def test_criterion_7_round_trips(corpus, scripts):
     ok &= emit_smtlib_horn(parse_smtlib_horn(text)) == text
 
     # equisatisfiability of the encode/extract round trip
-    cfg = _naive_solver(scripts)
+    solver = _naive_solver(scripts)
     for system in (parse_smtlib_horn(text),
                    hfl_to_chc(eliminate_mu(
                        parse_formula((corpus / "sec41.hfl").read_text()),
                        BoundExpr.parse("max(i + 1, 1)")))):
         back = hfl_to_chc(chc_to_hfl(system))
-        ok &= solve_external(system, cfg).kind == \
-            solve_external(back, cfg).kind
+        ok &= solve_external(system, solver, 120).kind == \
+            solve_external(back, solver, 120).kind
     _report(7, "parse/print and CHC round trips", ok, t0, 10.0)

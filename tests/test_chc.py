@@ -6,9 +6,9 @@ import time
 import pytest
 
 from hflz.chc import (
-    ChcShapeError, ChcSystem, DefiniteClause, GoalClause, SolverConfig,
-    SolverError, SolverVerdict, chc_to_hfl, emit_smtlib_horn, hfl_to_chc,
-    parse_smtlib_horn, solve_external, validate_model,
+    ChcShapeError, ChcSystem, Clause, PredApp, SolverError, SolverVerdict,
+    chc_to_hfl, emit_smtlib_horn, hfl_to_chc, parse_smtlib_horn,
+    solve_external, validate_model,
 )
 from hflz.parser import parse_formula
 from hflz.pretty import to_text
@@ -24,18 +24,16 @@ def mult_system() -> ChcSystem:
     return ChcSystem(
         preds={"mult": 3},
         definite=(
-            DefiniteClause("mult", (x, y, r),
-                           (("atom", Atom("=", y, IConst(0))),
-                            ("atom", Atom("=", r, IConst(0))))),
-            DefiniteClause("mult", (x, y, r),
-                           (("atom", Atom("!=", y, IConst(0))),
-                            ("pred", "mult", (x, Sub(y, IConst(1)), s)),
-                            ("atom", Atom("=", r, Add(s, x))))),
+            Clause(PredApp("mult", (x, y, r)),
+                   (Atom("=", y, IConst(0)), Atom("=", r, IConst(0)))),
+            Clause(PredApp("mult", (x, y, r)),
+                   (Atom("!=", y, IConst(0)),
+                    PredApp("mult", (x, Sub(y, IConst(1)), s)),
+                    Atom("=", r, Add(s, x)))),
         ),
         goals=(
-            GoalClause((("pred", "mult", (x, y, r)),
-                        ("atom", Atom(">", x, IConst(0))),
-                        ("atom", Atom("<", r, y)))),
+            Clause(None, (PredApp("mult", (x, y, r)),
+                          Atom(">", x, IConst(0)), Atom("<", r, y))),
         ),
     )
 
@@ -56,18 +54,24 @@ def sec41_system() -> ChcSystem:
 def test_system_shape_errors():
     with pytest.raises(ChcShapeError, match="undeclared"):
         ChcSystem(preds={}, definite=(
-            DefiniteClause("p", (), ()),), goals=())
+            Clause(PredApp("p", ()), ()),), goals=())
     with pytest.raises(ChcShapeError, match="arity"):
         ChcSystem(preds={"p": 2}, definite=(
-            DefiniteClause("p", (IVar("x"),), ()),), goals=())
+            Clause(PredApp("p", (IVar("x"),)), ()),), goals=())
     with pytest.raises(ChcShapeError, match="arity"):
         ChcSystem(preds={"p": 1}, definite=(), goals=(
-            GoalClause((("pred", "p", ()),)),))
+            Clause(None, (PredApp("p", ()),)),))
+    with pytest.raises(ChcShapeError, match="head"):
+        ChcSystem(preds={"p": 0}, definite=(
+            Clause(None, (PredApp("p", ()),)),), goals=())
+    with pytest.raises(ChcShapeError, match="head"):
+        ChcSystem(preds={"p": 0}, definite=(), goals=(
+            Clause(PredApp("p", ()), ()),))
 
 
 def test_clause_variable_order():
-    c = DefiniteClause("p", (IVar("b"), IVar("a")),
-                       (("atom", Atom("=", IVar("c"), IVar("a"))),))
+    c = Clause(PredApp("p", (IVar("b"), IVar("a"))),
+               (Atom("=", IVar("c"), IVar("a")),))
     assert c.variables() == ["b", "a", "c"]
 
 
@@ -121,16 +125,19 @@ def test_nested_duplicate_predicates_are_merged():
 # SMT-LIB emission and parsing
 
 
-def test_emit_parse_identity(corpus):
-    sys0 = mult_system()
-    text = emit_smtlib_horn(sys0)
-    assert text.splitlines()[0] == "(set-logic HORN)"
-    assert text.strip().endswith("(check-sat)")
-    sys1 = parse_smtlib_horn(text)
-    assert emit_smtlib_horn(sys1) == text
-
-
 PRIMED = r"(nu x': int -> prop. \y': int. y' < 100 /\ x'(y' + 1))(1)"
+
+
+def test_emit_parse_identity(corpus):
+    for sys0 in (mult_system(), sec41_system(),
+                 parse_smtlib_horn((corpus / "mult.smt2").read_text()),
+                 hfl_to_chc(parse_formula(PRIMED))):
+        text = emit_smtlib_horn(sys0)
+        assert text.splitlines()[0] == "(set-logic HORN)"
+        assert text.strip().endswith("(check-sat)")
+        sys1 = parse_smtlib_horn(text)
+        assert emit_smtlib_horn(sys1) == text
+        assert sys1 == sys0
 
 
 def test_primed_names_are_quoted_symbols(scripts):
@@ -145,9 +152,8 @@ def test_primed_names_are_quoted_symbols(scripts):
     assert "(|x'| (+ |y'| 1))" in text
     assert parse_smtlib_horn(text) == s
     # invalid: from 1 the argument climbs past 100; the window reaches it
-    cfg = SolverConfig(f"{sys.executable} {scripts}/naive_chc_solver.py "
-                       "-w 100 {file}", timeout=120)
-    assert solve_external(s, cfg).kind == "unsat"
+    solver = f"{sys.executable} {scripts}/naive_chc_solver.py -w 100 {{file}}"
+    assert solve_external(s, solver, 120).kind == "unsat"
 
 
 def test_parse_corpus_smt2(corpus):
@@ -187,9 +193,9 @@ def test_solve_external_stubs(tmp_path):
     sat = _stub(tmp_path, "sat.sh", "echo sat")
     unsat = _stub(tmp_path, "unsat.sh", "echo unsat")
     garbage = _stub(tmp_path, "garbage.sh", "echo kaboom")
-    assert solve_external(s, SolverConfig(f"{sat} {{file}}")).kind == "sat"
-    assert solve_external(s, SolverConfig(f"{unsat} {{file}}")).kind == "unsat"
-    v = solve_external(s, SolverConfig(f"{garbage} {{file}}"))
+    assert solve_external(s, f"{sat} {{file}}").kind == "sat"
+    assert solve_external(s, f"{unsat} {{file}}").kind == "unsat"
+    v = solve_external(s, f"{garbage} {{file}}")
     assert v.kind == "unknown" and "malformed" in v.detail
 
 
@@ -197,7 +203,7 @@ def test_solve_external_timeout_and_cancel(tmp_path):
     s = mult_system()
     slow = _stub(tmp_path, "slow.sh", "sleep 30; echo sat")
     t0 = time.monotonic()
-    v = solve_external(s, SolverConfig(f"{slow} {{file}}", timeout=0.3))
+    v = solve_external(s, f"{slow} {{file}}", 0.3)
     assert v.kind == "unknown" and v.detail == "timeout"
     assert time.monotonic() - t0 < 5
 
@@ -205,8 +211,7 @@ def test_solve_external_timeout_and_cancel(tmp_path):
     box = {}
 
     def run():
-        box["v"] = solve_external(
-            s, SolverConfig(f"{slow} {{file}}", timeout=30), cancel=cancel)
+        box["v"] = solve_external(s, f"{slow} {{file}}", 30, cancel=cancel)
 
     th = threading.Thread(target=run)
     th.start()
@@ -219,9 +224,9 @@ def test_solve_external_timeout_and_cancel(tmp_path):
 def test_solve_external_errors(tmp_path):
     s = mult_system()
     with pytest.raises(SolverError, match="placeholder"):
-        solve_external(s, SolverConfig("/bin/true"))
+        solve_external(s, "/bin/true")
     with pytest.raises(SolverError, match="could not start"):
-        solve_external(s, SolverConfig("/no/such/solver {file}"))
+        solve_external(s, "/no/such/solver {file}")
 
 
 def test_solver_scripts_are_removed(tmp_path, monkeypatch):
@@ -234,12 +239,12 @@ def test_solver_scripts_are_removed(tmp_path, monkeypatch):
     sat = _stub(tmp_path, "sat.sh", "echo sat")
     unsat = _stub(tmp_path, "unsat.sh", "echo unsat")
     slow = _stub(tmp_path, "slow.sh", "exec sleep 30")
-    assert solve_external(s, SolverConfig(f"{sat} {{file}}")).kind == "sat"
-    v = solve_external(s, SolverConfig(f"{slow} {{file}}", timeout=0.1))
+    assert solve_external(s, f"{sat} {{file}}").kind == "sat"
+    v = solve_external(s, f"{slow} {{file}}", 0.1)
     assert v.detail == "timeout"
     cancel = threading.Event()
     cancel.set()
-    v = solve_external(s, SolverConfig(f"{slow} {{file}}"), cancel)
+    v = solve_external(s, f"{slow} {{file}}", cancel=cancel)
     assert v.detail == "cancelled"
     y = IVar("y")
     assert SmtEntailment(f"{unsat} {{file}}").entails(
@@ -253,8 +258,7 @@ def test_solve_external_drains_a_chatty_solver(tmp_path):
     chatty = _stub(tmp_path, "chatty.sh",
                    "echo sat; head -c 200000 /dev/zero | tr '\\0' x; echo")
     t0 = time.monotonic()
-    v = solve_external(mult_system(),
-                       SolverConfig(f"{chatty} {{file}}", timeout=10))
+    v = solve_external(mult_system(), f"{chatty} {{file}}", 10)
     assert v.kind == "sat" and len(v.detail) == 200000
     assert time.monotonic() - t0 < 5
 
@@ -264,18 +268,16 @@ def test_naive_solver_script(scripts, tmp_path):
     s = mult_system()
     f = tmp_path / "mult.smt2"
     f.write_text(emit_smtlib_horn(s))
-    cfg = SolverConfig(f"{sys.executable} {scripts}/naive_chc_solver.py "
-                       "-w 6 {file}", timeout=120)
-    assert solve_external(s, cfg).kind == "sat"
+    solver = f"{sys.executable} {scripts}/naive_chc_solver.py -w 6 {{file}}"
+    assert solve_external(s, solver, 120).kind == "sat"
 
     # adding an inconsistent goal makes the system unsat
     bad = ChcSystem(preds=s.preds, definite=s.definite, goals=s.goals + (
-        GoalClause((("pred", "mult",
-                     (IVar("x"), IVar("y"), IVar("r"))),
-                    ("atom", Atom("=", IVar("x"), IConst(2))),
-                    ("atom", Atom("=", IVar("y"), IConst(2))),
-                    ("atom", Atom("=", IVar("r"), IConst(4))))),))
-    assert solve_external(bad, cfg).kind == "unsat"
+        Clause(None, (PredApp("mult", (IVar("x"), IVar("y"), IVar("r"))),
+                      Atom("=", IVar("x"), IConst(2)),
+                      Atom("=", IVar("y"), IConst(2)),
+                      Atom("=", IVar("r"), IConst(4)))),))
+    assert solve_external(bad, solver, 120).kind == "unsat"
 
 
 # ---------------------------------------------------------------------------

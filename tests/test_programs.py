@@ -48,6 +48,20 @@ def test_semicolon_event_form():
     phi = translate_program(parse_program(
         "events: a b\nmain = a x; b x; ()\n"))
     assert to_text(phi) == "<a> <b> <end> true"
+    phi = translate_program(parse_program(
+        "events: read close\nmain = read fh; close fh ()\n"))
+    assert to_text(phi) == "<read> <close> <end> true"
+
+
+@pytest.mark.parametrize("text", [
+    "events: read close\nmain = read (close ()); ()\n",
+    "events: a\nmain = a 3 7; ()\n",
+    "events: a\nlet f k = a k; k\nmain = f ()\n",
+])
+def test_semicolon_event_takes_only_handles(text):
+    # an argument before ';' other than a handle would be lost
+    with pytest.raises(ProgramError, match="only file handles"):
+        translate_program(parse_program(text))
 
 
 def test_parameter_kind_inference():
@@ -167,6 +181,15 @@ def test_kind_conflict_in_an_uncalled_definition():
     with pytest.raises(ProgramError, match="parameter m of g used both as an "
                        "integer and as a continuation"):
         parse_program(text)
+
+
+def test_call_of_a_later_definition():
+    prog = parse_program(
+        "events: a\nlet f k = g k\nlet g k = a k\nmain = f ()\n")
+    with pytest.raises(ProgramError, match="'g' is defined below 'f': a "
+                       "definition may call only itself and the definitions "
+                       "above it"):
+        translate_program(prog)
 
 
 def test_continuation_parameters_take_no_arguments():

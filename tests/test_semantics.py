@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hflz import semantics
-from hflz.chc import ChcSystem, GoalClause, chc_to_hfl, parse_smtlib_horn
+from hflz.chc import (
+    ChcSystem, Clause, PredApp, chc_to_hfl, parse_smtlib_horn,
+)
 from hflz.lts import Lts, parse_lts, trivial_model
 from hflz.parser import parse_formula
 from hflz.semantics import (
@@ -349,9 +351,8 @@ def mult_dual(corpus):
     x, y, r = IVar("x"), IVar("y"), IVar("r")
     flipped = ChcSystem(
         preds=mult.preds, definite=mult.definite,
-        goals=(GoalClause((("pred", "mult", (x, y, r)),
-                           ("atom", Atom(">", x, IConst(0))),
-                           ("atom", Atom(">=", r, y)))),))
+        goals=(Clause(None, (PredApp("mult", (x, y, r)),
+                             Atom(">", x, IConst(0)), Atom(">=", r, y))),))
     return dualize(chc_to_hfl(flipped))
 
 
