@@ -2,11 +2,18 @@
 
 Values are state bitmasks (prop: bit i stands for ``lts.states[i]``),
 integers, lambda closures, and fixpoint tables.  ``<a>`` and ``[a]`` are
-computed from a per-label predecessor index built once per evaluator.  A
-fixpoint is solved by chaotic iteration restricted to the argument tuples
-actually reachable from the query; function-typed arguments are tabulated
-over their finite domains (prop values, the integer window, or enumerated
-monotone functions) so they can key the tables.
+computed from a per-label predecessor index built once per evaluator: one
+predecessor mask per state, and one table per byte of a state set that
+maps a byte value to the union of the masks of its set bits.  A pre-image
+reads its argument a byte at a time and ORs one table entry per nonzero
+byte; an entry is computed on first use and kept for the evaluator's
+lifetime (the "Four Russians" method of Arlazarov, Dinic, Kronrod &
+Faradzev, 1970).
+
+A fixpoint is solved by chaotic iteration restricted to the argument
+tuples actually reachable from the query; function-typed arguments are
+tabulated over their finite domains (prop values, the integer window, or
+enumerated monotone functions) so they can key the tables.
 
 Solving is local: outside a solve, every table entry is final.  A call
 with a key already in the table returns its entry at once; a new key
@@ -20,7 +27,7 @@ Lapalme, "Using closures for code generation", 1987): ``compile`` matches
 each node a single time and returns a function from an environment to the
 node's value.  What a node fixes is bound into that function: its
 children's functions, a fixpoint's sorted free names, a comparison, the
-window, a label's predecessor masks.  Lambda and fixpoint values carry
+window, a label's predecessor index.  Lambda and fixpoint values carry
 their compiled bodies, so evaluation never walks the syntax tree.
 
 ``check_pure`` runs it on pure HFL, where every domain is finite and the
@@ -85,16 +92,30 @@ def _prop(v) -> int:
     raise HflError(f"expected a proposition value, got {v!r}")
 
 
-def _pre_image(masks: list[int] | None, b: int) -> int:
-    """The union of masks[i] over the states i in b: with a label's
-    predecessor masks, the states with a label-transition into b."""
-    if masks is None:
+# A label's predecessor index: masks[i] is the set of states with a
+# transition into state i; tables[k] maps a byte value v to the union of
+# masks[8k + j] over the bits j set in v, each entry filled on first use.
+_PreIndex = tuple[list[int], list[dict[int, int]]]
+
+
+def _pre_image(index: _PreIndex | None, b: int) -> int:
+    """The states with a label-transition into b: the union of the table
+    entries of b's nonzero bytes."""
+    if index is None:
         return 0
+    masks, tables = index
     out = 0
-    while b:
-        low = b & -b
-        out |= masks[low.bit_length() - 1]
-        b ^= low
+    for k, v in enumerate(b.to_bytes(len(tables), "little")):
+        if v:
+            m = tables[k].get(v)
+            if m is None:
+                m, bits, base = 0, v, 8 * k
+                while bits:
+                    low = bits & -bits
+                    m |= masks[base + low.bit_length() - 1]
+                    bits ^= low
+                tables[k][v] = m
+            out |= m
     return out
 
 
@@ -220,12 +241,15 @@ class _BoundedEvaluator:
         self.window = window
         self.table_cap = table_cap
         self.full = (1 << len(lts.states)) - 1
-        # pre[a][i]: the states with an a-transition into lts.states[i]
+        # pre[a]: the predecessor index of label a
         index = {s: i for i, s in enumerate(lts.states)}
-        self.pre: dict[str, list[int]] = {}
+        masks: dict[str, list[int]] = {}
         for src, lbl, dst in lts.transitions:
-            masks = self.pre.setdefault(lbl, [0] * len(lts.states))
-            masks[index[dst]] |= 1 << index[src]
+            m = masks.setdefault(lbl, [0] * len(lts.states))
+            m[index[dst]] |= 1 << index[src]
+        nbytes = (len(lts.states) + 7) // 8
+        self.pre: dict[str, _PreIndex] = {
+            lbl: (m, [{} for _ in range(nbytes)]) for lbl, m in masks.items()}
         self.fix_cache: dict = {}
         self._elems: dict[SimpleType, Sequence] = {}
         self._positions: dict[SimpleType, dict] = {}
@@ -364,12 +388,12 @@ class _BoundedEvaluator:
                     return lv & _prop(rf(env))
                 return and_
             case Diamond(a, b):
-                bf, masks = self.compile(b), self.pre.get(a)
-                return lambda env: _pre_image(masks, _prop(bf(env)))
+                bf, index = self.compile(b), self.pre.get(a)
+                return lambda env: _pre_image(index, _prop(bf(env)))
             case Box(a, b):
-                bf, masks, full = self.compile(b), self.pre.get(a), self.full
+                bf, index, full = self.compile(b), self.pre.get(a), self.full
                 return lambda env: full & ~_pre_image(
-                    masks, full & ~_prop(bf(env)))
+                    index, full & ~_prop(bf(env)))
             case Lambda(x, t, b):
                 bf = self.compile(b)
                 return lambda env: _Closure(x, t, bf, env)

@@ -504,11 +504,22 @@ def typecheck(phi: Formula, env: dict[str, SimpleType] | None = None) -> SimpleT
 
 def substitute(phi: Formula, x: str, repl: Formula | IntExpr) -> Formula:
     """Capture-avoiding substitution of repl for the free variable x."""
-    int_repl = isinstance(repl, IntExpr)
-    repl_fv = set(int_vars(repl)) if int_repl else free_vars(repl)
-    mapping = {x: repl}
+    return _Substitution(x, repl).go(phi)
 
-    def go(phi: Formula) -> Formula:
+
+class _Substitution:
+    """phi[x := repl] by one walk.  The walk is a method, not a closure that
+    calls itself through its own cell, so a call leaves no cyclic garbage."""
+
+    def __init__(self, x: str, repl: Formula | IntExpr):
+        self.x, self.repl = x, repl
+        self.int_repl = isinstance(repl, IntExpr)
+        self.repl_fv = (set(int_vars(repl)) if self.int_repl
+                        else free_vars(repl))
+        self.mapping = {x: repl}
+
+    def go(self, phi: Formula) -> Formula:
+        x, int_repl, mapping = self.x, self.int_repl, self.mapping
         match phi:
             case Var(n, t):
                 if n != x:
@@ -517,41 +528,39 @@ def substitute(phi: Formula, x: str, repl: Formula | IntExpr) -> Formula:
                     raise HflTypeError(
                         f"cannot substitute an integer expression for "
                         f"formula variable {base_name(n)}")
-                return repl
+                return self.repl
             case Atom(op, l, r) if int_repl:
                 return Atom(op, subst_ints(l, mapping), subst_ints(r, mapping))
             case Mu(y, t, b) | Nu(y, t, b) | Lambda(y, t, b) as node:
                 ctor = type(node)
                 if y == x:
                     return node
-                if y in repl_fv and x in free_vars(b):
+                if y in self.repl_fv and x in free_vars(b):
                     y2 = fresh_name(y)
                     b = substitute(b, y, Var(y2, t) if not isinstance(t, IntType)
                                    else IVar(y2))
                     y = y2
-                return ctor(y, t, go(b))
+                return ctor(y, t, self.go(b))
             case Exists(y, b, lower) | Forall(y, b, lower) as node:
                 ctor = type(node)
                 lower2 = tuple(subst_ints(e, mapping) for e in lower) \
                     if int_repl else lower
                 if y == x:
                     return ctor(y, b, lower2)
-                if y in repl_fv and x in free_vars(b):
+                if y in self.repl_fv and x in free_vars(b):
                     y2 = fresh_name(y)
                     b = substitute(b, y, IVar(y2))
                     y = y2
-                return ctor(y, go(b), lower2)
+                return ctor(y, self.go(b), lower2)
             case App(f, a) if isinstance(a, IntExpr):
                 if int_repl:
-                    return App(go(f), subst_ints(a, mapping))
+                    return App(self.go(f), subst_ints(a, mapping))
                 if x in int_vars(a):
                     raise HflTypeError(
                         f"cannot substitute a formula for integer variable "
                         f"{base_name(x)}")
-                return App(go(f), a)
-        return map_children(phi, go)
-
-    return go(phi)
+                return App(self.go(f), a)
+        return map_children(phi, self.go)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,6 +146,75 @@ def test_engine_matches_reference_on_wider_models(m, phi):
     expected = reference_check_pure_stats(m, phi)[0]
     assert check_pure(m, phi) == expected
     assert eval_bounded(phi, 0, lts=m) == expected
+
+
+@st.composite
+def byte_spanning_ltss(draw, max_states=40, edges=(8, 9, 16, 17, 33)):
+    """LTSs of 7 to max_states states, so that state sets fill one byte
+    or span several; the sizes at byte edges in `edges` are drawn on
+    purpose.  Some states get no incoming transition, b has none in half
+    of the models, and the initial state is any state."""
+    n = draw(st.one_of(st.sampled_from(edges),
+                       st.integers(7, max_states)))
+    states = tuple(f"s{i}" for i in range(n))
+    moving = draw(st.sampled_from([LABELS, ("a",)]))
+    unreached = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    targets = [i for i in range(n) if i not in unreached]
+    trans = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                   st.sampled_from(moving),
+                                   st.sampled_from(targets)),
+                         max_size=2 * n))
+    return Lts(states=states, labels=frozenset(LABELS),
+               transitions=frozenset((states[s], lbl, states[d])
+                                     for s, lbl, d in trans),
+               initial=draw(st.sampled_from(states)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(byte_spanning_ltss(), pure_formulas(labels=WIDE_LABELS))
+def test_engine_matches_reference_across_byte_boundaries(m, phi):
+    """State sets of several bytes: both entry points agree with the
+    reference on models of 7 to 40 states."""
+    expected = reference_check_pure_stats(m, phi)[0]
+    assert check_pure(m, phi) == expected
+    assert eval_bounded(phi, 0, lts=m) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(byte_spanning_ltss(max_states=10, edges=(8, 9)),
+       order1_formulas(labels=WIDE_LABELS))
+def test_order1_matches_reference_across_a_byte_boundary(m, phi):
+    """Order 1 on 7 to 10 states, where the prop domain of 2^|S| stays
+    under the table cap."""
+    expected = reference_check_pure_stats(m, phi)[0]
+    assert check_pure(m, phi) == expected
+    assert eval_bounded(phi, 0, lts=m) == expected
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 33, 40])
+def test_pre_image_reads_every_byte(n):
+    rng = random.Random(n)
+    states = tuple(f"s{i}" for i in range(n))
+    trans = frozenset((rng.choice(states), "a", rng.choice(states))
+                      for _ in range(2 * n))
+    m = Lts(states=states, labels=frozenset({"a"}), transitions=trans,
+            initial=states[0])
+    index = semantics._BoundedEvaluator(m, 0, 200000).pre["a"]
+
+    def plain(b: int) -> int:
+        # one bit of b at a time, straight from the transitions
+        out = 0
+        for i in range(n):
+            if b >> i & 1:
+                for src, _, dst in trans:
+                    if dst == states[i]:
+                        out |= 1 << states.index(src)
+        return out
+
+    full = (1 << n) - 1
+    sets = [0, full, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(30)]
+    for b in sets + sets:       # the second pass reads filled entries
+        assert semantics._pre_image(index, b) == plain(b)
 
 
 def a_chain(n: int) -> Lts:

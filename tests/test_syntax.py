@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from hflz.syntax import (
@@ -54,6 +56,21 @@ def test_substitute_int():
     phi = parse_formula("x <= 3", {"x": INT})
     out = substitute(phi, "x", IConst(5))
     assert out == Atom("<=", IConst(5), IConst(3))
+
+
+def test_substitute_leaves_no_cyclic_garbage():
+    # garbage in a cycle lives until the cyclic collector runs, so the
+    # peak memory of a long pass would depend on when that happens
+    fix = parse_formula(
+        r"(mu x: int -> prop. \y: int. y <= 3 \/ x(y - 1))(3)").fun
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            substitute(fix.body, fix.var, fix)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dualize_involution_and_atoms():
