@@ -16,7 +16,7 @@ from .syntax import (
     And, App, Atom, Box, Diamond, Exists, FALSE, FalseF, Forall, HflError, INT,
     IVar, IntExpr, IntType, Lambda, Mu, Or, PROP, TRUE, TrueF, Var, Formula,
     app, arg_types, arrow, base_name, dual_int_atom, dualize, fresh_name,
-    int_vars, lam, subst_ints, typecheck,
+    int_vars, lam, spine, subst_ints, typecheck,
 )
 from .transforms import EntailmentOracle, WindowEntailment
 
@@ -282,15 +282,10 @@ def _disjuncts(phi: Formula, ienv: dict[str, IVar], penv: dict[str, str],
                 "universal quantification inside a clause body is outside "
                 "the CHC fragment")
         case App(_, _):
-            head = phi
-            args: list[IntExpr] = []
-            while isinstance(head, App):
-                if not isinstance(head.arg, IntExpr):
-                    raise ChcShapeError(
-                        "higher-order application is outside the CHC fragment")
-                args.append(head.arg)
-                head = head.fun
-            args.reverse()
+            head, args = spine(phi)
+            if not all(isinstance(a, IntExpr) for a in args):
+                raise ChcShapeError(
+                    "higher-order application is outside the CHC fragment")
             sargs = tuple(_to_source(a, ienv) for a in args)
             if isinstance(head, Var):
                 if head.name not in penv:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .syntax import (
     Add, And, App, Atom, Box, Diamond, Exists, FalseF, Forall, IConst, INeg,
-    IVar, IntExpr, IntType, Lambda, Mu, Nu, Or, Sub, TrueF, Var,
-    Formula, SimpleType, base_name, free_vars,
+    IVar, IntExpr, Lambda, Mu, Nu, Or, Sub, TrueF, Var,
+    Formula, SimpleType, base_name, free_vars, spine,
 )
 
 # precedence levels, loosest to tightest
@@ -21,35 +21,33 @@ def type_to_text(t: SimpleType) -> str:
     return str(t)
 
 
+# The printer is module-level functions, not nested closures that call
+# themselves through their own cells, so a call leaves no cyclic garbage.
+
+
 def int_to_text(e: IntExpr, names: dict[str, str] | None = None) -> str:
-    names = names or {}
+    return _int_text(e, names or {}, 1)
 
-    def go(e: IntExpr, level: int) -> str:
-        match e:
-            case IConst(n):
-                return str(n) if n >= 0 else _wrap(str(n), 2, level)
-            case IVar(x):
-                return names.get(x, base_name(x))
-            case Add(l, r):
-                return _wrap(f"{go(l, 1)} + {go(r, 2)}", 1, level)
-            case Sub(l, r):
-                return _wrap(f"{go(l, 1)} - {go(r, 2)}", 1, level)
-            case INeg(b):
-                return _wrap(f"-{go(b, 3)}", 2, level)
-        raise TypeError(f"not an integer expression: {e!r}")
 
-    return go(e, 1)
+def _int_text(e: IntExpr, names: dict[str, str], level: int) -> str:
+    match e:
+        case IConst(n):
+            return str(n) if n >= 0 else _wrap(str(n), 2, level)
+        case IVar(x):
+            return names.get(x, base_name(x))
+        case Add(l, r):
+            return _wrap(f"{_int_text(l, names, 1)} + "
+                         f"{_int_text(r, names, 2)}", 1, level)
+        case Sub(l, r):
+            return _wrap(f"{_int_text(l, names, 1)} - "
+                         f"{_int_text(r, names, 2)}", 1, level)
+        case INeg(b):
+            return _wrap(f"-{_int_text(b, names, 3)}", 2, level)
+    raise TypeError(f"not an integer expression: {e!r}")
 
 
 def _wrap(s: str, have: int, need: int) -> str:
     return s if have >= need else f"({s})"
-
-
-def _pieces_to_text(pieces, names) -> str:
-    texts = [int_to_text(p, names) for p in pieces]
-    if len(texts) == 1:
-        return texts[0]
-    return f"max({', '.join(texts)})"
 
 
 def to_text(phi: Formula) -> str:
@@ -58,90 +56,75 @@ def to_text(phi: Formula) -> str:
     reserved = {base_name(v) for v in free_vars(phi)}
     reserved |= {"true", "false", "mu", "nu", "exists", "forall", "max",
                  "int", "prop"}
+    return _text(phi, {}, reserved, _TERM)
 
-    def pick(base: str, taken: set[str]) -> str:
-        cand = base_name(base) or "x"
-        if cand not in taken:
-            return cand
-        i = 1
-        while f"{cand}{i}" in taken:
-            i += 1
-        return f"{cand}{i}"
 
-    def binder(kw: str, x: str, t: SimpleType, body: Formula,
-               names: dict[str, str], taken: set[str], level: int) -> str:
-        d = pick(x, taken)
-        s = f"{kw} {d}: {type_to_text(t)}. " + go(
-            body, {**names, x: d}, taken | {d}, _TERM)
-        return _wrap(s, _TERM, level)
+def _pick(base: str, taken: set[str]) -> str:
+    cand = base_name(base) or "x"
+    if cand not in taken:
+        return cand
+    i = 1
+    while f"{cand}{i}" in taken:
+        i += 1
+    return f"{cand}{i}"
 
-    def go(phi: Formula, names: dict[str, str], taken: set[str],
-           level: int) -> str:
-        match phi:
-            case Var(x, _):
-                return names.get(x, base_name(x))
-            case TrueF():
-                return "true"
-            case FalseF():
-                return "false"
-            case Or(l, r):
-                s = f"{go(l, names, taken, _OR)} \\/ {go(r, names, taken, _AND)}"
-                return _wrap(s, _OR, level)
-            case And(l, r):
-                s = f"{go(l, names, taken, _AND)} /\\ {go(r, names, taken, _OPERAND)}"
-                return _wrap(s, _AND, level)
-            case Diamond(a, b):
-                return _wrap(f"<{a}> {go(b, names, taken, _OPERAND)}",
-                             _OPERAND, level)
-            case Box(a, b):
-                return _wrap(f"[{a}] {go(b, names, taken, _OPERAND)}",
-                             _OPERAND, level)
-            case Mu(x, t, b):
-                return binder("mu", x, t, b, names, taken, level)
-            case Nu(x, t, b):
-                return binder("nu", x, t, b, names, taken, level)
-            case Lambda(_, _, _):
-                # collapse consecutive lambdas into tuple notation
-                binds = []
-                body = phi
-                nm, tk = dict(names), set(taken)
-                while isinstance(body, Lambda):
-                    d = pick(body.var, tk)
-                    binds.append(f"{d}: {type_to_text(body.vtype)}")
-                    nm[body.var] = d
-                    tk.add(d)
-                    body = body.body
-                head = (f"\\{binds[0]}" if len(binds) == 1
-                        else "\\(" + ", ".join(binds) + ")")
-                return _wrap(f"{head}. {go(body, nm, tk, _TERM)}", _TERM, level)
-            case Exists(x, b, pieces) | Forall(x, b, pieces):
-                kw = "exists" if isinstance(phi, Exists) else "forall"
-                d = pick(x, taken)
-                bound = ""
-                if pieces:
-                    bound = f" >= {_pieces_to_text(pieces, names)}"
-                s = f"{kw} {d}{bound}. " + go(b, {**names, x: d},
-                                              taken | {d}, _TERM)
-                return _wrap(s, _TERM, level)
-            case App(_, _):
-                head = phi
-                args = []
-                while isinstance(head, App):
-                    args.append(head.arg)
-                    head = head.fun
-                args.reverse()
-                if isinstance(head, Var):
-                    hs = names.get(head.name, base_name(head.name))
-                else:
-                    hs = f"({go(head, names, taken, _TERM)})"
-                rendered = ", ".join(
-                    int_to_text(a, names) if isinstance(a, IntExpr)
-                    else go(a, names, taken, _TERM)
-                    for a in args)
-                return _wrap(f"{hs}({rendered})", _OPERAND, level)
-            case Atom(op, l, r):
-                s = f"{int_to_text(l, names)} {op} {int_to_text(r, names)}"
-                return _wrap(s, _OPERAND, level)
-        raise TypeError(f"not a formula: {phi!r}")
 
-    return go(phi, {}, set(reserved), _TERM)
+def _text(phi: Formula, names: dict[str, str], taken: set[str],
+          level: int) -> str:
+    match phi:
+        case Var(x, _):
+            return names.get(x, base_name(x))
+        case TrueF():
+            return "true"
+        case FalseF():
+            return "false"
+        case Or(l, r) | And(l, r):
+            op, have = ("\\/", _OR) if isinstance(phi, Or) else ("/\\", _AND)
+            s = (f"{_text(l, names, taken, have)} {op} "
+                 f"{_text(r, names, taken, have + 1)}")
+            return _wrap(s, have, level)
+        case Diamond(a, b) | Box(a, b):
+            op = f"<{a}>" if isinstance(phi, Diamond) else f"[{a}]"
+            return _wrap(f"{op} {_text(b, names, taken, _OPERAND)}",
+                         _OPERAND, level)
+        case Mu(x, _, b) | Nu(x, _, b) | Exists(x, b, _) | Forall(x, b, _):
+            d, decl = _pick(x, taken), ""
+            if isinstance(phi, (Mu, Nu)):
+                decl = f": {type_to_text(phi.vtype)}"
+            elif phi.lower:
+                decl = ", ".join(int_to_text(p, names) for p in phi.lower)
+                decl = f" >= {decl}" if len(phi.lower) == 1 \
+                    else f" >= max({decl})"
+            # the keyword is the node's name: mu, nu, exists, forall
+            s = f"{type(phi).__name__.lower()} {d}{decl}. " + _text(
+                b, {**names, x: d}, taken | {d}, _TERM)
+            return _wrap(s, _TERM, level)
+        case Lambda(_, _, _):
+            # collapse consecutive lambdas into tuple notation
+            binds = []
+            body = phi
+            nm, tk = dict(names), set(taken)
+            while isinstance(body, Lambda):
+                d = _pick(body.var, tk)
+                binds.append(f"{d}: {type_to_text(body.vtype)}")
+                nm[body.var] = d
+                tk.add(d)
+                body = body.body
+            head = (f"\\{binds[0]}" if len(binds) == 1
+                    else "\\(" + ", ".join(binds) + ")")
+            return _wrap(f"{head}. {_text(body, nm, tk, _TERM)}", _TERM, level)
+        case App(_, _):
+            head, args = spine(phi)
+            if isinstance(head, Var):
+                hs = names.get(head.name, base_name(head.name))
+            else:
+                hs = f"({_text(head, names, taken, _TERM)})"
+            rendered = ", ".join(
+                int_to_text(a, names) if isinstance(a, IntExpr)
+                else _text(a, names, taken, _TERM)
+                for a in args)
+            return _wrap(f"{hs}({rendered})", _OPERAND, level)
+        case Atom(op, l, r):
+            s = f"{int_to_text(l, names)} {op} {int_to_text(r, names)}"
+            return _wrap(s, _OPERAND, level)
+    raise TypeError(f"not a formula: {phi!r}")

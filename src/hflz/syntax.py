@@ -261,6 +261,17 @@ def app(fun: Formula, *args: "Formula | IntExpr") -> Formula:
     return fun
 
 
+def spine(phi: Formula) -> tuple[Formula, list["Formula | IntExpr"]]:
+    """The head and the arguments of an application, the inverse of app:
+    app(head, *args) is phi again.  A non-application has no arguments."""
+    args = []
+    while isinstance(phi, App):
+        args.append(phi.arg)
+        phi = phi.fun
+    args.reverse()
+    return phi, args
+
+
 def lam(bindings: list[tuple[str, SimpleType]], body: Formula) -> Formula:
     for name, t in reversed(bindings):
         body = Lambda(name, t, body)
@@ -658,58 +669,44 @@ def beta_step_anywhere(phi: Formula) -> Formula:
 
 def alpha_eq(a: Formula, b: Formula) -> bool:
     """Structural equality modulo bound-variable names."""
+    return _alpha_eq(a, b, {}, {}, 0)
 
-    def ieq(x: IntExpr, y: IntExpr, la: dict, lb: dict) -> bool:
-        match (x, y):
-            case (IConst(m), IConst(n)):
-                return m == n
-            case (IVar(m), IVar(n)):
-                return la.get(m, ("f", m)) == lb.get(n, ("f", n))
-            case (Add(l1, r1), Add(l2, r2)) | (Sub(l1, r1), Sub(l2, r2)):
-                return ieq(l1, l2, la, lb) and ieq(r1, r2, la, lb)
-            case (INeg(u), INeg(v)):
-                return ieq(u, v, la, lb)
-            case _:
+
+def _alpha_eq(a: Formula, b: Formula, la: dict, lb: dict, depth: int) -> bool:
+    # la, lb: bound name -> IVar("#d"), d the depth of its binder, so integer
+    # expressions compare after subst_ints.  Module-level: no cyclic garbage
+    if type(a) is not type(b):
+        return False
+    match (a, b):
+        case (Var(m, t1), Var(n, t2)):
+            return t1 == t2 and la.get(m, m) == lb.get(n, n)
+        case (TrueF(), TrueF()) | (FalseF(), FalseF()):
+            return True
+        case ((Or(l1, r1), Or(l2, r2)) | (And(l1, r1), And(l2, r2))):
+            return (_alpha_eq(l1, l2, la, lb, depth)
+                    and _alpha_eq(r1, r2, la, lb, depth))
+        case ((Diamond(x, b1), Diamond(y, b2)) | (Box(x, b1), Box(y, b2))):
+            return x == y and _alpha_eq(b1, b2, la, lb, depth)
+        case ((Mu(x, t1, b1), Mu(y, t2, b2))
+              | (Nu(x, t1, b1), Nu(y, t2, b2))
+              | (Lambda(x, t1, b1), Lambda(y, t2, b2))
+              | (Exists(x, b1, t1), Exists(y, b2, t2))
+              | (Forall(x, b1, t1), Forall(y, b2, t2))):
+            # t1, t2: the binder types, or the lower bounds of a quantifier
+            if isinstance(t1, tuple):
+                t1 = [subst_ints(e, la) for e in t1]
+                t2 = [subst_ints(e, lb) for e in t2]
+            mark = IVar(f"#{depth}")
+            return t1 == t2 and _alpha_eq(b1, b2, {**la, x: mark},
+                                          {**lb, y: mark}, depth + 1)
+        case (App(f1, a1), App(f2, a2)):
+            if isinstance(a1, IntExpr) != isinstance(a2, IntExpr):
                 return False
-
-    def go(a: Formula, b: Formula, la: dict, lb: dict, depth: int) -> bool:
-        if type(a) is not type(b):
-            return False
-        match (a, b):
-            case (Var(m, t1), Var(n, t2)):
-                return t1 == t2 and la.get(m, ("f", m)) == lb.get(n, ("f", n))
-            case (TrueF(), TrueF()) | (FalseF(), FalseF()):
-                return True
-            case ((Or(l1, r1), Or(l2, r2)) | (And(l1, r1), And(l2, r2))):
-                return go(l1, l2, la, lb, depth) and go(r1, r2, la, lb, depth)
-            case ((Diamond(x, b1), Diamond(y, b2)) | (Box(x, b1), Box(y, b2))):
-                return x == y and go(b1, b2, la, lb, depth)
-            case ((Mu(x, t1, b1), Mu(y, t2, b2))
-                  | (Nu(x, t1, b1), Nu(y, t2, b2))
-                  | (Lambda(x, t1, b1), Lambda(y, t2, b2))):
-                if t1 != t2:
-                    return False
-                return go(b1, b2, {**la, x: ("b", depth)},
-                          {**lb, y: ("b", depth)}, depth + 1)
-            case ((Exists(x, b1, lw1), Exists(y, b2, lw2))
-                  | (Forall(x, b1, lw1), Forall(y, b2, lw2))):
-                if len(lw1) != len(lw2):
-                    return False
-                if not all(ieq(e1, e2, la, lb) for e1, e2 in zip(lw1, lw2)):
-                    return False
-                return go(b1, b2, {**la, x: ("b", depth)},
-                          {**lb, y: ("b", depth)}, depth + 1)
-            case (App(f1, a1), App(f2, a2)):
-                if not go(f1, f2, la, lb, depth):
-                    return False
-                if isinstance(a1, IntExpr) != isinstance(a2, IntExpr):
-                    return False
-                if isinstance(a1, IntExpr):
-                    return ieq(a1, a2, la, lb)
-                return go(a1, a2, la, lb, depth)
-            case (Atom(o1, l1, r1), Atom(o2, l2, r2)):
-                return o1 == o2 and ieq(l1, l2, la, lb) and ieq(r1, r2, la, lb)
-            case _:
-                return False
-
-    return go(a, b, {}, {}, 0)
+            return _alpha_eq(f1, f2, la, lb, depth) and (
+                subst_ints(a1, la) == subst_ints(a2, lb)
+                if isinstance(a1, IntExpr)
+                else _alpha_eq(a1, a2, la, lb, depth))
+        case (Atom(o1, l1, r1), Atom(o2, l2, r2)):
+            return (o1, subst_ints(l1, la), subst_ints(r1, la)) == \
+                (o2, subst_ints(l2, lb), subst_ints(r2, lb))
+    return False

@@ -18,7 +18,8 @@ from .syntax import (
     Add, And, App, Atom, Box, CMP_FN, Diamond, Exists, FALSE, FalseF, Forall,
     HflError, IConst, INT, INeg, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or,
     PROP, Sub, TRUE, TrueF, Var, Formula, SimpleType, app, arg_types, arrow,
-    base_name, eval_int, fresh_name, int_vars, lam, map_children, substitute,
+    base_name, eval_int, fresh_name, int_vars, lam, map_children, spine,
+    substitute,
 )
 
 
@@ -145,32 +146,33 @@ def desugar_quantifiers(phi: Formula) -> Formula:
     forall x. p  ->  (nu q. \\x. p /\\ q(x-1) /\\ q(x+1)) 0
     Bounded forms walk upward only from the bound.
     """
+    return _desugar(phi)
 
-    def go(phi: Formula) -> Formula:
-        match phi:
-            case Exists(x, b, pieces) | Forall(x, b, pieces):
-                # exists walks with mu and \/, guarding its lower bounds
-                # with >= and /\; forall is the dual
-                fix, walk, guard, cmp = (Mu, Or, And, ">=") \
-                    if isinstance(phi, Exists) else (Nu, And, Or, "<")
-                b = go(b)
-                q = fresh_name("q")
-                qt = arrow(INT, PROP)
-                qv = Var(q, qt)
-                if not pieces:
-                    body = walk(walk(b, App(qv, Sub(IVar(x), IConst(1)))),
-                                App(qv, Add(IVar(x), IConst(1))))
-                    start: IntExpr = IConst(0)
-                else:
-                    for piece in pieces[1:]:
-                        b = guard(Atom(cmp, IVar(x), piece), b)
-                    body = walk(b, App(qv, Add(IVar(x), IConst(1))))
-                    start = pieces[0]
-                return App(fix(q, qt, Lambda(x, INT, body)), start)
-            case _:
-                return map_children(phi, go)
 
-    return go(phi)
+def _desugar(phi: Formula) -> Formula:
+    # module-level, not a closure that calls itself through its own cell,
+    # so a call leaves no cyclic garbage
+    match phi:
+        case Exists(x, b, pieces) | Forall(x, b, pieces):
+            # exists walks with mu and \/, guarding its lower bounds
+            # with >= and /\; forall is the dual
+            fix, walk, guard, cmp = (Mu, Or, And, ">=") \
+                if isinstance(phi, Exists) else (Nu, And, Or, "<")
+            b = _desugar(b)
+            q = fresh_name("q")
+            qt = arrow(INT, PROP)
+            qv = Var(q, qt)
+            if not pieces:
+                body = walk(walk(b, App(qv, Sub(IVar(x), IConst(1)))),
+                            App(qv, Add(IVar(x), IConst(1))))
+                start: IntExpr = IConst(0)
+            else:
+                for piece in pieces[1:]:
+                    b = guard(Atom(cmp, IVar(x), piece), b)
+                body = walk(b, App(qv, Add(IVar(x), IConst(1))))
+                start = pieces[0]
+            return App(fix(q, qt, Lambda(x, INT, body)), start)
+    return map_children(phi, _desugar)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,7 @@ def eliminate_mu(phi: Formula, bound: BoundExpr,
 
     mu x. \\y1..yk. p  becomes
     \\y1..yk. forall u >= n. (nu x'. \\z. \\y1..yk. z > 0 /\\
-                              p[x := \\w. x'(z - 1, w)]) (u, y1..yk)
+                              p[x := x'(z - 1)]) (u, y1..yk)
 
     With style="apply" the counter is applied directly:
 
@@ -195,6 +197,11 @@ def eliminate_mu(phi: Formula, bound: BoundExpr,
     which needs no quantifier and so survives window-bounded evaluation;
     it requires a single-piece bound.  Either way, valid output implies
     valid input (phi^n(false) implies mu x. phi).
+
+    The arguments of an applied mu fill its parameters y1..yk, and only
+    the ones left unfilled keep their lambda; an occurrence of x is treated
+    alike.  A lambda applied to an integer expression or a variable is
+    contracted, so the output holds no redex that the input did not.
     """
     if style not in ("forall", "apply"):
         raise ValueError(f"style must be 'forall' or 'apply', got {style!r}")
@@ -202,89 +209,112 @@ def eliminate_mu(phi: Formula, bound: BoundExpr,
         raise HflError(
             "style='apply' needs a single-piece bound (max() is not a "
             "linear-arithmetic term)")
+    return _MuElimination(bound, style).go(phi)
 
-    def go(phi: Formula, scope: dict[str, str]) -> Formula:
+
+class _MuElimination:
+    """The one bottom-up walk of eliminate_mu: methods, not a closure that
+    calls itself through its own cell, so a call leaves no cyclic garbage."""
+
+    def __init__(self, bound: BoundExpr, style: str):
+        self.bound, self.style = bound, style
+        # the integer variables in scope, by source name, for the bound
+        self.scope: dict[str, str] = {}
+        # each eliminated mu variable x in scope -> x'(z - 1)
+        self.recur: dict[str, Formula] = {}
+
+    def go(self, phi: Formula | IntExpr) -> Formula | IntExpr:
         match phi:
-            case Mu(x, t, b):
-                b = go(b, scope)
-                return _replace_mu(Mu(x, t, b), bound, scope, style)
-            case Nu(x, t, b):
-                return Nu(x, t, go(b, scope))
-            case Lambda(x, t, b):
-                s = {**scope, base_name(x): x} if isinstance(t, IntType) \
-                    else scope
-                return Lambda(x, t, go(b, s))
-            case Exists(x, b, pieces) | Forall(x, b, pieces) as node:
-                return type(node)(x, go(b, {**scope, base_name(x): x}),
-                                  pieces)
-            case _:
-                return map_children(phi, lambda c: go(c, scope))
+            case IConst() | IVar() | Add() | Sub() | INeg():
+                return phi  # an integer argument
+            case App(_, _) | Mu(_, _, _) | Var(_, _):
+                head, args = spine(phi)
+                if isinstance(head, Mu):
+                    return self.call(head, args)
+                if isinstance(head, Var):
+                    args = [self.go(a) for a in args]
+                    if head.name not in self.recur:
+                        return app(head, *args)
+                    # x(args) is x'(z - 1, args), a lambda for each one left
+                    ws = [(fresh_name("w"), at)
+                          for at in arg_types(head.type)[len(args):]]
+                    return lam(ws, app(self.recur[head.name], *args,
+                                       *_vars(ws)))
+                head = self.go(head)
+                return reduce(_contract, map(self.go, args), head)
+            case Lambda(x, t, b) | Nu(x, t, b):
+                return type(phi)(x, t, self.under(x, t, b))
+            case Exists(x, b, pieces) | Forall(x, b, pieces):
+                return type(phi)(x, self.under(x, INT, b), pieces)
+        return map_children(phi, self.go)
 
-    return _contract_admin(go(phi, {}))
+    def under(self, x: str, t: SimpleType, body: Formula) -> Formula:
+        """body walked under the binder x: t"""
+        scope, recur = self.scope, self.recur
+        if isinstance(t, IntType):
+            self.scope = {**scope, base_name(x): x}
+        if x in recur:  # a binder that shadows an eliminated mu
+            self.recur = {y: r for y, r in recur.items() if y != x}
+        body = self.go(body)
+        self.scope, self.recur = scope, recur
+        return body
+
+    def call(self, mu: Mu, args: list) -> Formula:
+        """mu applied to args, mu eliminated; each parameter that no
+        argument fills gets a lambda"""
+        x, t, body = mu.var, mu.vtype, mu.body
+        ats = arg_types(t)
+        ys: list[str] = []
+        while len(ys) < len(ats) and isinstance(body, Lambda):
+            ys.append(body.var)
+            body = body.body
+        params = list(zip(ys + [fresh_name(y) for y in _param_names(
+            body, len(ats) - len(ys))], ats))
+        z, xp = fresh_name("z"), Var(fresh_name(base_name(x) + "'"),
+                                     arrow(INT, t))
+        scope, recur = self.scope, self.recur
+        self.scope = {**scope, **{base_name(y): y for y in ys}}
+        self.recur = {**recur, x: App(xp, Sub(IVar(z), IConst(1)))}
+        body = self.go(app(body, *_vars(params[len(ys):])))
+        self.scope, self.recur = scope, recur
+        if not all(isinstance(a, IntType) for a in ats):
+            raise HigherOrderMuError(
+                f"mu binder {base_name(x)} has type {t}; only "
+                "int^k -> prop fixpoints can be eliminated")
+        pieces = tuple(self.bound.to_int_exprs(self.scope))
+        inner = Nu(xp.name, xp.type, Lambda(z, INT, lam(
+            params, And(Atom(">", IVar(z), IConst(0)), body))))
+        rest = [(fresh_name(y), at) for y, at in params[len(args):]]
+        args = [self.go(a) for a in args] + _vars(rest)
+        if self.style == "apply":
+            out: Formula = app(inner, pieces[0], *args)
+        else:
+            u = fresh_name("u")
+            out = Forall(u, app(inner, IVar(u), *args), pieces)
+        return lam(rest, out)
 
 
-def _replace_mu(node: Mu, bound: BoundExpr, scope: dict[str, str],
-                style: str) -> Formula:
-    ats = arg_types(node.vtype)
-    if not all(isinstance(t, IntType) for t in ats):
-        raise HigherOrderMuError(
-            f"mu binder {base_name(node.var)} has type {node.vtype}; only "
-            "int^k -> prop fixpoints can be eliminated")
-    k = len(ats)
-    ys: list[str] = []
-    body = node.body
-    while len(ys) < k and isinstance(body, Lambda):
-        ys.append(body.var)
-        body = body.body
-    while len(ys) < k:
-        y = fresh_name("y")
-        ys.append(y)
-        body = App(body, IVar(y))
-
-    z = fresh_name("z")
-    xp = fresh_name(base_name(node.var) + "'")
-    xpt = arrow(INT, *([INT] * k), PROP)
-    ws = [fresh_name("w") for _ in range(k)]
-    recur = lam([(w, INT) for w in ws],
-                app(Var(xp, xpt), Sub(IVar(z), IConst(1)),
-                    *[IVar(w) for w in ws]))
-    guarded = And(Atom(">", IVar(z), IConst(0)),
-                  substitute(body, node.var, recur))
-    inner = Nu(xp, xpt,
-               Lambda(z, INT, lam([(y, INT) for y in ys], guarded)))
-    pieces = tuple(bound.to_int_exprs(scope))
-    if style == "apply":
-        wrapped: Formula = app(inner, pieces[0], *[IVar(y) for y in ys])
-    else:
-        u = fresh_name("u")
-        wrapped = Forall(u, app(inner, IVar(u), *[IVar(y) for y in ys]),
-                         pieces)
-    return lam([(y, INT) for y in ys], wrapped)
+def _vars(binders: list[tuple[str, SimpleType]]) -> list[Formula | IntExpr]:
+    return [IVar(y) if isinstance(t, IntType) else Var(y, t)
+            for y, t in binders]
 
 
-def _contract_admin(phi: Formula) -> Formula:
-    """Contract administrative redexes (lambda applied to a variable or
-    constant) introduced by mu replacement."""
+def _param_names(phi: Formula, k: int) -> list[str]:
+    """Names for the k parameters that a mu body phi has no lambda for: a
+    bare mu there lends the names of its own parameters, else they are y."""
+    names = []
+    while len(names) < k and isinstance(phi, (Lambda, Mu)):
+        if isinstance(phi, Lambda):
+            names.append(phi.var)
+        phi = phi.body
+    return names + ["y"] * (k - len(names))
 
-    def step(phi: Formula) -> tuple[Formula, bool]:
-        match phi:
-            case App(Lambda(x, _, b), a) if isinstance(a, (IntExpr, Var)):
-                return substitute(b, x, a), True
-            case _:
-                changed = False
 
-                def go(c):
-                    nonlocal changed
-                    c2, ch = step(c)
-                    changed = changed or ch
-                    return c2
-
-                return map_children(phi, go), changed
-
-    changed = True
-    while changed:
-        phi, changed = step(phi)
-    return phi
+def _contract(f: Formula, a: Formula | IntExpr) -> Formula:
+    """f(a), contracted if f is a lambda and a an integer or a variable."""
+    if isinstance(f, Lambda) and isinstance(a, (IntExpr, Var)):
+        return substitute(f.body, f.var, a)
+    return App(f, a)
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +517,21 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
             out.append(weakest(benv, qf_subst(a, {tvar: e})))
         return out
 
-    # sig entries: list per parameter, either ("int", templates) or ("other",)
+    # a signature has one entry per parameter: the predicate templates of
+    # an integer parameter, None for any other
     def signature(binder_type: SimpleType, body: Formula):
         sig = []
-        b = body
         for t in arg_types(binder_type):
             if isinstance(t, IntType):
-                if not isinstance(b, Lambda):
+                if not isinstance(body, Lambda):
                     raise AbstractionError(
                         "fixpoint bodies must be lambda chains over their "
                         "integer parameters for abstraction")
-                sig.append(("int", preds.for_binder(base_name(b.var))))
+                sig.append(preds.for_binder(base_name(body.var)))
             else:
-                sig.append(("other",))
-            if isinstance(b, Lambda):
-                b = b.body
+                sig.append(None)
+            if isinstance(body, Lambda):
+                body = body.body
         return sig
 
     def go(phi: Formula, benv, sigs: dict[str, list]):
@@ -512,42 +542,33 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
                     raise AbstractionError("free integer variable in formula")
                 return Var(x, _abstract_type(t, sigs.get(x))), \
                     list(sigs.get(x) or [])
-            case TrueF() | FalseF():
-                return phi, []
             case Atom(_, _, _):
                 return weakest(benv, phi), []
-            case And(l, r):
-                return And(go(l, benv, sigs)[0], go(r, benv, sigs)[0]), []
-            case Or(l, r):
-                return Or(go(l, benv, sigs)[0], go(r, benv, sigs)[0]), []
-            case Diamond(a, b):
-                return Diamond(a, go(b, benv, sigs)[0]), []
-            case Box(a, b):
-                return Box(a, go(b, benv, sigs)[0]), []
+            case TrueF() | FalseF() | And() | Or() | Diamond() | Box():
+                return map_children(phi, lambda c: go(c, benv, sigs)[0]), []
             case Lambda(x, t, b):
                 if isinstance(t, IntType):
                     templates = preds.for_binder(base_name(x))
                     bools = [(fresh_name("b"), qf_subst(a, {tv: IVar(x)}))
                              for tv, a in templates]
-                    body, _ = go(b, benv + bools, sigs)
+                    body, bsig = go(b, benv + bools, sigs)
                     for bx, _a in reversed(bools):
                         body = Lambda(bx, PROP, body)
-                    return body, [("int", templates)]
+                    return body, [templates] + bsig
                 body, bsig = go(b, benv, sigs)
-                return Lambda(x, t, body), [("other",)] + bsig
+                return Lambda(x, t, body), [None] + bsig
             case Mu(x, t, b) | Nu(x, t, b) as node:
                 sig = signature(t, b)
                 body, _ = go(b, benv, {**sigs, x: sig})
-                t2 = _abstract_type(t, sig)
-                return type(node)(x, t2, body), list(sig)
+                return type(node)(x, _abstract_type(t, sig), body), list(sig)
             case App(f, a):
                 fr, sig = go(f, benv, sigs)
                 if isinstance(a, IntExpr):
-                    if not sig or sig[0][0] != "int":
+                    if not sig or sig[0] is None:
                         raise AbstractionError(
                             "integer argument in a position without a "
                             "predicate signature")
-                    for bf in abstract_arg(benv, sig[0][1], a):
+                    for bf in abstract_arg(benv, sig[0], a):
                         fr = App(fr, bf)
                     return fr, sig[1:]
                 ar, _ = go(a, benv, sigs)
@@ -562,17 +583,12 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
 
 
 def _abstract_type(t: SimpleType, sig) -> SimpleType:
-    ats = arg_types(t)
-    if not ats:
-        return t
+    """t with each integer parameter replaced by one prop per template of
+    its signature entry"""
     parts: list[SimpleType] = []
-    for i, at in enumerate(ats):
-        if isinstance(at, IntType):
-            m = len(sig[i][1]) if sig and i < len(sig) and sig[i][0] == "int" \
-                else 0
-            parts.extend([PROP] * m)
-        else:
+    for i, at in enumerate(arg_types(t)):
+        if not isinstance(at, IntType):
             parts.append(_abstract_type(at, None))
-    if not parts:
-        return PROP
+        elif sig and i < len(sig) and sig[i]:
+            parts.extend([PROP] * len(sig[i]))
     return arrow(*parts, PROP)

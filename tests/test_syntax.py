@@ -7,10 +7,12 @@ from hflz.syntax import (
     HflTypeError, IConst, INT, INeg, IVar, Lambda, Mu, Nu, Or, PROP, Sub,
     TRUE, Var, alpha_eq, app, arrow, beta_step, beta_step_anywhere, children,
     dualize, eval_int, free_vars, int_vars, is_predicate_type, is_pure, lam,
-    map_children, order_of, subst_ints, substitute, typecheck,
+    map_children, order_of, spine, subst_ints, substitute, typecheck,
     unfold_fixpoint, NotAFixpoint, NoRedex,
 )
 from hflz.parser import parse_formula
+from hflz.pretty import to_text
+from hflz.transforms import BoundExpr, desugar_quantifiers, eliminate_mu
 
 
 def test_arrow_result_must_be_predicate():
@@ -58,16 +60,29 @@ def test_substitute_int():
     assert out == Atom("<=", IConst(5), IConst(3))
 
 
-def test_substitute_leaves_no_cyclic_garbage():
+_TWO_WALKS = (r"forall i. (mu x: int -> prop. \y: int. y <= 3 \/ x(y - 1))(i)"
+              r" /\ (\v: int. exists j. (mu x: int -> prop. \y: int."
+              r" y >= v \/ x(y + 1))(j))(3)")
+_PHI, _COPY = parse_formula(_TWO_WALKS), parse_formula(_TWO_WALKS)
+_DESUGARED = desugar_quantifiers(_PHI)
+_PASSES = {
+    "substitute": lambda: substitute(_PHI.body, _PHI.var, IConst(2)),
+    "eliminate_mu": lambda: eliminate_mu(_DESUGARED, BoundExpr.const(4)),
+    "desugar_quantifiers": lambda: desugar_quantifiers(_PHI),
+    "to_text": lambda: to_text(_PHI),
+    "alpha_eq": lambda: alpha_eq(_PHI, _COPY),
+}
+
+
+@pytest.mark.parametrize("name", list(_PASSES))
+def test_pass_leaves_no_cyclic_garbage(name):
     # garbage in a cycle lives until the cyclic collector runs, so the
     # peak memory of a long pass would depend on when that happens
-    fix = parse_formula(
-        r"(mu x: int -> prop. \y: int. y <= 3 \/ x(y - 1))(3)").fun
     gc.collect()
     gc.disable()
     try:
         for _ in range(10):
-            substitute(fix.body, fix.var, fix)
+            _PASSES[name]()
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -116,6 +131,10 @@ def test_app_lam_helpers():
             Atom("<=", IVar("a"), IVar("b")))
     assert typecheck(f) == arrow(INT, INT, PROP)
     assert typecheck(app(f, IConst(1), IConst(2))) == PROP
+    assert spine(app(f, IConst(1), IConst(2))) == (f, [IConst(1), IConst(2)])
+    head, args = spine(app(f, IConst(1)))
+    assert app(head, *args) == app(f, IConst(1))
+    assert spine(f) == (f, [])
 
 
 def _one_node_of_each_kind():

@@ -1,16 +1,20 @@
 import os
 import stat
+import sys
+from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hflz.parser import parse_formula
+from hflz.lts import trivial_model
 from hflz.pretty import to_text
-from hflz.semantics import eval_bounded
+from hflz.semantics import check_pure, eval_bounded
 from hflz.smt import parse_sexprs
 from hflz.syntax import (
-    App, Atom, HflError, IConst, INT, IVar, Lambda, Mu, Or, PROP, Var,
-    alpha_eq, app, arrow,
+    And, App, Atom, HflError, IConst, INT, IVar, Lambda, Mu, Or, PROP, Var,
+    alpha_eq, app, arrow, subformulas,
 )
 from hflz.transforms import (
     AbstractionError, BoundExpr, HigherOrderMuError, PredicateSet,
@@ -76,13 +80,115 @@ def test_desugar_preserves_semantics():
 # mu-elimination
 
 
-def test_eliminate_mu_forall_golden(corpus):
-    phi = parse_formula((corpus / "sec41.hfl").read_text())
-    out = eliminate_mu(phi, BoundExpr.parse("max(i + 1, 1)"))
-    assert to_text(out) == (
-        "forall i. forall u >= max(i + 1, 1). "
-        "(nu x': int -> int -> prop. \\(z: int, y: int). "
-        "z > 0 /\\ (y <= 0 \\/ x'(z - 1, y - 1)))(u, i)")
+_WALK = r"(mu x: int -> prop. \v: int. v <= 0 \/ x(v - 1))"
+_PAIR = r"(mu x: int -> int -> prop. \(a: int, b: int). a <= b \/ x(a - 1, b))"
+_PASS = r"(nu g: (int -> prop) -> prop. \f: int -> prop. f(0) /\ g(f))"
+_NU_WALK = r"(nu x': int -> int -> prop. \(z: int, v: int). z > 0 /\ " \
+    r"(v <= 0 \/ x'(z - 1, v - 1)))"
+_NU_PAIR = r"(nu x': int -> int -> int -> prop. \(z: int, a: int, b: int). " \
+    r"z > 0 /\ (a <= b \/ x'(z - 1, a - 1, b)))"
+
+# (input, bound, output with style="forall", output with style="apply");
+# None: the bound is a max() of pieces, which style="apply" refuses
+ELIMINATE_MU_GOLDEN = {
+    "sec41": (
+        "sec41.hfl", "max(i + 1, 1)",
+        r"forall i. forall u >= max(i + 1, 1). (nu x': int -> int -> prop. "
+        r"\(z: int, y: int). z > 0 /\ (y <= 0 \/ x'(z - 1, y - 1)))(u, i)",
+        None),
+    "redex": (
+        r"(\y: int. y > 0)(3)", "2", "3 > 0", "3 > 0"),
+    "mu-under-redex": (
+        rf"forall n. (\y: int. {_WALK}(y))(n)", "2",
+        rf"forall n. forall u >= 2. {_NU_WALK}(u, n)",
+        rf"forall n. {_NU_WALK}(2, n)"),
+    "mu-as-argument": (
+        f"{_PASS}({_WALK})", "2",
+        rf"{_PASS}(\v: int. forall u >= 2. (nu x': int -> int -> prop. "
+        r"\(z: int, v1: int). z > 0 /\ (v1 <= 0 \/ x'(z - 1, v1 - 1)))"
+        r"(u, v))",
+        rf"{_PASS}(\v: int. (nu x': int -> int -> prop. "
+        r"\(z: int, v1: int). z > 0 /\ (v1 <= 0 \/ x'(z - 1, v1 - 1)))"
+        r"(2, v))"),
+    "curried": (
+        f"{_PAIR}(3)(4)", "2",
+        f"forall u >= 2. {_NU_PAIR}(u, 3, 4)", f"{_NU_PAIR}(2, 3, 4)"),
+    "partial": (
+        f"{_PASS}({_PAIR}(3))", "2",
+        rf"{_PASS}(\b: int. forall u >= 2. (nu x': int -> int -> int -> "
+        r"prop. \(z: int, a: int, b1: int). z > 0 /\ "
+        r"(a <= b1 \/ x'(z - 1, a - 1, b1)))(u, 3, b))",
+        rf"{_PASS}(\b: int. (nu x': int -> int -> int -> "
+        r"prop. \(z: int, a: int, b1: int). z > 0 /\ "
+        r"(a <= b1 \/ x'(z - 1, a - 1, b1)))(2, 3, b))"),
+    "mu-nu-mu": (
+        r"(mu x: int -> prop. \y: int. y <= 0 \/ (nu w: int -> prop. "
+        r"\v: int. v > 5 /\ w(v + 1) /\ (mu r: int -> prop. \s: int. "
+        r"s = v \/ r(s - 1) \/ x(s - 2))(v))(y + 1))(4)", "2",
+        r"forall u >= 2. (nu x': int -> int -> prop. \(z: int, y: int). "
+        r"z > 0 /\ (y <= 0 \/ (nu w: int -> prop. \v: int. v > 5 /\ "
+        r"w(v + 1) /\ (forall u1 >= 2. (nu r': int -> int -> prop. "
+        r"\(z1: int, s: int). z1 > 0 /\ (s = v \/ r'(z1 - 1, s - 1) \/ "
+        r"x'(z - 1, s - 2)))(u1, v)))(y + 1)))(u, 4)",
+        r"(nu x': int -> int -> prop. \(z: int, y: int). "
+        r"z > 0 /\ (y <= 0 \/ (nu w: int -> prop. \v: int. v > 5 /\ "
+        r"w(v + 1) /\ (nu r': int -> int -> prop. "
+        r"\(z1: int, s: int). z1 > 0 /\ (s = v \/ r'(z1 - 1, s - 1) \/ "
+        r"x'(z - 1, s - 2)))(2, v))(y + 1)))(2, 4)"),
+    "nullary": (
+        r"exists i. mu x: prop. i = 3 \/ x", "2",
+        r"exists i. forall u >= 2. (nu x': int -> prop. \z: int. "
+        r"z > 0 /\ (i = 3 \/ x'(z - 1)))(u)",
+        r"exists i. (nu x': int -> prop. \z: int. "
+        r"z > 0 /\ (i = 3 \/ x'(z - 1)))(2)"),
+    "bound-names-lambda": (
+        rf"forall n. (\y: int. {_WALK}(y))(n)", "y + 2",
+        rf"forall n. forall u >= n + 2. {_NU_WALK}(u, n)",
+        rf"forall n. {_NU_WALK}(n + 2, n)"),
+    "mu-variable-as-argument": (
+        r"(mu x: int -> prop. \y: int. y <= 0 \/ "
+        r"(\g: int -> prop. g(y - 1))(x))(3)", "2",
+        r"forall u >= 2. (nu x': int -> int -> prop. \(z: int, y: int). "
+        r"z > 0 /\ (y <= 0 \/ (\g: int -> prop. g(y - 1))"
+        r"(\w: int. x'(z - 1, w))))(u, 3)",
+        r"(nu x': int -> int -> prop. \(z: int, y: int). "
+        r"z > 0 /\ (y <= 0 \/ (\g: int -> prop. g(y - 1))"
+        r"(\w: int. x'(z - 1, w))))(2, 3)"),
+}
+
+
+@pytest.mark.parametrize("style", ["forall", "apply"])
+@pytest.mark.parametrize("case", list(ELIMINATE_MU_GOLDEN))
+def test_eliminate_mu_golden(corpus, case, style):
+    # an applied mu gets its arguments as parameters, a partly applied
+    # one keeps a lambda for each parameter left, and a lambda applied to
+    # an integer or a variable is contracted, once, in the same walk
+    text, bound, forall_out, apply_out = ELIMINATE_MU_GOLDEN[case]
+    if text.endswith(".hfl"):
+        text = (corpus / text).read_text()
+    phi, bound = parse_formula(text), BoundExpr.parse(bound)
+    expected = forall_out if style == "forall" else apply_out
+    if expected is None:
+        with pytest.raises(HflError, match="single-piece"):
+            eliminate_mu(phi, bound, style)
+    else:
+        assert to_text(eliminate_mu(phi, bound, style)) == expected
+
+
+def test_eliminate_mu_depth():
+    # two frames per conjunct in each pass: 450 walks fit in the default
+    # recursion limit
+    walks = reduce(And, [parse_formula(
+        rf"forall i{j}. (mu x: int -> prop. \y: int. y <= {j % 5} "
+        rf"\/ x(y - 1))(i{j})") for j in range(450)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out = eliminate_mu(desugar_quantifiers(walks), BoundExpr.const(4))
+    finally:
+        sys.setrecursionlimit(limit)
+    kinds = Counter(type(s).__name__ for s in subformulas(out))
+    assert kinds["Mu"] == 0 and kinds["Forall"] == 450
 
 
 def test_eliminate_mu_apply_instances(corpus):
@@ -296,6 +402,16 @@ def test_abstraction_weakest_disjunction():
               IConst(3))
     out = abstract_predicates(phi, preds)
     assert eval_bounded(out, 0)
+
+
+def test_abstraction_lambda_of_two_integer_parameters():
+    # the signature of an integer lambda goes on into its body, as it does
+    # under a fixpoint, so the second argument has its predicate too
+    preds = PredicateSet.parse("x: x > 0\ny: y > 0")
+    phi = parse_formula(r"(\(x: int, y: int). x > 0 /\ y > 0)(1, 2)")
+    out = abstract_predicates(phi, preds)
+    assert to_text(out) == r"(\(b: prop, b1: prop). b /\ b1)(true, true)"
+    assert check_pure(trivial_model(), out)
 
 
 def test_abstraction_error_cases():
