@@ -18,8 +18,7 @@ import itertools
 import sys
 
 from hflz.chc import parse_smtlib_horn
-from hflz.syntax import Atom, eval_int
-from hflz.transforms import qf_holds
+from hflz.syntax import Atom, CMP_FN, eval_int
 
 
 def main() -> int:
@@ -40,7 +39,8 @@ def main() -> int:
     def body_holds(body, env):
         for item in body:
             if isinstance(item, Atom):
-                if not qf_holds(item, env):
+                if not CMP_FN[item.op](eval_int(item.lhs, env),
+                                       eval_int(item.rhs, env)):
                     return False
             elif tuple(eval_int(a, env) for a in item.args) \
                     not in facts[item.name]:

@@ -13,19 +13,22 @@ import warnings
 
 warnings.simplefilter("ignore")
 
-from hflz import (  # noqa: E402
-    BoundExpr, PredicateSet, abstract_predicates, app, check_pure,
-    desugar_quantifiers, dualize, eliminate_mu, eval_bounded, hfl_to_chc,
-    chc_to_hfl, emit_smtlib_horn, parse_formula, parse_lts, parse_smtlib_horn,
-    trivial_model, typecheck,
+from hflz.chc import (  # noqa: E402
+    chc_to_hfl, emit_smtlib_horn, hfl_to_chc, parse_smtlib_horn,
+    validate_model,
 )
-from hflz.chc import validate_model  # noqa: E402
-from hflz.parser import parse_formula as pf  # noqa: E402
+from hflz.lts import parse_lts, trivial_model  # noqa: E402
+from hflz.parser import parse_formula  # noqa: E402
 from hflz.pretty import to_text  # noqa: E402
 from hflz.programs import parse_program, translate_program  # noqa: E402
+from hflz.semantics import check_pure, eval_bounded  # noqa: E402
 from hflz.syntax import (  # noqa: E402
     App, Diamond, IConst, INT, IVar, Or, TRUE, beta_step, beta_step_anywhere,
-    unfold_fixpoint,
+    dualize, unfold_fixpoint,
+)
+from hflz.transforms import (  # noqa: E402
+    BoundExpr, PredicateSet, WindowEntailment, abstract_predicates,
+    desugar_quantifiers, eliminate_mu,
 )
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -78,9 +81,9 @@ def main():
     system = hfl_to_chc(elim)
     print(emit_smtlib_horn(system))
     model = {"x'": (["z", "y"],
-                    pf("z <= 0 \\/ z <= y", {"z": INT, "y": INT}))}
+                    parse_formula("z <= 0 \\/ z <= y", {"z": INT, "y": INT}))}
     print("   model X(z,y) = z<=0 \\/ z<=y validates:",
-          validate_model(system, model))
+          validate_model(system, model, WindowEntailment()))
 
     section("predicate abstraction")
     phi42 = parse_formula((CORPUS / "sec42.hfl").read_text())

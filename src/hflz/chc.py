@@ -8,17 +8,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 from . import smt
-from .smt import SolverError  # noqa: F401  (re-exported)
 from .syntax import (
     And, App, Atom, Box, Diamond, Exists, FALSE, FalseF, Forall, HflError, INT,
     IVar, IntExpr, IntType, Lambda, Mu, Or, PROP, TRUE, TrueF, Var, Formula,
     app, arg_types, arrow, base_name, dual_int_atom, dualize, fresh_name,
-    int_vars, lam, spine, subst_ints, typecheck,
+    int_vars, lam, spine, subformulas, subst_ints, typecheck,
 )
-from .transforms import EntailmentOracle, WindowEntailment
 
 
 class ChcShapeError(HflError):
@@ -94,22 +92,8 @@ def chc_to_hfl(system: ChcSystem) -> Formula:
     Definite clauses become least-fixpoint definitions (mutual recursion is
     handled by nesting), goal clauses are dualized and conjoined.
     """
-
-    def pred_formula(p: str, outer: dict[str, Var]) -> Formula:
-        arity = system.preds[p]
-        t = arrow(*([INT] * arity), PROP) if arity else PROP
-        binder = fresh_name(p)
-        outer = {**outer, p: Var(binder, t)}
-        clauses = [c for c in system.definite if c.head.name == p]
-        param_bases = _param_names(clauses, arity)
-        params = [fresh_name(b) for b in param_bases]
-
-        bodies = [_clause_body(c, params, outer, pred_formula)
-                  for c in clauses]
-        disj = reduce(Or, bodies) if bodies else FALSE
-        return Mu(binder, t, lam([(x, INT) for x in params], disj))
-
-    def goal_formula(goal: Clause) -> Formula:
+    goals: list[Formula] = []
+    for goal in system.goals:
         gvars = goal.variables()
         env = {v: IVar(fresh_name(v)) for v in gvars}
         parts: list[Formula] = []
@@ -117,16 +101,29 @@ def chc_to_hfl(system: ChcSystem) -> Formula:
             if isinstance(item, Atom):
                 parts.append(dual_int_atom(smt.qf_subst(item, env)))
             else:
-                pred = dualize(pred_formula(item.name, {}))
+                pred = dualize(_pred_formula(system, item.name, {}))
                 parts.append(
                     app(pred, *[subst_ints(e, env) for e in item.args]))
         body = reduce(Or, parts) if parts else FALSE
         for v in reversed(gvars):
             body = Forall(env[v].name, body)
-        return body
-
-    goals = [goal_formula(g) for g in system.goals]
+        goals.append(body)
     return reduce(And, goals) if goals else TRUE
+
+
+# module-level, not a closure that calls itself through its own cell, so a
+# call leaves no cyclic garbage
+def _pred_formula(system: ChcSystem, p: str,
+                  outer: dict[str, Var]) -> Formula:
+    arity = system.preds[p]
+    t = arrow(*([INT] * arity), PROP) if arity else PROP
+    binder = fresh_name(p)
+    outer = {**outer, p: Var(binder, t)}
+    clauses = [c for c in system.definite if c.head.name == p]
+    params = [fresh_name(b) for b in _param_names(clauses, arity)]
+    bodies = [_clause_body(system, c, params, outer) for c in clauses]
+    disj = reduce(Or, bodies) if bodies else FALSE
+    return Mu(binder, t, lam([(x, INT) for x in params], disj))
 
 
 def _param_names(clauses: list[Clause], arity: int) -> list[str]:
@@ -138,8 +135,8 @@ def _param_names(clauses: list[Clause], arity: int) -> list[str]:
     return [f"x{i + 1}" for i in range(arity)]
 
 
-def _clause_body(c: Clause, params: list[str],
-                 outer: dict[str, Var], pred_formula) -> Formula:
+def _clause_body(system: ChcSystem, c: Clause, params: list[str],
+                 outer: dict[str, Var]) -> Formula:
     env: dict[str, IVar] = {}
     equalities: list[Atom] = []
     for param, arg in zip(params, c.head.args):
@@ -159,7 +156,7 @@ def _clause_body(c: Clause, params: list[str],
             parts.append(smt.qf_subst(item, env))
         else:
             target: Formula = outer[item.name] if item.name in outer \
-                else pred_formula(item.name, outer)
+                else _pred_formula(system, item.name, outer)
             parts.append(
                 app(target, *[subst_ints(e, env) for e in item.args]))
     body = reduce(And, parts) if parts else TRUE
@@ -185,53 +182,51 @@ def hfl_to_chc(phi: Formula) -> ChcSystem:
         raise ChcShapeError(f"expected a closed prop formula, got type {t}")
     _check_chc_fragment(phi)
 
-    psi = dualize(phi)
     preds: dict[str, int] = {}
     definite: list[Clause] = []
+    goals = [Clause(None, tuple(items)) for items in _disjuncts(
+        dualize(phi), {}, {}, set(), partial(_define, preds, definite))]
+    return ChcSystem(preds=preds, definite=tuple(definite), goals=tuple(goals))
 
-    def define(mu: Mu) -> str:
-        name = base_name(mu.var)
-        ats = arg_types(mu.vtype)
-        if name in preds:
-            # a nested copy of an already-extracted definition
-            if preds[name] != len(ats):
-                raise ChcShapeError(
-                    f"two fixpoints named {name} with different arities")
-            return name
-        preds[name] = len(ats)
-        params: list[str] = []
-        body = mu.body
-        ienv: dict[str, IVar] = {}
-        taken: set[str] = set()
-        for at in ats:
-            if not isinstance(at, IntType):
-                raise ChcShapeError(
-                    f"fixpoint {name} has a non-integer parameter; only "
-                    "first-order clauses are supported")
-            if not isinstance(body, Lambda):
-                raise ChcShapeError(
-                    f"fixpoint {name} body must be a lambda chain over its "
-                    "parameters")
-            p = _source_local(base_name(body.var), taken)
-            taken.add(p)
-            ienv[body.var] = IVar(p)
-            params.append(p)
-            body = body.body
-        head = PredApp(name, tuple(IVar(p) for p in params))
-        definite.extend(
-            Clause(head, tuple(items))
-            for items in _disjuncts(body, ienv, {mu.var: name}, taken, define))
+
+def _define(preds: dict[str, int], definite: list[Clause], mu: Mu) -> str:
+    """The predicate of mu; its clauses go to definite on first use.
+    Module-level, not a closure that calls itself through its own cell,
+    so a call leaves no cyclic garbage."""
+    name = base_name(mu.var)
+    ats = arg_types(mu.vtype)
+    if name in preds:
+        # a nested copy of an already-extracted definition
+        if preds[name] != len(ats):
+            raise ChcShapeError(
+                f"two fixpoints named {name} with different arities")
         return name
-
-    goals = [Clause(None, tuple(items))
-             for items in _disjuncts(psi, {}, {}, set(), define)]
-    return ChcSystem(preds=preds, definite=tuple(definite),
-                     goals=tuple(goals))
+    preds[name] = len(ats)
+    params: list[str] = []
+    body = mu.body
+    ienv: dict[str, IVar] = {}
+    taken: set[str] = set()
+    for at in ats:
+        if not isinstance(at, IntType):
+            raise ChcShapeError(
+                f"fixpoint {name} has a non-integer parameter; only "
+                "first-order clauses are supported")
+        if not isinstance(body, Lambda):
+            raise ChcShapeError(
+                f"fixpoint {name} body must be a lambda chain over its "
+                "parameters")
+        p = _source_local(base_name(body.var), taken)
+        taken.add(p)
+        ienv[body.var] = IVar(p)
+        params.append(p)
+        body = body.body
+    head = PredApp(name, tuple(IVar(p) for p in params))
+    definite.extend(Clause(head, tuple(items)) for items in _disjuncts(
+        body, ienv, {mu.var: name}, taken, partial(_define, preds, definite)))
+    return name
 
 
 def _check_chc_fragment(phi: Formula):
-    from .syntax import subformulas
-
     for s in subformulas(phi):
         match s:
             case Diamond(_, _) | Box(_, _):
@@ -435,10 +430,10 @@ def solve_external(system: ChcSystem, command: str, timeout: float = 60.0,
 
 def validate_model(system: ChcSystem,
                    model: dict[str, tuple[list[str], Formula]],
-                   oracle: EntailmentOracle | None = None) -> bool | None:
+                   oracle) -> bool | None:
     """Check that a candidate model (quantifier-free formula per predicate)
-    satisfies every clause; None when the oracle cannot decide a clause."""
-    oracle = oracle or WindowEntailment()
+    satisfies every clause, by oracle.entails(hyps, concl) -> bool | None
+    (a transforms.EntailmentOracle); None when it cannot decide a clause."""
 
     def instantiate(item: Atom | PredApp | None) -> Formula:
         if item is None:

@@ -22,7 +22,7 @@ from .chc import hfl_to_chc, chc_to_hfl, parse_smtlib_horn, \
     emit_smtlib_horn, solve_external
 from .lts import Lts, parse_lts, trivial_model
 from .parser import parse_formula
-from .pretty import to_text, type_to_text
+from .pretty import to_text
 from .programs import parse_program, translate_program
 from .semantics import check_pure, eval_bounded
 from .syntax import (
@@ -184,10 +184,10 @@ def _emit(text: str, end: str = "\n") -> None:
 
 
 def _cmd_validity(args: argparse.Namespace) -> int:
-    phi = _load_formula(args.inputs[0], args)
+    phi = _load_formula(args.input, args)
     t = typecheck(phi)
     if t != PROP:
-        raise HflError(f"formula must have type prop, got {type_to_text(t)}")
+        raise HflError(f"formula must have type prop, got {t}")
     lts = _load_lts(args)
     schedule = BoundExpr.schedule(args.bound)
     psi = dualize(phi)
@@ -243,7 +243,7 @@ def _cmd_validity(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     lts = _load_lts(args)
-    phi = _load_formula(args.inputs[0], args)
+    phi = _load_formula(args.input, args)
     typecheck(phi)
     if not is_pure(phi):
         raise HflError("check needs a pure formula; use 'validity' or 'eval' "
@@ -255,25 +255,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_typecheck(args: argparse.Namespace) -> int:
-    phi = _load_formula(args.inputs[0], args)
-    _emit(type_to_text(typecheck(phi)))
+    phi = _load_formula(args.input, args)
+    _emit(str(typecheck(phi)))
     return 0
 
 
 def _cmd_dualize(args: argparse.Namespace) -> int:
-    _emit(to_text(dualize(_load_formula(args.inputs[0], args))))
+    _emit(to_text(dualize(_load_formula(args.input, args))))
     return 0
 
 
 def _cmd_elim_mu(args: argparse.Namespace) -> int:
-    phi = _load_formula(args.inputs[0], args)
+    phi = _load_formula(args.input, args)
     _, bound = BoundExpr.schedule(args.bound)[-1]
     _emit(to_text(eliminate_mu(phi, bound, style=args.style)))
     return 0
 
 
 def _cmd_abstract(args: argparse.Namespace) -> int:
-    phi = _load_formula(args.inputs[0], args)
+    phi = _load_formula(args.input, args)
     if not args.preds:
         raise HflError("abstract needs --preds FILE")
     _emit(to_text(_abstract(phi, args)))
@@ -281,27 +281,27 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
 
 
 def _cmd_to_chc(args: argparse.Namespace) -> int:
-    phi = _load_formula(args.inputs[0], args)
+    phi = _load_formula(args.input, args)
     _emit(emit_smtlib_horn(hfl_to_chc(phi)), end="")
     return 0
 
 
 def _cmd_from_chc(args: argparse.Namespace) -> int:
-    with open(args.inputs[0]) as f:
+    with open(args.input) as f:
         system = parse_smtlib_horn(f.read())
     _emit(to_text(chc_to_hfl(system)))
     return 0
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    with open(args.inputs[0]) as f:
+    with open(args.input) as f:
         program = parse_program(f.read())
     _emit(to_text(translate_program(program, polarity=args.polarity)))
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    phi = _load_formula(args.inputs[0], args)
+    phi = _load_formula(args.input, args)
     lts = _load_lts(args)
     ok = eval_bounded(phi, args.window, lts=lts, table_cap=args.table_cap)
     # one-sided: false only means the window could not certify validity
@@ -310,17 +310,43 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return _EXIT[verdict]
 
 
+# each option's settings; a command registers only the options it reads
+_OPTIONS = {
+    "polarity": dict(choices=("mu", "nu"), default="mu"),
+    "lts": dict(metavar="FILE"),
+    "window": dict(type=int, default=16, metavar="N"),
+    "bound": dict(default="1,2,4,8", metavar="EXPR,...",
+                  help="bound schedule of affine templates, e.g. "
+                  "'1,2,max(i+1, 1)'; elim-mu uses the last entry"),
+    "style": dict(choices=("forall", "apply"), default="forall"),
+    "solver": dict(metavar="CMD",
+                   help="HORN/SMT solver command with a {file} placeholder"),
+    "timeout": dict(type=float, default=60.0, metavar="SECS"),
+    "table-cap": dict(type=int, default=200000, metavar="N"),
+    "preds": dict(metavar="FILE"),
+    "no-race": dict(action="store_true"),
+    "format": dict(choices=("text", "json"), default="text"),
+}
+
 _COMMANDS = {
-    "typecheck": (_cmd_typecheck, "print the simple type of a formula"),
-    "check": (_cmd_check, "exact model check of a pure formula on an LTS"),
-    "validity": (_cmd_validity, "full validity pipeline with dual racing"),
-    "dualize": (_cmd_dualize, "print the de Morgan dual"),
-    "elim-mu": (_cmd_elim_mu, "eliminate least fixpoints with a bound"),
-    "abstract": (_cmd_abstract, "predicate abstraction to pure HFL"),
-    "to-chc": (_cmd_to_chc, "emit SMT-LIB HORN clauses"),
-    "from-chc": (_cmd_from_chc, "read HORN clauses, print the formula"),
-    "translate": (_cmd_translate, "translate a program to a formula"),
-    "eval": (_cmd_eval, "window-bounded underapproximate evaluation"),
+    "typecheck": (_cmd_typecheck, "print the simple type of a formula",
+                  "polarity"),
+    "check": (_cmd_check, "exact model check of a pure formula on an LTS",
+              "polarity lts table-cap format"),
+    "validity": (_cmd_validity, "full validity pipeline with dual racing",
+                 "polarity lts window bound solver timeout table-cap preds "
+                 "no-race format"),
+    "dualize": (_cmd_dualize, "print the de Morgan dual", "polarity"),
+    "elim-mu": (_cmd_elim_mu, "eliminate least fixpoints with a bound",
+                "polarity bound style"),
+    "abstract": (_cmd_abstract, "predicate abstraction to pure HFL",
+                 "polarity preds solver timeout window"),
+    "to-chc": (_cmd_to_chc, "emit SMT-LIB HORN clauses", "polarity"),
+    "from-chc": (_cmd_from_chc, "read HORN clauses, print the formula", ""),
+    "translate": (_cmd_translate, "translate a program to a formula",
+                  "polarity"),
+    "eval": (_cmd_eval, "window-bounded underapproximate evaluation",
+             "polarity lts window table-cap format"),
 }
 
 
@@ -328,41 +354,41 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hflz",
                                  description="HFL(Z) toolkit driver")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, help_) in _COMMANDS.items():
+    for name, (_, help_, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        p.add_argument("inputs", nargs="+",
-                       help="input files (.hfl, .lts, .prog, .smt2)")
-        p.add_argument("--window", type=int, default=16, metavar="N")
-        p.add_argument("--bound", default="1,2,4,8", metavar="EXPR,...",
-                       help="bound schedule of affine templates, e.g. "
-                       "'1,2,max(i+1, 1)'; elim-mu uses the last entry")
-        p.add_argument("--solver", default=os.environ.get("HFLMC_SOLVER"),
-                       metavar="CMD", help="HORN/SMT solver command with "
-                       "a {file} placeholder")
-        p.add_argument("--timeout", type=float, default=60.0, metavar="SECS")
-        p.add_argument("--table-cap", type=int, default=200000, metavar="N")
-        p.add_argument("--polarity", choices=("mu", "nu"), default="mu")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--no-race", action="store_true")
-        p.add_argument("--lts", default=None, metavar="FILE")
-        p.add_argument("--preds", default=None, metavar="FILE")
-        p.add_argument("--style", choices=("forall", "apply"),
-                       default="forall")
+        p.add_argument("inputs", nargs="+", help="one formula input (.hfl, "
+                       ".prog, .smt2), and an .lts model where --lts is")
+        for option in options.split():
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     return ap
 
 
+def _formula_input(args: argparse.Namespace) -> str:
+    """The one formula input; a positional .lts file is the --lts model."""
+    models = [p for p in args.inputs if p.endswith(".lts")]
+    formulas = [p for p in args.inputs if p not in models]
+    if models and ("lts" not in args or args.lts or len(models) > 1):
+        raise HflError(f"{args.command} reads "
+                       f"{'one' if 'lts' in args else 'no'} .lts model")
+    if len(formulas) != 1:
+        raise HflError(f"{args.command} takes one formula input, "
+                       f"got {len(formulas)}")
+    if models:
+        args.lts = models[0]
+    return formulas[0]
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # allow an .lts file to be given positionally (e.g. `check m.lts f.hfl`)
-    for path in list(args.inputs):
-        if path.endswith(".lts"):
-            args.lts = path
-            args.inputs.remove(path)
     try:
-        if args.window < 0 or args.table_cap <= 0 or args.timeout <= 0:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, but 2 is Unknown
+        return 3 if e.code == 2 else e.code
+    try:
+        if getattr(args, "window", 0) < 0 or getattr(args, "timeout", 1) <= 0 \
+                or getattr(args, "table_cap", 1) <= 0:
             raise ValueError("caps must be positive")
-        if not args.inputs:
-            raise HflError("no formula/program input given")
+        args.input = _formula_input(args)
         return _COMMANDS[args.command][0](args)
     except (HflError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

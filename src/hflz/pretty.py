@@ -10,15 +10,11 @@ from __future__ import annotations
 from .syntax import (
     Add, And, App, Atom, Box, Diamond, Exists, FalseF, Forall, IConst, INeg,
     IVar, IntExpr, Lambda, Mu, Nu, Or, Sub, TrueF, Var,
-    Formula, SimpleType, base_name, free_vars, spine,
+    Formula, base_name, free_vars, spine,
 )
 
 # precedence levels, loosest to tightest
 _TERM, _OR, _AND, _OPERAND = 0, 1, 2, 3
-
-
-def type_to_text(t: SimpleType) -> str:
-    return str(t)
 
 
 # The printer is module-level functions, not nested closures that call
@@ -90,7 +86,7 @@ def _text(phi: Formula, names: dict[str, str], taken: set[str],
         case Mu(x, _, b) | Nu(x, _, b) | Exists(x, b, _) | Forall(x, b, _):
             d, decl = _pick(x, taken), ""
             if isinstance(phi, (Mu, Nu)):
-                decl = f": {type_to_text(phi.vtype)}"
+                decl = f": {phi.vtype}"
             elif phi.lower:
                 decl = ", ".join(int_to_text(p, names) for p in phi.lower)
                 decl = f" >= {decl}" if len(phi.lower) == 1 \
@@ -106,7 +102,7 @@ def _text(phi: Formula, names: dict[str, str], taken: set[str],
             nm, tk = dict(names), set(taken)
             while isinstance(body, Lambda):
                 d = _pick(body.var, tk)
-                binds.append(f"{d}: {type_to_text(body.vtype)}")
+                binds.append(f"{d}: {body.vtype}")
                 nm[body.var] = d
                 tk.add(d)
                 body = body.body

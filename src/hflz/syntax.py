@@ -278,10 +278,6 @@ def lam(bindings: list[tuple[str, SimpleType]], body: Formula) -> Formula:
     return body
 
 
-def atom(op: str, lhs: IntExpr, rhs: IntExpr) -> Atom:
-    return Atom(op, lhs, rhs)
-
-
 _fresh_counter = itertools.count(1)
 
 
@@ -646,21 +642,26 @@ def beta_step(phi: Formula) -> Formula:
 
 def beta_step_anywhere(phi: Formula) -> Formula:
     """Reduce the leftmost-outermost beta redex anywhere in phi."""
-    done = False
-
-    def go(phi: Formula) -> Formula:
-        nonlocal done
-        if done:
-            return phi
-        if isinstance(phi, App) and isinstance(phi.fun, Lambda):
-            done = True
-            return beta_step(phi)
-        return map_children(phi, go)
-
-    out = go(phi)
-    if not done:
+    walk = _FirstRedex()
+    out = walk.go(phi)
+    if not walk.done:
         raise NoRedex("no beta redex anywhere in the formula")
     return out
+
+
+class _FirstRedex:
+    """beta_step_anywhere's walk: a method, not a closure that calls itself
+    through its own cell, so a call leaves no cyclic garbage."""
+
+    done = False
+
+    def go(self, phi: Formula) -> Formula:
+        if self.done:
+            return phi
+        if isinstance(phi, App) and isinstance(phi.fun, Lambda):
+            self.done = True
+            return beta_step(phi)
+        return map_children(phi, self.go)
 
 
 # ---------------------------------------------------------------------------

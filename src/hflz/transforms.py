@@ -480,9 +480,17 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
     """Underapproximate a first-order nu-formula with integers by a pure HFL
     formula: integer binders become boolean (prop-typed) binders tracking
     the truth of the given predicates; valid output implies valid input."""
-    oracle = oracle or WindowEntailment()
+    return _Abstraction(preds, oracle or WindowEntailment()).go(phi, [], {})[0]
 
-    def weakest(benv: list[tuple[str, Formula]], target: Formula) -> Formula:
+
+class _Abstraction:
+    """The walk of abstract_predicates: methods, not closures that call
+    themselves through their own cells, so a call leaves no garbage."""
+
+    def __init__(self, preds: PredicateSet, oracle: EntailmentOracle):
+        self.preds, self.oracle = preds, oracle
+
+    def weakest(self, benv, target: Formula) -> Formula:
         if len(benv) > 12:
             raise AbstractionError("too many boolean variables in scope")
         minimal: list[tuple[int, ...]] = []
@@ -490,7 +498,8 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
             for combo in itertools.combinations(range(len(benv)), size):
                 if any(set(m) <= set(combo) for m in minimal):
                     continue
-                verdict = oracle.entails([benv[i][1] for i in combo], target)
+                verdict = self.oracle.entails(
+                    [benv[i][1] for i in combo], target)
                 if verdict is None:
                     warnings.warn(
                         "entailment oracle gave no answer; degrading the "
@@ -505,7 +514,7 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
         return reduce(Or, [reduce(And, [Var(benv[i][0], PROP) for i in combo])
                            for combo in minimal])
 
-    def abstract_arg(benv, templates: list[tuple[str, Atom]],
+    def abstract_arg(self, benv, templates: list[tuple[str, Atom]],
                      e: IntExpr) -> list[Formula]:
         out = []
         for tvar, a in templates:
@@ -514,12 +523,12 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
                 raise AbstractionError(
                     "call-site instantiation only supports predicates over "
                     f"the binder variable alone, got extra vars {extra}")
-            out.append(weakest(benv, qf_subst(a, {tvar: e})))
+            out.append(self.weakest(benv, qf_subst(a, {tvar: e})))
         return out
 
     # a signature has one entry per parameter: the predicate templates of
     # an integer parameter, None for any other
-    def signature(binder_type: SimpleType, body: Formula):
+    def signature(self, binder_type: SimpleType, body: Formula):
         sig = []
         for t in arg_types(binder_type):
             if isinstance(t, IntType):
@@ -527,14 +536,14 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
                     raise AbstractionError(
                         "fixpoint bodies must be lambda chains over their "
                         "integer parameters for abstraction")
-                sig.append(preds.for_binder(base_name(body.var)))
+                sig.append(self.preds.for_binder(base_name(body.var)))
             else:
                 sig.append(None)
             if isinstance(body, Lambda):
                 body = body.body
         return sig
 
-    def go(phi: Formula, benv, sigs: dict[str, list]):
+    def go(self, phi: Formula, benv, sigs: dict[str, list]):
         """Returns (formula, remaining signature)."""
         match phi:
             case Var(x, t):
@@ -543,43 +552,41 @@ def abstract_predicates(phi: Formula, preds: PredicateSet,
                 return Var(x, _abstract_type(t, sigs.get(x))), \
                     list(sigs.get(x) or [])
             case Atom(_, _, _):
-                return weakest(benv, phi), []
+                return self.weakest(benv, phi), []
             case TrueF() | FalseF() | And() | Or() | Diamond() | Box():
-                return map_children(phi, lambda c: go(c, benv, sigs)[0]), []
+                return map_children(
+                    phi, lambda c: self.go(c, benv, sigs)[0]), []
             case Lambda(x, t, b):
                 if isinstance(t, IntType):
-                    templates = preds.for_binder(base_name(x))
+                    templates = self.preds.for_binder(base_name(x))
                     bools = [(fresh_name("b"), qf_subst(a, {tv: IVar(x)}))
                              for tv, a in templates]
-                    body, bsig = go(b, benv + bools, sigs)
+                    body, bsig = self.go(b, benv + bools, sigs)
                     for bx, _a in reversed(bools):
                         body = Lambda(bx, PROP, body)
                     return body, [templates] + bsig
-                body, bsig = go(b, benv, sigs)
+                body, bsig = self.go(b, benv, sigs)
                 return Lambda(x, t, body), [None] + bsig
             case Mu(x, t, b) | Nu(x, t, b) as node:
-                sig = signature(t, b)
-                body, _ = go(b, benv, {**sigs, x: sig})
+                sig = self.signature(t, b)
+                body, _ = self.go(b, benv, {**sigs, x: sig})
                 return type(node)(x, _abstract_type(t, sig), body), list(sig)
             case App(f, a):
-                fr, sig = go(f, benv, sigs)
+                fr, sig = self.go(f, benv, sigs)
                 if isinstance(a, IntExpr):
                     if not sig or sig[0] is None:
                         raise AbstractionError(
                             "integer argument in a position without a "
                             "predicate signature")
-                    for bf in abstract_arg(benv, sig[0], a):
+                    for bf in self.abstract_arg(benv, sig[0], a):
                         fr = App(fr, bf)
                     return fr, sig[1:]
-                ar, _ = go(a, benv, sigs)
+                ar, _ = self.go(a, benv, sigs)
                 return App(fr, ar), sig[1:] if sig else []
             case Exists(_, _, _) | Forall(_, _, _):
                 raise AbstractionError(
                     "desugar quantifiers before predicate abstraction")
         raise AbstractionError(f"cannot abstract {type(phi).__name__}")
-
-    out, _ = go(phi, [], {})
-    return out
 
 
 def _abstract_type(t: SimpleType, sig) -> SimpleType:

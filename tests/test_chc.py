@@ -1,4 +1,5 @@
 import stat
+import subprocess
 import sys
 import threading
 import time
@@ -6,14 +7,14 @@ import time
 import pytest
 
 from hflz.chc import (
-    ChcShapeError, ChcSystem, Clause, PredApp, SolverError, SolverVerdict,
+    ChcShapeError, ChcSystem, Clause, PredApp, SolverVerdict,
     chc_to_hfl, emit_smtlib_horn, hfl_to_chc, parse_smtlib_horn,
     solve_external, validate_model,
 )
 from hflz.parser import parse_formula
 from hflz.pretty import to_text
 from hflz.semantics import eval_bounded
-from hflz.smt import symbol
+from hflz.smt import SolverError, symbol
 from hflz.syntax import (
     Add, Atom, IConst, IVar, Sub, alpha_eq, dualize,
 )
@@ -297,3 +298,13 @@ def test_validate_model_mult():
     good = {"mult": (["x", "y", "r"],
                      parse_formula("x <= 0 \\/ r >= y", env))}
     assert validate_model(s, good, oracle) is True
+
+
+def test_chc_loads_only_what_it_uses():
+    # a solver process imports hflz.chc; the package loads no module it
+    # does not name
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, hflz.chc; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'hflz'))"],
+        capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out.strip() == "['hflz', 'hflz.chc', 'hflz.smt', 'hflz.syntax']"

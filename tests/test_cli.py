@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hflz.cli import main
+from hflz.cli import build_parser, main
 
 
 def solver_cmd(scripts, width=6):
@@ -146,8 +146,11 @@ def test_validity_unknown_without_solver(tmp_path, capsys):
 def test_validity_without_solver_evaluates_only_the_window(
         tmp_path, monkeypatch, capsys):
     # valid, but its unfolding from 100 leaves window 8; no stage after
-    # the window evaluation can decide it without a solver
-    monkeypatch.delenv("HFLMC_SOLVER", raising=False)
+    # the window evaluation can decide it without a solver, and no
+    # environment variable supplies one (this one names a solver that
+    # answers sat to anything)
+    monkeypatch.setenv("HFLMC_SOLVER",
+                       f"{sys.executable} -c \"print('sat')\" {{file}}")
     f = tmp_path / "phi.hfl"
     f.write_text("(mu x: int -> prop. \\y: int. y <= 0 \\/ x(y - 1))(100)\n")
     assert main(["validity", str(f), "--no-race", "--window", "8",
@@ -171,6 +174,52 @@ def test_malformed_bound_entry_is_an_error(corpus, capsys):
                  "--bound", "1,x*y"]) == 3
     assert main(["elim-mu", str(corpus / "sec41.hfl"), "--bound", "1,"]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+_OPTIONS = {
+    "typecheck": "polarity", "dualize": "polarity", "to-chc": "polarity",
+    "translate": "polarity", "from-chc": "",
+    "elim-mu": "polarity bound style",
+    "check": "polarity lts table_cap format",
+    "eval": "polarity lts window table_cap format",
+    "abstract": "polarity preds solver timeout window",
+    "validity": "polarity lts window bound solver timeout table_cap preds "
+                "no_race format",
+}
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_each_command_takes_only_the_options_it_reads(command):
+    args = build_parser().parse_args([command, "f.hfl"])
+    assert set(vars(args)) - {"command", "inputs"} == \
+        set(_OPTIONS[command].split())
+
+
+@pytest.mark.parametrize("argv", [
+    "validity {c}/sec41.hfl --window abc",
+    "validity {c}/sec41.hfl --bogus",
+    "typecheck {c}/sec41.hfl --window 3",
+    "elim-mu {c}/sec41.hfl --lts {c}/mfile.lts",
+])
+def test_usage_error_is_an_error_not_unknown(corpus, capsys, argv):
+    assert main(argv.format(c=corpus).split()) == 3
+    assert "error: " in capsys.readouterr().err.splitlines()[-1]
+
+
+def test_help_is_no_error(capsys):
+    assert main(["validity", "--help"]) == 0
+
+
+def test_one_formula_input_and_at_most_one_model(corpus, capsys):
+    even, sec41, mfile = (
+        str(corpus / f) for f in ("even.hfl", "sec41.hfl", "mfile.lts"))
+    assert main(["typecheck", even, sec41]) == 3
+    assert main(["typecheck", mfile, even]) == 3
+    assert main(["check", mfile, even, "--lts", mfile]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: typecheck takes one formula input, got 2",
+        "error: typecheck reads no .lts model",
+        "error: check reads one .lts model"]
 
 
 def test_error_exit_codes(tmp_path, capsys):

@@ -10,9 +10,13 @@ from hflz.syntax import (
     map_children, order_of, spine, subst_ints, substitute, typecheck,
     unfold_fixpoint, NotAFixpoint, NoRedex,
 )
+from hflz.chc import chc_to_hfl, hfl_to_chc
 from hflz.parser import parse_formula
 from hflz.pretty import to_text
-from hflz.transforms import BoundExpr, desugar_quantifiers, eliminate_mu
+from hflz.transforms import (
+    BoundExpr, PredicateSet, WindowEntailment, abstract_predicates,
+    desugar_quantifiers, eliminate_mu,
+)
 
 
 def test_arrow_result_must_be_predicate():
@@ -65,12 +69,22 @@ _TWO_WALKS = (r"forall i. (mu x: int -> prop. \y: int. y <= 3 \/ x(y - 1))(i)"
               r" y >= v \/ x(y + 1))(j))(3)")
 _PHI, _COPY = parse_formula(_TWO_WALKS), parse_formula(_TWO_WALKS)
 _DESUGARED = desugar_quantifiers(_PHI)
+_ELIMINATED = eliminate_mu(_DESUGARED, BoundExpr.const(4))
+_CLAUSES = hfl_to_chc(_ELIMINATED)
+_NU_WALK = parse_formula(
+    r"(nu x: int -> prop. \y: int. y >= 0 /\ x(y + 1))(1)")
+_REDEX = parse_formula(r"<a> (\y: prop. y \/ <b> y)(true)")
 _PASSES = {
     "substitute": lambda: substitute(_PHI.body, _PHI.var, IConst(2)),
     "eliminate_mu": lambda: eliminate_mu(_DESUGARED, BoundExpr.const(4)),
     "desugar_quantifiers": lambda: desugar_quantifiers(_PHI),
     "to_text": lambda: to_text(_PHI),
     "alpha_eq": lambda: alpha_eq(_PHI, _COPY),
+    "hfl_to_chc": lambda: hfl_to_chc(_ELIMINATED),
+    "chc_to_hfl": lambda: chc_to_hfl(_CLAUSES),
+    "abstract_predicates": lambda: abstract_predicates(
+        _NU_WALK, PredicateSet.parse("y: y > 0"), WindowEntailment(4)),
+    "beta_step_anywhere": lambda: beta_step_anywhere(_REDEX),
 }
 
 
