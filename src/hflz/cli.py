@@ -380,7 +380,14 @@ def _formula_input(args: argparse.Namespace) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        ap = build_parser()
+        # argparse ends the inputs at the first option, so an input given
+        # after an option comes back as a leftover
+        args, rest = ap.parse_known_args(argv)
+        options = [a for a in rest if a.startswith("-")]
+        if options:
+            ap.error(f"unrecognized arguments: {' '.join(options)}")
+        args.inputs += rest
     except SystemExit as e:
         # argparse exits 2 on a usage error, but 2 is Unknown
         return 3 if e.code == 2 else e.code

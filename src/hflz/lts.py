@@ -2,13 +2,43 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .syntax import HflError
 
 
 class LtsFormatError(HflError):
     pass
+
+
+# A label's predecessor index: masks[i] is the set of states with a
+# transition into state i (bit j stands for states[j]); tables[k] maps a
+# byte value v to the union of masks[8k + j] over the bits j set in v,
+# each entry filled on first use.
+PreIndex = tuple[list[int], list[dict[int, int]]]
+
+
+def pre_image(index: PreIndex | None, b: int) -> int:
+    """The states with a label-transition into the state set b: the union
+    of the table entries of b's nonzero bytes."""
+    if index is None:
+        return 0
+    masks, tables = index
+    out = 0
+    for k, v in enumerate(b.to_bytes(len(tables), "little")):
+        if v:
+            m = tables[k].get(v)
+            if m is None:
+                m, bits, base = 0, v, 8 * k
+                while bits:
+                    low = bits & -bits
+                    m |= masks[base + low.bit_length() - 1]
+                    bits ^= low
+                # two threads filling one entry write the same value
+                tables[k][v] = m
+            out |= m
+    return out
 
 
 @dataclass(frozen=True)
@@ -33,6 +63,20 @@ class Lts:
             if lbl not in self.labels:
                 raise LtsFormatError(
                     f"transition {src} {lbl} {dst} uses an undeclared label")
+
+    @cached_property
+    def pre_index(self) -> dict[str, PreIndex]:
+        """Each label's predecessor index, built on first use and kept,
+        filled table entries included, for as long as the model lives: an
+        entry depends on the model alone."""
+        index = {s: i for i, s in enumerate(self.states)}
+        masks: dict[str, list[int]] = {}
+        for src, lbl, dst in self.transitions:
+            m = masks.setdefault(lbl, [0] * len(self.states))
+            m[index[dst]] |= 1 << index[src]
+        nbytes = (len(self.states) + 7) // 8
+        return {lbl: (m, [{} for _ in range(nbytes)])
+                for lbl, m in masks.items()}
 
     def successors(self, state: str, label: str) -> set[str]:
         return {dst for src, lbl, dst in self.transitions

@@ -2,12 +2,13 @@
 
 Values are state bitmasks (prop: bit i stands for ``lts.states[i]``),
 integers, lambda closures, and fixpoint tables.  ``<a>`` and ``[a]`` are
-computed from a per-label predecessor index built once per evaluator: one
-predecessor mask per state, and one table per byte of a state set that
-maps a byte value to the union of the masks of its set bits.  A pre-image
-reads its argument a byte at a time and ORs one table entry per nonzero
-byte; an entry is computed on first use and kept for the evaluator's
-lifetime (the "Four Russians" method of Arlazarov, Dinic, Kronrod &
+computed from a per-label predecessor index built once per model
+(``Lts.pre_index``): one predecessor mask per state, and one table per
+byte of a state set that maps a byte value to the union of the masks of
+its set bits.  A pre-image reads its argument a byte at a time and ORs one
+table entry per nonzero byte; an entry is computed on first use and kept
+for the model's lifetime, so later evaluations on the same model find it
+filled (the "Four Russians" method of Arlazarov, Dinic, Kronrod &
 Faradzev, 1970).
 
 A fixpoint is solved by chaotic iteration restricted to the argument
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import transforms
-from .lts import Lts, trivial_model
+from .lts import Lts, pre_image, trivial_model
 from .syntax import (
     Add, And, App, Arrow, Atom, Box, CMP_FN, Diamond, Exists, FalseF, Forall,
     HflError, IConst, INeg, IntExpr, IntType, IVar, Lambda, Mu, Nu, Or,
@@ -90,33 +91,6 @@ def _prop(v) -> int:
     if isinstance(v, int):
         return v
     raise HflError(f"expected a proposition value, got {v!r}")
-
-
-# A label's predecessor index: masks[i] is the set of states with a
-# transition into state i; tables[k] maps a byte value v to the union of
-# masks[8k + j] over the bits j set in v, each entry filled on first use.
-_PreIndex = tuple[list[int], list[dict[int, int]]]
-
-
-def _pre_image(index: _PreIndex | None, b: int) -> int:
-    """The states with a label-transition into b: the union of the table
-    entries of b's nonzero bytes."""
-    if index is None:
-        return 0
-    masks, tables = index
-    out = 0
-    for k, v in enumerate(b.to_bytes(len(tables), "little")):
-        if v:
-            m = tables[k].get(v)
-            if m is None:
-                m, bits, base = 0, v, 8 * k
-                while bits:
-                    low = bits & -bits
-                    m |= masks[base + low.bit_length() - 1]
-                    bits ^= low
-                tables[k][v] = m
-            out |= m
-    return out
 
 
 def _compile_int(e: IntExpr) -> Callable[[dict], int]:
@@ -180,8 +154,6 @@ class _FixFun:
         self.approx: dict[tuple, int] = {}
         self.solving = False
         self.new_args = False
-        # the function value itself: no argument applied yet
-        self.partial = _Partial(self, ())
 
     def call(self, keys: tuple) -> int:
         if keys not in self.approx:
@@ -228,7 +200,7 @@ class _FixFun:
         # zero-argument fixpoints denote plain propositions, so recursive
         # occurrences stand for the current approximation rather than a
         # re-applicable function value
-        rec = self.partial if self.argts else self.approx[()]
+        rec = _Partial(self, ()) if self.argts else self.approx[()]
         val = self.code.body({**self.env, self.code.var: rec})
         for key in keys:
             val = self.ev.apply(val, key)
@@ -241,15 +213,7 @@ class _BoundedEvaluator:
         self.window = window
         self.table_cap = table_cap
         self.full = (1 << len(lts.states)) - 1
-        # pre[a]: the predecessor index of label a
-        index = {s: i for i, s in enumerate(lts.states)}
-        masks: dict[str, list[int]] = {}
-        for src, lbl, dst in lts.transitions:
-            m = masks.setdefault(lbl, [0] * len(lts.states))
-            m[index[dst]] |= 1 << index[src]
-        nbytes = (len(lts.states) + 7) // 8
-        self.pre: dict[str, _PreIndex] = {
-            lbl: (m, [{} for _ in range(nbytes)]) for lbl, m in masks.items()}
+        self.pre = lts.pre_index
         self.fix_cache: dict = {}
         self._elems: dict[SimpleType, Sequence] = {}
         self._positions: dict[SimpleType, dict] = {}
@@ -353,7 +317,11 @@ class _BoundedEvaluator:
     # -- compilation
 
     def holds_initially(self, phi: Formula) -> bool:
-        denotation = _prop(self.compile(phi)({}))
+        try:
+            denotation = _prop(self.compile(phi)({}))
+        finally:
+            # its fixpoints refer back to this evaluator
+            self.fix_cache.clear()
         return bool(denotation >> self.lts.states.index(self.lts.initial) & 1)
 
     def compile(self, phi: Formula) -> Callable[[dict], object]:
@@ -389,10 +357,10 @@ class _BoundedEvaluator:
                 return and_
             case Diamond(a, b):
                 bf, index = self.compile(b), self.pre.get(a)
-                return lambda env: _pre_image(index, _prop(bf(env)))
+                return lambda env: pre_image(index, _prop(bf(env)))
             case Box(a, b):
                 bf, index, full = self.compile(b), self.pre.get(a), self.full
-                return lambda env: full & ~_pre_image(
+                return lambda env: full & ~pre_image(
                     index, full & ~_prop(bf(env)))
             case Lambda(x, t, b):
                 bf = self.compile(b)
@@ -412,7 +380,7 @@ class _BoundedEvaluator:
                         if fix is None:
                             fix = cache[node_id, vals] = _FixFun(
                                 code, env, self)
-                    return fix.partial if code.argts else fix.call(())
+                    return _Partial(fix, ()) if code.argts else fix.call(())
                 return fixpoint
             case App(f, a) if isinstance(a, IntExpr):
                 ff, af = self.compile(f), _compile_int(a)

@@ -206,6 +206,23 @@ def test_usage_error_is_an_error_not_unknown(corpus, capsys, argv):
     assert "error: " in capsys.readouterr().err.splitlines()[-1]
 
 
+def test_inputs_may_follow_an_option(corpus, tmp_path, capsys):
+    f = tmp_path / "phi.hfl"
+    f.write_text("<read> <read> <close> <end> true\n")
+    mfile = str(corpus / "mfile.lts")
+    outputs = []
+    for argv in (["check", mfile, str(f), "--table-cap", "5"],
+                 ["check", mfile, "--table-cap", "5", str(f)],
+                 ["check", "--format", "json", mfile, str(f)],
+                 ["check", mfile, "--format", "json", str(f)]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == "Valid\n"
+    assert outputs[2] == outputs[3]
+    assert main(["check", mfile, "--table-cap", "5", str(f), "--bogus"]) == 3
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
 def test_help_is_no_error(capsys):
     assert main(["validity", "--help"]) == 0
 

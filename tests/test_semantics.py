@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hflz import semantics
 from hflz.chc import (
     ChcSystem, Clause, PredApp, chc_to_hfl, parse_smtlib_horn,
 )
-from hflz.lts import Lts, parse_lts, trivial_model
+from hflz.lts import Lts, parse_lts, pre_image, trivial_model
 from hflz.parser import parse_formula
 from hflz.semantics import (
     ImpureFormulaError, TableCapError, check_pure, check_pure_stats,
@@ -16,7 +17,7 @@ from hflz.semantics import (
 from hflz.syntax import (
     INT, Add, And, App, Arrow, Atom, Box, CMP_OPS, Diamond, Exists, FALSE,
     Forall, IConst, IVar, Lambda, Mu, Nu, Or, PROP, Sub, TRUE, Var, app,
-    arrow, dualize, subformulas,
+    arrow, dualize, map_children, subformulas,
 )
 from hflz.transforms import (
     BoundExpr, HigherOrderMuError, desugar_quantifiers, eliminate_mu,
@@ -199,7 +200,7 @@ def test_pre_image_reads_every_byte(n):
                       for _ in range(2 * n))
     m = Lts(states=states, labels=frozenset({"a"}), transitions=trans,
             initial=states[0])
-    index = semantics._BoundedEvaluator(m, 0, 200000).pre["a"]
+    index = m.pre_index["a"]
 
     def plain(b: int) -> int:
         # one bit of b at a time, straight from the transitions
@@ -214,7 +215,7 @@ def test_pre_image_reads_every_byte(n):
     full = (1 << n) - 1
     sets = [0, full, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(30)]
     for b in sets + sets:       # the second pass reads filled entries
-        assert semantics._pre_image(index, b) == plain(b)
+        assert pre_image(index, b) == plain(b)
 
 
 def a_chain(n: int) -> Lts:
@@ -227,7 +228,7 @@ def a_chain(n: int) -> Lts:
 
 def test_modal_steps_use_the_predecessor_index(monkeypatch):
     # a per-state successor scan costs O(|S|*|T|) per modal step; the
-    # engine must answer from the index it builds once per evaluation
+    # engine must answer from the index it builds once per model
     def no_scan(self, state, label):
         raise AssertionError("Lts.successors called by the engine")
 
@@ -238,6 +239,91 @@ def test_modal_steps_use_the_predecessor_index(monkeypatch):
     for phi in (reaches_deadlock, safe):
         assert check_pure(m, phi)
         assert eval_bounded(phi, 0, m)
+
+
+class _CountingSet(frozenset):
+    """A transition set that counts the walks over it."""
+    walks = 0
+
+    def __iter__(self):
+        type(self).walks += 1
+        return super().__iter__()
+
+
+def test_the_index_is_built_once_per_model(monkeypatch):
+    monkeypatch.setattr(_CountingSet, "walks", 0)
+    states = tuple(f"s{i}" for i in range(20))
+    m = Lts(states=states, labels=frozenset(LABELS), initial=states[0],
+            transitions=_CountingSet(
+                (states[i], LABELS[i % 2], states[(i * 7 + 3) % 20])
+                for i in range(20)))
+    phi = parse_formula(r"nu y: prop. <a> true /\ [b] y")
+    check_pure(m, phi)
+    walks = _CountingSet.walks
+    for _ in range(3):
+        check_pure(m, phi)
+        eval_bounded(phi, 0, lts=m)
+    assert _CountingSet.walks == walks
+
+
+def swap_labels(phi):
+    """phi with the labels a and b exchanged in its modalities."""
+    other = {"a": "b", "b": "a"}
+    match phi:
+        case Diamond(lbl, b):
+            return Diamond(other.get(lbl, lbl), swap_labels(b))
+        case Box(lbl, b):
+            return Box(other.get(lbl, lbl), swap_labels(b))
+    return map_children(phi, swap_labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(byte_spanning_ltss(), st.data())
+def test_one_model_answers_a_sequence_of_formulas(m, data):
+    """Formulas checked one after another on one model, through both entry
+    points, each reading the table entries the earlier ones filled.  Each
+    formula is followed by its twin with a and b swapped, which asks the
+    other label's index for the same state sets."""
+    kinds = [pure_formulas(labels=WIDE_LABELS)]
+    if len(m.states) <= 10:     # where the reference's 2^|S| props fit
+        kinds.append(order1_formulas(labels=WIDE_LABELS))
+    for _ in range(data.draw(st.integers(1, 4))):
+        phi = data.draw(st.one_of(kinds))
+        for psi in (phi, swap_labels(phi)):
+            expected = reference_check_pure_stats(m, psi)[0]
+            if data.draw(st.booleans()):
+                assert check_pure(m, psi) == expected
+                assert eval_bounded(psi, 0, lts=m) == expected
+            else:
+                assert eval_bounded(psi, 0, lts=m) == expected
+                assert check_pure(m, psi) == expected
+
+
+@pytest.mark.parametrize("case", ["mult", "reach", "ring"])
+def test_engine_leaves_no_cyclic_garbage(corpus, case):
+    # an evaluator's fixpoints refer back to it; garbage in a cycle lives
+    # until the cyclic collector runs, and its pauses reach the tail
+    mfile = parse_lts((corpus / "mfile.lts").read_text())
+    mult = parse_formula((corpus / "mult.hfl").read_text())
+    reach = parse_formula(r"mu y: prop. <end> true \/ <read> y \/ <close> y")
+    ring = parse_formula(
+        r"(nu f: prop -> prop. \p: prop. p /\ f(<read> p))(true)")
+    run = {
+        "mult": lambda: eval_bounded(
+            app(mult, IConst(3), IConst(4), IConst(12)), 12),
+        "reach": lambda: check_pure(mfile, reach),
+        "ring": lambda: (check_pure(mfile, ring),
+                         eval_bounded(ring, 0, lts=mfile)),
+    }[case]
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
