@@ -316,8 +316,9 @@ _OPTIONS = {
     "lts": dict(metavar="FILE"),
     "window": dict(type=int, default=16, metavar="N"),
     "bound": dict(default="1,2,4,8", metavar="EXPR,...",
-                  help="bound schedule of affine templates, e.g. "
-                  "'1,2,max(i+1, 1)'; elim-mu uses the last entry"),
+                  help="bound schedule of integer expressions, kept as "
+                  "written, e.g. '1,2,max(i+1, 1)'; elim-mu uses the last "
+                  "entry"),
     "style": dict(choices=("forall", "apply"), default="forall"),
     "solver": dict(metavar="CMD",
                    help="HORN/SMT solver command with a {file} placeholder"),

@@ -33,62 +33,41 @@ class Token:
     col: int
 
 
-_SYMBOLS = [
-    "\\/", "/\\", "->", "<=", ">=", "!=", "(", ")", "[", "]", "<", ">",
-    "=", "+", "-", ".", ",", ":", "\\", "*",
-]
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_INT = re.compile(r"[0-9]+")
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|#[^\n]*)"
+    r"|(?P<num>[0-9]+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
+    r"|(?P<sym>\\/|/\\|->|<=|>=|!=|[()\[\]<>=+\-.,:\\*])"
+    r"|(?P<bad>.)")
 _KEYWORDS = {"true", "false", "mu", "nu", "exists", "forall", "int", "prop"}
 
 
 def tokenize(text: str) -> list[Token]:
+    """Keywords and symbols are their own token kinds; a column counts
+    characters, a tab as one."""
     toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _INT.match(text, i)
-        if m:
-            toks.append(Token("int", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group()
-            kind = word if word in _KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += len(word)
-            i = m.end()
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "skip":
+            if word[0] == "#":
+                continue  # so the end of input stays before a last comment
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = m.start() + word.rindex("\n") + 1
+        elif kind == "bad":
+            raise HflSyntaxError(f"unexpected character {word!r}",
+                                 line, m.start() - line_start + 1)
         else:
-            raise HflSyntaxError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            toks.append(Token(
+                word if kind == "sym" or word in _KEYWORDS else kind,
+                word, line, m.start() - line_start + 1))
+        end = m.end()
+    toks.append(Token("eof", "", line, end - line_start + 1))
     return toks
 
 
-_ATOM_START = {"ident", "int", "true", "false", "("}
+_ATOM_START = {"ident", "num", "true", "false", "("}
 _CMP = {"<=", "<", "=", "!=", ">=", ">"}
 
 
@@ -300,7 +279,7 @@ class _Parser:
         if t.kind == "false":
             self.next()
             return FALSE
-        if t.kind == "int":
+        if t.kind == "num":
             self.next()
             return IConst(int(t.text))
         if t.kind == "ident":
@@ -346,6 +325,16 @@ def parse_formula(text: str,
     p = _Parser(text)
     penv = {name: (name, ty) for name, ty in (env or {}).items()}
     v = p.to_formula(p.parse_term(penv))
+    p.expect("eof")
+    return v
+
+
+def parse_bound(text: str) -> tuple[IntExpr, ...]:
+    """The pieces of a bound `e` or `max(e, ...)`; every name in it is a
+    free integer variable, kept by its source name."""
+    p = _Parser(text)
+    v = p.parse_bound({t.text: (t.text, INT)
+                       for t in p.toks if t.kind == "ident"})
     p.expect("eof")
     return v
 

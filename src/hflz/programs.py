@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .syntax import (
     Add, And, Atom, Diamond, HflError, IConst, INT, INeg, IVar, IntExpr, Mu,
     Nu, Or, PROP, Sub, TRUE, Var, Formula, SimpleType, app, arrow,
-    dual_int_atom, fresh_name, lam,
+    dual_int_atom, fresh_name, int_vars, lam, subst_ints,
 )
 
 
@@ -31,27 +31,14 @@ class ProgramError(HflError):
 # Parse tree
 
 
-@dataclass(frozen=True)
-class _UNum:
-    value: int
+# Arithmetic and comparisons are IntExpr and Atom nodes over the source
+# names; a bare name anywhere else is a _UVar, whose meaning the
+# translation resolves.
 
 
 @dataclass(frozen=True)
 class _UVar:
     name: str
-
-
-@dataclass(frozen=True)
-class _UOp:
-    op: str  # + - neg
-    args: tuple
-
-
-@dataclass(frozen=True)
-class _UCmp:
-    op: str
-    lhs: object
-    rhs: object
 
 
 @dataclass(frozen=True)
@@ -95,6 +82,15 @@ class Program:
 def _is_handle(u, bound) -> bool:
     """A bare identifier that names no parameter, function or event."""
     return isinstance(u, _UVar) and u.name not in bound
+
+
+def _int(u) -> IntExpr:
+    """u as an operand of arithmetic or a comparison"""
+    if isinstance(u, _UVar):
+        return IVar(u.name)
+    if not isinstance(u, IntExpr):
+        raise ProgramError(f"expected an integer expression, got {u!r}")
+    return u
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
@@ -187,14 +183,14 @@ class _ProgParser:
         v = self.parse_sum()
         if self.peek() in _CMPS:
             op = self.next()
-            return _UCmp(op, v, self.parse_sum())
+            return Atom(op, _int(v), _int(self.parse_sum()))
         return v
 
     def parse_sum(self):
         v = self.parse_app()
         while self.peek() in ("+", "-"):
-            op = self.next()
-            v = _UOp(op, (v, self.parse_app()))
+            ctor = Add if self.next() == "+" else Sub
+            v = ctor(_int(v), _int(self.parse_app()))
         if self.peek() == "*":
             raise ProgramError("non-linear condition: multiplication is not "
                                "allowed")
@@ -204,7 +200,7 @@ class _ProgParser:
         t = self.peek()
         if t == "-":
             self.next()
-            return _UOp("neg", (self.parse_app(),))
+            return INeg(_int(self.parse_app()))
         head = self.parse_atom()
         if isinstance(head, _UVar):
             args = []
@@ -235,7 +231,7 @@ class _ProgParser:
             self.expect(")")
             return v
         if t.isdigit():
-            return _UNum(int(t))
+            return IConst(int(t))
         if _IDENT.fullmatch(t) and t not in _KEYWORDS:
             return _UVar(t)
         raise ProgramError(f"unexpected token {t!r}")
@@ -260,19 +256,35 @@ def parse_program(text: str) -> Program:
     slots = {name: params for name, params, _ in raw_defs}
     if len(slots) != len(raw_defs):
         raise ProgramError("duplicate definition name")
-    names = set(slots) | set(events)
+    kinds = _Kinds(events, slots)
+    for dname, params, body in raw_defs + [("main", [], main)]:
+        kinds.definition(dname, params, body)
+    defs = tuple(
+        Definition(name, tuple(
+            (p, INT if kinds.find((name, p)) is INT else PROP)
+            for p in params), body)
+        for name, params, body in raw_defs)
+    return Program(events=tuple(events), definitions=defs, main=main)
 
-    # union-find over (definition, parameter) keys and the kinds INT and
-    # PROP, which are always roots; roots are not keys of `parent`
-    parent: dict = {}
 
-    def find(x):
-        while x in parent:
-            x = parent[x]
+class _Kinds:
+    """Union-find over (definition, parameter) keys and the kinds INT and
+    PROP, which are always roots; roots are not keys of `parent`.  The walk
+    is a method, not a closure that calls itself through its own cell, so a
+    parse leaves no cyclic garbage."""
+
+    def __init__(self, events: list[str], slots: dict[str, list[str]]):
+        self.events, self.slots = events, slots
+        self.names = set(slots) | set(events)
+        self.parent: dict = {}
+
+    def find(self, x):
+        while x in self.parent:
+            x = self.parent[x]
         return x
 
-    def unify(key: tuple[str, str], other):
-        a, b = find(key), find(other)
+    def unify(self, key: tuple[str, str], other):
+        a, b = self.find(key), self.find(other)
         if a in (INT, PROP):
             a, b = b, a
         if a in (INT, PROP) and a != b:
@@ -280,57 +292,53 @@ def parse_program(text: str) -> Program:
                 f"parameter {key[1]} of {key[0]} used both as an integer and "
                 "as a continuation")
         if a != b:
-            parent[a] = b
+            self.parent[a] = b
 
-    for dname, params, body in raw_defs + [("main", [], main)]:
-        bound = names.union(params)
+    def definition(self, dname: str, params: list[str], body):
+        self.dname, self.params = dname, params
+        self.bound = self.names.union(params)
+        self.walk(body, PROP)
 
-        def walk(u, kind):
-            match u:
-                case _UVar(n) if n in params:
-                    unify((dname, n), kind)
-                case _UOp(_, args):
-                    for a in args:
-                        walk(a, INT)
-                case _UCmp(_, l, r):
-                    walk(l, INT)
-                    walk(r, INT)
-                case _UIf(c, t, e):
-                    walk(c, INT)
-                    walk(t, PROP)
-                    walk(e, PROP)
-                case _USeq(first, cont):
-                    walk(first, PROP)
-                    walk(cont, PROP)
-                case _UApp(head, args) if head in events:
-                    # the last argument is the continuation; the bare
-                    # names before it get no kind: they are handles or are
-                    # refused by the translation
-                    for a in args[:-1]:
-                        if not isinstance(a, _UVar):
-                            walk(a, PROP)
-                    if args:
-                        walk(args[-1], PROP)
-                case _UApp(head, args) if head not in slots:
-                    for a in args:
-                        walk(a, PROP)
-                case _UApp(head, args):
-                    real = [a for a in args if not _is_handle(a, bound)]
-                    for a, p in zip(real, slots[head]):
-                        if isinstance(a, _UVar) and a.name in params:
-                            unify((dname, a.name), (head, p))
-                        else:
-                            k = INT if isinstance(a, (_UNum, _UOp)) else PROP
-                            unify((head, p), k)
-                            walk(a, k)
-
-        walk(body, PROP)
-
-    defs = tuple(
-        Definition(name, tuple((p, INT if find((name, p)) is INT else PROP)
-                               for p in params), body)
-        for name, params, body in raw_defs)
-    return Program(events=tuple(events), definitions=defs, main=main)
+    def walk(self, u, kind):
+        dname, params, slots = self.dname, self.params, self.slots
+        match u:
+            case _UVar(n) if n in params:
+                self.unify((dname, n), kind)
+            case IConst() | IVar() | Add() | Sub() | INeg():
+                for n in int_vars(u):
+                    if n in params:
+                        self.unify((dname, n), INT)
+            case Atom(_, l, r):
+                self.walk(l, INT)
+                self.walk(r, INT)
+            case _UIf(c, t, e):
+                self.walk(c, INT)
+                self.walk(t, PROP)
+                self.walk(e, PROP)
+            case _USeq(first, cont):
+                self.walk(first, PROP)
+                self.walk(cont, PROP)
+            case _UApp(head, args) if head in self.events:
+                # the last argument is the continuation; the bare names
+                # before it get no kind: they are handles or are refused
+                # by the translation
+                for a in args[:-1]:
+                    if not isinstance(a, _UVar):
+                        self.walk(a, PROP)
+                if args:
+                    self.walk(args[-1], PROP)
+            case _UApp(head, args) if head not in slots:
+                for a in args:
+                    self.walk(a, PROP)
+            case _UApp(head, args):
+                real = [a for a in args if not _is_handle(a, self.bound)]
+                for a, p in zip(real, slots[head]):
+                    if isinstance(a, _UVar) and a.name in params:
+                        self.unify((dname, a.name), (head, p))
+                    else:
+                        k = INT if isinstance(a, IntExpr) else PROP
+                        self.unify((head, p), k)
+                        self.walk(a, k)
 
 
 # ---------------------------------------------------------------------------
@@ -347,99 +355,100 @@ def translate_program(program: Program, polarity: str = "mu") -> Formula:
     if polarity not in ("mu", "nu"):
         raise ProgramError(f"polarity must be 'mu' or 'nu', got {polarity!r}")
     fix = Mu if polarity == "mu" else Nu
-    arity = {d.name: len(d.params) for d in program.definitions}
-    names = set(arity) | set(program.events)
-    denot: dict[str, Formula] = {}
-
-    def translate(body, kinds: dict[str, SimpleType],
-                  env: dict[str, tuple[str, SimpleType]]) -> Formula:
-        """kinds: the parameters of the enclosing definition; env: the
-        internal name and type of each parameter and of the definition."""
-        bound = names.union(kinds)
-
-        def integer(u) -> IntExpr:
-            match u:
-                case _UNum(n):
-                    return IConst(n)
-                case _UVar(n):
-                    if kinds.get(n) == INT:
-                        return IVar(env[n][0])
-                    raise ProgramError(
-                        f"{n!r} is not an integer parameter here")
-                case _UOp("+", (l, r)):
-                    return Add(integer(l), integer(r))
-                case _UOp("-", (l, r)):
-                    return Sub(integer(l), integer(r))
-                case _UOp("neg", (b,)):
-                    return INeg(integer(b))
-            raise ProgramError(f"expected an integer expression, got {u!r}")
-
-        def call(head: str, args) -> Formula:
-            real = [a for a in args if not _is_handle(a, bound)]
-            f = Var(*env[head]) if head in env else denot.get(head)
-            if f is None and head in arity:
-                # definitions are translated top down, so denot holds
-                # exactly the ones above the caller
-                caller = program.definitions[len(denot)].name
-                raise ProgramError(
-                    f"{head!r} is defined below {caller!r}: a definition "
-                    "may call only itself and the definitions above it")
-            if f is None:
-                raise ProgramError(f"unknown function {head!r}")
-            if head in kinds and (kinds[head] != PROP or real):
-                raise ProgramError(f"parameter {head} used as a function")
-            # a parameter takes no arguments; one that hides a definition
-            # also takes that definition's arity
-            if len(real) != arity.get(head, 0):
-                raise ProgramError(
-                    f"call of {head} with {len(real)} arguments, expected "
-                    f"{arity[head]}")
-            return app(f, *[
-                integer(a) if isinstance(a, (_UNum, _UOp)) or (
-                    isinstance(a, _UVar) and kinds.get(a.name) == INT)
-                else expr(a) for a in real])
-
-        def expr(u) -> Formula:
-            match u:
-                case _UUnit():
-                    return _END
-                case _UIf(_UCmp(op, l, r), t, e):
-                    c = Atom(op, integer(l), integer(r))
-                    return And(Or(dual_int_atom(c), expr(t)), Or(c, expr(e)))
-                case _UIf():
-                    raise ProgramError("condition must be a linear comparison")
-                case _USeq(first, cont):
-                    if first.head not in program.events:
-                        raise ProgramError(
-                            f"';' is only allowed after an event, got "
-                            f"{first.head!r}")
-                    if not all(_is_handle(a, bound) for a in first.args):
-                        raise ProgramError(
-                            f"event {first.head} before ';' takes only file "
-                            "handles as arguments")
-                    return Diamond(first.head, expr(cont))
-                case _UApp(head, args) if head in program.events:
-                    conts = [a for a in args if not _is_handle(a, bound)]
-                    if len(conts) > 1:
-                        raise ProgramError(
-                            f"event {head} takes one continuation, got "
-                            f"{len(conts)}")
-                    return Diamond(head, expr(conts[0]) if conts else _END)
-                case _UApp(head, args):
-                    return call(head, args)
-                case _UVar(n):
-                    return call(n, ())
-            raise ProgramError(f"expected an expression, got {u!r}")
-
-        return expr(body)
-
+    tr = _Translation(program)
     for d in program.definitions:
         ftype = arrow(*[t for _, t in d.params], PROP)
         binder = fresh_name(d.name)
         # a parameter hides the definition's own name
         env = {d.name: (binder, ftype)}
         env.update((p, (fresh_name(p), t)) for p, t in d.params)
-        body = translate(d.body, dict(d.params), env)
-        denot[d.name] = fix(binder, ftype,
-                            lam([(env[p][0], t) for p, t in d.params], body))
-    return translate(program.main, {}, {})
+        body = tr.translate(d.body, dict(d.params), env)
+        tr.denot[d.name] = fix(binder, ftype, lam(
+            [(env[p][0], t) for p, t in d.params], body))
+    return tr.translate(program.main, {}, {})
+
+
+class _Translation:
+    """The walk of translate_program: methods, not closures that call each
+    other through their cells, so a translation leaves no cyclic garbage."""
+
+    def __init__(self, program: Program):
+        self.program = program
+        self.arity = {d.name: len(d.params) for d in program.definitions}
+        self.names = set(self.arity) | set(program.events)
+        self.denot: dict[str, Formula] = {}
+
+    def translate(self, body, kinds: dict[str, SimpleType],
+                  env: dict[str, tuple[str, SimpleType]]) -> Formula:
+        """kinds: the parameters of the enclosing definition; env: the
+        internal name and type of each parameter and of the definition."""
+        self.kinds, self.env = kinds, env
+        self.bound = self.names.union(kinds)
+        return self.expr(body)
+
+    def integer(self, e: IntExpr) -> IntExpr:
+        names = int_vars(e)
+        for n in names:
+            if self.kinds.get(n) != INT:
+                raise ProgramError(f"{n!r} is not an integer parameter here")
+        return subst_ints(e, {n: IVar(self.env[n][0]) for n in names})
+
+    def call(self, head: str, args) -> Formula:
+        program, arity, kinds = self.program, self.arity, self.kinds
+        real = [a for a in args if not _is_handle(a, self.bound)]
+        f = Var(*self.env[head]) if head in self.env else self.denot.get(head)
+        if f is None and head in arity:
+            # definitions are translated top down, so denot holds exactly
+            # the ones above the caller
+            caller = program.definitions[len(self.denot)].name
+            raise ProgramError(
+                f"{head!r} is defined below {caller!r}: a definition may "
+                "call only itself and the definitions above it")
+        if f is None:
+            raise ProgramError(f"unknown function {head!r}")
+        if head in kinds and (kinds[head] != PROP or real):
+            raise ProgramError(f"parameter {head} used as a function")
+        # a parameter takes no arguments; one that hides a definition also
+        # takes that definition's arity
+        if len(real) != arity.get(head, 0):
+            raise ProgramError(
+                f"call of {head} with {len(real)} arguments, expected "
+                f"{arity[head]}")
+        return app(f, *[
+            self.integer(_int(a)) if isinstance(a, IntExpr) or (
+                isinstance(a, _UVar) and kinds.get(a.name) == INT)
+            else self.expr(a) for a in real])
+
+    def expr(self, u) -> Formula:
+        events, bound = self.program.events, self.bound
+        match u:
+            case _UUnit():
+                return _END
+            case _UIf(Atom(op, l, r), t, e):
+                c = Atom(op, self.integer(l), self.integer(r))
+                return And(Or(dual_int_atom(c), self.expr(t)),
+                           Or(c, self.expr(e)))
+            case _UIf():
+                raise ProgramError("condition must be a linear comparison")
+            case _USeq(first, cont):
+                if first.head not in events:
+                    raise ProgramError(
+                        f"';' is only allowed after an event, got "
+                        f"{first.head!r}")
+                if not all(_is_handle(a, bound) for a in first.args):
+                    raise ProgramError(
+                        f"event {first.head} before ';' takes only file "
+                        "handles as arguments")
+                return Diamond(first.head, self.expr(cont))
+            case _UApp(head, args) if head in events:
+                conts = [a for a in args if not _is_handle(a, bound)]
+                if len(conts) > 1:
+                    raise ProgramError(
+                        f"event {head} takes one continuation, got "
+                        f"{len(conts)}")
+                return Diamond(head, self.expr(conts[0]) if conts else _END)
+            case _UApp(head, args):
+                return self.call(head, args)
+            case _UVar(n):
+                return self.call(n, ())
+        raise ProgramError(f"expected an expression, got {u!r}")

@@ -19,7 +19,7 @@ from .syntax import (
     HflError, IConst, INT, INeg, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or,
     PROP, Sub, TRUE, TrueF, Var, Formula, SimpleType, app, arg_types, arrow,
     base_name, eval_int, fresh_name, int_vars, lam, map_children, spine,
-    substitute,
+    subst_ints, substitute,
 )
 
 
@@ -32,14 +32,15 @@ class AbstractionError(HflError):
 
 
 # ---------------------------------------------------------------------------
-# Affine bound templates: n = max_i(sum_j c_ij * x_j + d_i)
+# Unfolding bounds: n = max_i(e_i) over free integer variables
 
 
 @dataclass(frozen=True)
 class BoundExpr:
-    """Max of affine pieces over free integer variables."""
+    """Max of integer expressions over free integer variables, each kept
+    as written, its variables by source name."""
 
-    pieces: tuple[tuple[tuple[tuple[str, int], ...], int], ...]
+    pieces: tuple[IntExpr, ...]
 
     def __post_init__(self):
         if not self.pieces:
@@ -47,16 +48,13 @@ class BoundExpr:
 
     @classmethod
     def const(cls, n: int) -> "BoundExpr":
-        return cls(pieces=(((), n),))
+        return cls(pieces=(IConst(n),))
 
     @classmethod
     def parse(cls, text: str) -> "BoundExpr":
-        text = text.strip()
-        if text.startswith("max(") and text.endswith(")"):
-            parts = _split_commas(text[len("max("):-1])
-        else:
-            parts = [text]
-        return cls(pieces=tuple(_parse_affine(p) for p in parts))
+        from .parser import parse_bound
+
+        return cls(pieces=parse_bound(text))
 
     @classmethod
     def schedule(cls, text: str) -> list[tuple[str, BoundExpr]]:
@@ -68,29 +66,14 @@ class BoundExpr:
     def to_int_exprs(self, scope: dict[str, str]) -> list[IntExpr]:
         """Instantiate pieces; scope maps source variable names to the
         in-scope internal names."""
-        out = []
-        for coeffs, const in self.pieces:
-            e: IntExpr | None = None
-            for name, c in coeffs:
+        for piece in self.pieces:
+            for name in int_vars(piece):
                 if name not in scope:
                     raise HflError(
                         f"bound variable {name!r} is not an integer variable "
                         "in scope at the eliminated fixpoint")
-                term: IntExpr = IVar(scope[name])
-                if c < 0:
-                    term = INeg(term)
-                    c = -c
-                for _ in range(c - 1):
-                    term = Add(term, IVar(scope[name]))
-                e = term if e is None else Add(e, term)
-            if e is None:
-                e = IConst(const)
-            elif const > 0:
-                e = Add(e, IConst(const))
-            elif const < 0:
-                e = Sub(e, IConst(-const))
-            out.append(e)
-        return out
+        renaming = {name: IVar(x) for name, x in scope.items()}
+        return [subst_ints(piece, renaming) for piece in self.pieces]
 
 
 def _split_commas(text: str) -> list[str]:
@@ -107,32 +90,6 @@ def _split_commas(text: str) -> list[str]:
             cur.append(c)
     parts.append("".join(cur))
     return parts
-
-
-def _parse_affine(text: str) -> tuple[tuple[tuple[str, int], ...], int]:
-    from .parser import parse_int_expr, tokenize
-
-    names = sorted({t.text for t in tokenize(text) if t.kind == "ident"})
-    e = parse_int_expr(text, {n: INT for n in names})
-    coeffs: dict[str, int] = {}
-    const = _linearize(e, 1, coeffs)
-    return tuple(sorted(coeffs.items())), const
-
-
-def _linearize(e: IntExpr, sign: int, coeffs: dict[str, int]) -> int:
-    match e:
-        case IConst(n):
-            return sign * n
-        case IVar(x):
-            coeffs[x] = coeffs.get(x, 0) + sign
-            return 0
-        case Add(l, r):
-            return _linearize(l, sign, coeffs) + _linearize(r, sign, coeffs)
-        case Sub(l, r):
-            return _linearize(l, sign, coeffs) + _linearize(r, -sign, coeffs)
-        case INeg(b):
-            return _linearize(b, -sign, coeffs)
-    raise TypeError(f"not an integer expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,24 @@ def test_unbound_variable():
         parse_formula("z <= 3")
 
 
-def test_error_positions():
-    with pytest.raises(HflSyntaxError, match=r"^2:"):
-        parse_formula("true /\\\n(")
+@pytest.mark.parametrize("text, position", [
+    pytest.param("true /\\\n(", "2:2", id="newline"),
+    pytest.param("# comment\ntrue /\\ )", "2:9", id="comment-line"),
+    pytest.param("true /\\\t\t)", "1:10", id="tabs"),
+    pytest.param("true\r\n/\\ )", "2:4", id="crlf"),
+    # the end of input stays before a comment that ends the text
+    pytest.param("true /\\ # end", "1:9", id="trailing-comment"),
+])
+def test_error_positions(text, position):
+    with pytest.raises(HflSyntaxError, match=f"^{position}: "):
+        parse_formula(text)
+
+
+def test_a_numeral_is_not_the_int_keyword():
+    with pytest.raises(HflSyntaxError, match="expected a type"):
+        parse_formula(r"(\x: 5. x = 0)(1)")
+    with pytest.raises(HflSyntaxError, match="^1:1: "):
+        parse_formula("int = 0")
 
 
 def test_quantifier_sugar_structure():

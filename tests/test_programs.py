@@ -144,6 +144,18 @@ def test_errors():
             "let f n k = k\nmain = f ()\n"))
 
 
+def test_arithmetic_errors():
+    # an operand that is not an integer expression is a syntax error
+    with pytest.raises(ProgramError, match="expected an integer expression"):
+        parse_program("events: a\nlet f k = k\nmain = f () + 1\n")
+    prog = parse_program("main = if y <= 0 then () else ()\n")
+    with pytest.raises(ProgramError, match="'y' is not an integer parameter"):
+        translate_program(prog)
+    prog = parse_program("let f n k = if n then k else k\nmain = f 1 ()\n")
+    with pytest.raises(ProgramError, match="linear comparison"):
+        translate_program(prog)
+
+
 def test_primed_definition_names():
     phi = translate_program(parse_program(
         "events: a\nlet f' k = a k\nmain = f' ()\n"))

@@ -1,4 +1,5 @@
 import gc
+import pathlib
 
 import pytest
 
@@ -13,6 +14,7 @@ from hflz.syntax import (
 from hflz.chc import chc_to_hfl, hfl_to_chc
 from hflz.parser import parse_formula
 from hflz.pretty import to_text
+from hflz.programs import parse_program, translate_program
 from hflz.transforms import (
     BoundExpr, PredicateSet, WindowEntailment, abstract_predicates,
     desugar_quantifiers, eliminate_mu,
@@ -74,6 +76,9 @@ _CLAUSES = hfl_to_chc(_ELIMINATED)
 _NU_WALK = parse_formula(
     r"(nu x: int -> prop. \y: int. y >= 0 /\ x(y + 1))(1)")
 _REDEX = parse_formula(r"<a> (\y: prop. y \/ <b> y)(true)")
+_PROGRAM_TEXT = (pathlib.Path(__file__).resolve().parent.parent / "corpus"
+                 / "file_rec.prog").read_text()
+_PROGRAM = parse_program(_PROGRAM_TEXT)
 _PASSES = {
     "substitute": lambda: substitute(_PHI.body, _PHI.var, IConst(2)),
     "eliminate_mu": lambda: eliminate_mu(_DESUGARED, BoundExpr.const(4)),
@@ -85,6 +90,8 @@ _PASSES = {
     "abstract_predicates": lambda: abstract_predicates(
         _NU_WALK, PredicateSet.parse("y: y > 0"), WindowEntailment(4)),
     "beta_step_anywhere": lambda: beta_step_anywhere(_REDEX),
+    "parse_program": lambda: parse_program(_PROGRAM_TEXT),
+    "translate_program": lambda: translate_program(_PROGRAM),
 }
 
 

@@ -13,8 +13,8 @@ from hflz.pretty import to_text
 from hflz.semantics import check_pure, eval_bounded
 from hflz.smt import parse_sexprs
 from hflz.syntax import (
-    And, App, Atom, HflError, IConst, INT, IVar, Lambda, Mu, Or, PROP, Var,
-    alpha_eq, app, arrow, subformulas,
+    And, App, Atom, HflError, IConst, INT, IVar, Lambda, Mu, Or, PROP, Sub,
+    Var, alpha_eq, app, arrow, eval_int, subformulas,
 )
 from hflz.transforms import (
     AbstractionError, BoundExpr, HigherOrderMuError, PredicateSet,
@@ -32,8 +32,8 @@ def test_bound_parse_and_print():
     assert len(b.pieces) == 2
     exprs = b.to_int_exprs({"i": "i"})
     assert [to_text_int(e) for e in exprs] == ["i + 1", "1"]
-    assert BoundExpr.const(5).pieces == (((), 5),)
-    assert BoundExpr.parse("2 - x").pieces == (((("x", -1),), 2),)
+    assert BoundExpr.const(5).pieces == (IConst(5),)
+    assert BoundExpr.parse("2 - x").pieces == (Sub(IConst(2), IVar("x")),)
     with pytest.raises(ValueError):
         BoundExpr(pieces=())
 
@@ -41,6 +41,19 @@ def test_bound_parse_and_print():
 def to_text_int(e):
     from hflz.pretty import int_to_text
     return int_to_text(e)
+
+
+@pytest.mark.parametrize("text", [
+    "i - i + 3", "0 - i - i", "-(i + i)", "1 + i", "2 - i",
+    "max(i + 1, 1)", "max(-i, i - 2, 0)", "-(-i) + (i - 1)",
+])
+def test_bound_pieces_keep_their_value(text):
+    # each piece, instantiated, has the value of its text, so a variable
+    # that cancels out or has a coefficient of -2 is kept as written
+    pieces = BoundExpr.parse(text).to_int_exprs({"i": "i%7"})
+    for i in (-3, -1, 0, 2, 5):
+        assert max(eval_int(p, {"i%7": i}) for p in pieces) == \
+            eval(text, {"i": i, "max": max})
 
 
 def test_bound_unknown_scope_variable():
