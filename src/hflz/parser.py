@@ -338,10 +338,3 @@ def parse_bound(text: str) -> tuple[IntExpr, ...]:
     p.expect("eof")
     return v
 
-
-def parse_int_expr(text: str, env: dict[str, SimpleType] | None = None) -> IntExpr:
-    p = _Parser(text)
-    penv = {name: (name, ty) for name, ty in (env or {}).items()}
-    v = p.to_int(p.parse_term(penv))
-    p.expect("eof")
-    return v

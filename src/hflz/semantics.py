@@ -11,10 +11,13 @@ for the model's lifetime, so later evaluations on the same model find it
 filled (the "Four Russians" method of Arlazarov, Dinic, Kronrod &
 Faradzev, 1970).
 
-A fixpoint is solved by chaotic iteration restricted to the argument
-tuples actually reachable from the query; function-typed arguments are
-tabulated over their finite domains (prop values, the integer window, or
-enumerated monotone functions) so they can key the tables.
+A fixpoint is solved over only the argument tuples reachable from the
+query, by a worklist that records which entries each body evaluation
+read: an entry is evaluated again only when an entry it read has changed
+(Le Charlier & Van Hentenryck, "A universal top-down fixpoint algorithm",
+1992).  Function-typed arguments are tabulated over their finite domains
+(prop values, the integer window, or enumerated monotone functions) so
+they can key the tables.
 
 Solving is local: outside a solve, every table entry is final.  A call
 with a key already in the table returns its entry at once; a new key
@@ -65,8 +68,14 @@ class TableCapError(HflError):
 
 @dataclass
 class PureStats:
-    """Per-solve round counts, each paired with its bound: the table size
-    times (number of states + 1), the lattice height + 1 at order 0."""
+    """Per-solve body-evaluation counts, each paired with its bound.
+
+    A solve evaluates an entry once when it is added, and again each time
+    it is queued by a change of an entry it read.  An entry is a state set
+    that only grows (mu) or only shrinks (nu), so it changes at most |S|
+    times, and each change queues each of its readers at most once.  So a
+    solve that adds n entries, which record r (reader, entry) pairs in
+    all, makes at most n + |S| * r body evaluations: that is the bound."""
 
     iterations: list[tuple[int, int]] = field(default_factory=list)
 
@@ -133,6 +142,13 @@ class _Partial:
     fix: "_FixFun"
     args: tuple
 
+    def take(self, key):
+        """Apply to the canonical value key."""
+        args = self.args + (key,)
+        if len(args) == len(self.fix.argts):
+            return self.fix.call(args)
+        return _Partial(self.fix, args)
+
 
 @dataclass(frozen=True)
 class _FixCode:
@@ -152,59 +168,82 @@ class _FixFun:
         self.is_mu = code.is_mu
         self.init = 0 if self.is_mu else ev.full
         self.approx: dict[tuple, int] = {}
-        self.solving = False
-        self.new_args = False
+        # while solving: each entry of the solve with the entries that
+        # read it, the entries waiting to be evaluated, the entry being
+        # evaluated, and the environment of a body that takes arguments
+        # (dropped after the solve: it refers back to this fixpoint)
+        self.readers: dict[tuple, set] | None = None
+        self.queue: dict[tuple, None] | None = None
+        self.current: tuple = ()
+        self.rec_env: dict | None = None
 
     def call(self, keys: tuple) -> int:
-        if keys not in self.approx:
+        readers = self.readers
+        val = self.approx.get(keys)
+        if val is None:
             if len(self.approx) >= self.ev.table_cap:
                 raise TableCapError(
                     "fixpoint table exceeded the configured cap "
                     f"{self.ev.table_cap}")
-            self.approx[keys] = self.init
-            self.new_args = True
-            if not self.solving:
-                self.solve(len(self.approx) - 1)
-        return self.approx[keys]
+            self.approx[keys] = val = self.init
+            if readers is None:
+                self.solve(keys)
+                return self.approx[keys]
+            readers[keys] = {self.current}
+            self.queue[keys] = None
+        elif readers is not None:
+            # an entry from before this solve is final and has no readers
+            entry_readers = readers.get(keys)
+            if entry_readers is not None:
+                entry_readers.add(self.current)
+        return val
 
-    def solve(self, first: int):
-        # Only the entries from index `first` on are iterated: the older
-        # ones are final and depend on no newer key.
+    def solve(self, keys: tuple):
+        # Every read made while an entry is evaluated is recorded, also
+        # those of inner fixpoints that are not cached: they reach this
+        # table through `rec` within the same body evaluation.  A new
+        # entry is queued; when an entry changes, its readers are queued
+        # again, each key at most once.  A zero-argument body reads its
+        # entry directly (see body_value), so that entry is its own
+        # reader.  Entries from before this solve are final and depend on
+        # no newer key.
         # Mid-solve, a table need not be monotone in its arguments (f(∅)=S
         # while f(S)=∅), so plain re-evaluation can oscillate.  Each entry
         # only grows (mu) or shrinks (nu) instead: every value stays an
-        # underapproximation because the true function is monotone, and the
-        # loop ends after at most len(approx) * (|S| + 1) rounds.
-        self.solving = True
-        rounds = 0
+        # underapproximation because the true function is monotone.
+        approx, is_mu = self.approx, self.is_mu
+        readers = self.readers = {keys: set() if self.argts else {keys}}
+        queue = self.queue = {keys: None}
+        if self.argts:
+            self.rec_env = {**self.env, self.code.var: _Partial(self, ())}
+        evaluations = 0
         try:
-            changed = True
-            while changed:
-                changed = False
-                self.new_args = False
-                rounds += 1
-                for keys in list(self.approx)[first:]:
-                    old = self.approx[keys]
-                    v = self.body_value(keys)
-                    v = v | old if self.is_mu else v & old
-                    if v != old:
-                        self.approx[keys] = v
-                        changed = True
-                changed = changed or self.new_args
+            while queue:
+                keys = self.current = queue.popitem()[0]
+                old = approx[keys]
+                v = self.body_value(keys)
+                evaluations += 1
+                v = v | old if is_mu else v & old
+                if v != old:
+                    approx[keys] = v
+                    queue.update(dict.fromkeys(readers[keys]))
         finally:
-            self.solving = False
+            self.readers = self.queue = self.rec_env = None
+        reads = sum(map(len, readers.values()))
         self.ev.stats.iterations.append(
-            (rounds, len(self.approx) * (len(self.ev.lts.states) + 1)))
+            (evaluations, len(readers) + len(self.ev.lts.states) * reads))
 
     def body_value(self, keys: tuple) -> int:
+        if self.argts:
+            val = self.code.body(self.rec_env)
+            for key in keys:
+                val = self.ev.apply(val, key)
+            return _prop(val)
         # zero-argument fixpoints denote plain propositions, so recursive
         # occurrences stand for the current approximation rather than a
         # re-applicable function value
-        rec = _Partial(self, ()) if self.argts else self.approx[()]
-        val = self.code.body({**self.env, self.code.var: rec})
-        for key in keys:
-            val = self.ev.apply(val, key)
-        return _prop(val)
+        return _prop(self.code.body({**self.env, self.code.var:
+                                     self.approx[()]}))
 
 
 class _BoundedEvaluator:
@@ -308,10 +347,7 @@ class _BoundedEvaluator:
             i = self.position(fv.argtype, self.canonical(av))
             return BOT if i is None else fv.items[i]
         if isinstance(fv, _Partial):
-            args = fv.args + (self.canonical(av),)
-            if len(args) == len(fv.fix.argts):
-                return fv.fix.call(args)
-            return _Partial(fv.fix, args)
+            return fv.take(self.canonical(av))
         raise HflError(f"cannot apply {fv!r}")
 
     # -- compilation
@@ -389,8 +425,15 @@ class _BoundedEvaluator:
                 def app_int(env):
                     fv = ff(env)
                     av = af(env)
-                    # out-of-window arguments contribute false
-                    return BOT if abs(av) > window else apply(fv, av)
+                    # out-of-window arguments contribute false; an int in
+                    # the window is its own canonical value
+                    if abs(av) > window:
+                        return BOT
+                    if type(fv) is _Partial:
+                        return fv.take(av)
+                    if type(fv) is _TableFun:
+                        return fv.items[av + window]
+                    return apply(fv, av)
                 return app_int
             case App(f, a):
                 ff, af, apply = self.compile(f), self.compile(a), self.apply

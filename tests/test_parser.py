@@ -1,9 +1,9 @@
 import pytest
 
-from hflz.parser import HflSyntaxError, parse_formula, parse_int_expr
+from hflz.parser import HflSyntaxError, parse_bound, parse_formula
 from hflz.pretty import to_text
 from hflz.syntax import (
-    Atom, Exists, Forall, IConst, INT, IVar, PROP, alpha_eq, arrow,
+    Add, Atom, Exists, Forall, IConst, INT, IVar, PROP, Sub, alpha_eq, arrow,
 )
 
 
@@ -91,9 +91,8 @@ def test_tuple_splicing():
 
 
 def test_int_expr_parsing():
-    e = parse_int_expr("x + 2 - 3", {"x": INT})
-    assert e == __import__("hflz").syntax.Sub(
-        __import__("hflz").syntax.Add(IVar("x"), IConst(2)), IConst(3))
+    assert parse_bound("x + 2 - 3") == (
+        Sub(Add(IVar("x"), IConst(2)), IConst(3)),)
 
 
 def test_comments_and_apostrophes():

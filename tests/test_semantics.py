@@ -498,7 +498,61 @@ def test_eliminated_walk_evaluates_each_entry_rarely(engine_counts):
         r"forall i. (mu x: int -> prop. \y: int. y <= 4 \/ x(y - 3))(i)")
     phi = eliminate_mu(walk, BoundExpr.const(4), style="apply")
     assert not eval_bounded(phi, 12)
-    assert engine_counts["body"] <= 2000
+    assert engine_counts["body"] <= 150
+
+
+def test_an_entry_is_evaluated_again_only_when_a_read_changed(
+        corpus, engine_counts):
+    # 6 entries; re-evaluating every entry in rounds until none changes
+    # costs 57 body evaluations
+    mult = parse_formula((corpus / "mult.hfl").read_text())
+    assert eval_bounded(app(mult, IConst(3), IConst(5), IConst(15)), 16)
+    assert engine_counts["body"] <= 12
+    # the dual of the mult system: the walks inside mult's body close over
+    # it, so their reads of mult are its body's reads (28,099 in rounds)
+    engine_counts["body"] = 0
+    dual = dualize(chc_to_hfl(parse_smtlib_horn(
+        (corpus / "mult.smt2").read_text())))
+    assert not eval_bounded(dual, 4)
+    assert engine_counts["body"] <= 10000
+
+
+@pytest.mark.parametrize("text, holds", [
+    (r"mu y: prop. [a] false \/ <a> y", True),
+    (r"nu y: prop. <a> y", False),
+])
+def test_zero_argument_fixpoints_read_their_own_entry(
+        text, holds, engine_counts):
+    # along s0 -> s1 -> s2 the value gains (mu) or loses (nu) one state per
+    # evaluation; the body reads the entry directly, not through a call, so
+    # the solver must queue the entry again after each change
+    m = parse_lts("states: s0 s1 s2\ninitial: s0\ntrans:\n"
+                  "s0 a s1\ns1 a s2\n")
+    phi = parse_formula(text)
+    ok, stats = check_pure_stats(m, phi)
+    assert ok == holds == reference_check_pure_stats(m, phi)[0]
+    assert engine_counts["body"] == 4
+    assert [count for count, _ in stats.iterations] == [4]
+
+
+def test_a_read_of_an_entry_made_by_another_is_recorded():
+    # f(0) adds f(1) and then f(2); f(2) is evaluated first and reads
+    # f(1), which it did not add.  When f(1) drops to false, f(2) must be
+    # evaluated again, or the later call g(2) finds it still true.
+    phi = parse_formula(
+        r"(\g: int -> prop. g(0) \/ g(2))(nu f: int -> prop. \y: int."
+        r" (y = 0 /\ f(1) /\ f(2)) \/ (y = 2 /\ f(1)) \/ y > 2)")
+    assert not eval_bounded(phi, 2)
+
+
+def test_a_tabulated_argument_is_applied_at_its_window_offset():
+    # g is tabulated over [-w, w]; applying it to n reads entry n + w
+    walk = (r"(mu f: (int -> prop) -> int -> prop. \g: int -> prop."
+            r" \n: int. g(n) \/ f(g, n - 1))(\y: int. y = {}, 1)")
+    for target, window, holds in ((-2, 1, False), (-2, 2, True),
+                                  (2, 3, False), (1, 1, True)):
+        assert eval_bounded(parse_formula(walk.format(target)),
+                            window) == holds
 
 
 def mult_dual(corpus):
