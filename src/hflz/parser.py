@@ -3,7 +3,8 @@
 Binders are alpha-renamed to globally unique internal names during parsing.
 Identifier occurrences are classified as integer or predicate variables from
 the (mandatory) binder type annotations, so no separate elaboration pass is
-needed.
+needed.  `tokenize` and `TokenStream` also serve the program parser in
+`programs.py`, with its own token pattern, keywords and error.
 """
 
 from __future__ import annotations
@@ -12,15 +13,16 @@ import re
 from dataclasses import dataclass
 
 from .syntax import (
-    Add, App, Arrow, Atom, And, Box, Diamond, Exists, FALSE, Forall, HflError,
-    IConst, INT, INeg, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or, PROP, Sub,
-    TRUE, Var, Formula, SimpleType, fresh_name, is_predicate_type,
+    Add, App, Arrow, Atom, And, Box, CMP_OPS, Diamond, Exists, FALSE, Forall,
+    HflError, IConst, INT, INeg, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or,
+    PROP, Sub, TRUE, Var, Formula, SimpleType, fresh_name, is_predicate_type,
 )
 
 
 class HflSyntaxError(HflError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -42,12 +44,16 @@ _TOKEN = re.compile(
 _KEYWORDS = {"true", "false", "mu", "nu", "exists", "forall", "int", "prop"}
 
 
-def tokenize(text: str) -> list[Token]:
-    """Keywords and symbols are their own token kinds; a column counts
-    characters, a tab as one."""
+def tokenize(text: str, pattern: re.Pattern = _TOKEN,
+             keywords: set[str] = _KEYWORDS,
+             error=HflSyntaxError) -> list[Token]:
+    """Split text by `pattern`, whose groups are skip, num, ident, sym and
+    bad; keywords and symbols are their own token kinds.  A bad character
+    raises `error(message, line, col)`; a column counts characters, a tab
+    as one."""
     toks: list[Token] = []
     line, line_start, end = 1, 0, 0
-    for m in _TOKEN.finditer(text):
+    for m in pattern.finditer(text):
         kind, word = m.lastgroup, m.group()
         if kind == "skip":
             if word[0] == "#":
@@ -56,27 +62,25 @@ def tokenize(text: str) -> list[Token]:
                 line += word.count("\n")
                 line_start = m.start() + word.rindex("\n") + 1
         elif kind == "bad":
-            raise HflSyntaxError(f"unexpected character {word!r}",
-                                 line, m.start() - line_start + 1)
+            raise error(f"unexpected character {word!r}",
+                        line, m.start() - line_start + 1)
         else:
             toks.append(Token(
-                word if kind == "sym" or word in _KEYWORDS else kind,
+                word if kind == "sym" or word in keywords else kind,
                 word, line, m.start() - line_start + 1))
         end = m.end()
     toks.append(Token("eof", "", line, end - line_start + 1))
     return toks
 
 
-_ATOM_START = {"ident", "num", "true", "false", "("}
-_CMP = {"<=", "<", "=", "!=", ">=", ">"}
+class TokenStream:
+    """The token plumbing of a recursive-descent parser; `error(message,
+    line, col)` makes the exception that `err` raises."""
+    error = HflSyntaxError
 
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = tokenize(text)
+    def __init__(self, toks: list[Token]):
+        self.toks = toks
         self.pos = 0
-
-    # -- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -93,10 +97,16 @@ class _Parser:
             self.err(f"expected {kind!r}, found {t.text or 'end of input'!r}")
         return self.next()
 
-    def err(self, message: str):
-        t = self.peek()
-        raise HflSyntaxError(message, t.line, t.col)
+    def err(self, message: str, at: Token | None = None):
+        """Raise at token `at`, by default the next one."""
+        t = at or self.peek()
+        raise self.error(message, t.line, t.col)
 
+
+_ATOM_START = {"ident", "num", "true", "false", "("}
+
+
+class _Parser(TokenStream):
     # -- types
 
     def parse_type(self) -> SimpleType:
@@ -218,7 +228,7 @@ class _Parser:
 
     def parse_cmp(self, env: dict) -> Formula | IntExpr:
         v = self.parse_sum(env)
-        if self.peek().kind in _CMP:
+        if self.peek().kind in CMP_OPS:
             op = self.next().kind
             rhs = self.parse_sum(env)
             return Atom(op, self.to_int(v), self.to_int(rhs))
@@ -229,10 +239,9 @@ class _Parser:
         while self.peek().kind in ("+", "-", "*"):
             op = self.next()
             if op.kind == "*":
-                raise HflSyntaxError(
+                self.err(
                     "multiplication is not part of linear arithmetic; encode "
-                    "it as a ternary predicate (mult x y z meaning x*y=z)",
-                    op.line, op.col)
+                    "it as a ternary predicate (mult x y z meaning x*y=z)", op)
             rhs = self.to_int(self.parse_unary(env))
             ctor = Add if op.kind == "+" else Sub
             v = ctor(self.to_int(v), rhs)
@@ -285,8 +294,7 @@ class _Parser:
         if t.kind == "ident":
             self.next()
             if t.text not in env:
-                raise HflSyntaxError(f"unbound variable {t.text!r}",
-                                     t.line, t.col)
+                self.err(f"unbound variable {t.text!r}", t)
             internal, ty = env[t.text]
             return IVar(internal) if isinstance(ty, IntType) \
                 else Var(internal, ty)
@@ -322,7 +330,7 @@ class _Parser:
 def parse_formula(text: str,
                   env: dict[str, SimpleType] | None = None) -> Formula:
     """Parse a formula; free variables must be declared in env."""
-    p = _Parser(text)
+    p = _Parser(tokenize(text))
     penv = {name: (name, ty) for name, ty in (env or {}).items()}
     v = p.to_formula(p.parse_term(penv))
     p.expect("eof")
@@ -332,7 +340,7 @@ def parse_formula(text: str,
 def parse_bound(text: str) -> tuple[IntExpr, ...]:
     """The pieces of a bound `e` or `max(e, ...)`; every name in it is a
     free integer variable, kept by its source name."""
-    p = _Parser(text)
+    p = _Parser(tokenize(text))
     v = p.parse_bound({t.text: (t.text, INT)
                        for t in p.toks if t.kind == "ident"})
     p.expect("eof")

@@ -16,10 +16,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .parser import TokenStream, tokenize
 from .syntax import (
-    Add, And, Atom, Diamond, HflError, IConst, INT, INeg, IVar, IntExpr, Mu,
-    Nu, Or, PROP, Sub, TRUE, Var, Formula, SimpleType, app, arrow,
-    dual_int_atom, fresh_name, int_vars, lam, subst_ints,
+    Add, And, Atom, CMP_OPS, Diamond, HflError, IConst, INT, INeg, IVar,
+    IntExpr, Mu, Nu, Or, PROP, Sub, TRUE, Var, Formula, SimpleType, app,
+    arrow, dual_int_atom, fresh_name, int_vars, lam, subst_ints,
 )
 
 
@@ -84,93 +85,51 @@ def _is_handle(u, bound) -> bool:
     return isinstance(u, _UVar) and u.name not in bound
 
 
-def _int(u) -> IntExpr:
-    """u as an operand of arithmetic or a comparison"""
-    if isinstance(u, _UVar):
-        return IVar(u.name)
-    if not isinstance(u, IntExpr):
-        raise ProgramError(f"expected an integer expression, got {u!r}")
-    return u
+def _syntax_error(message: str, line: int, col: int) -> ProgramError:
+    return ProgramError(f"{line}:{col}: {message}")
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _TOKEN = re.compile(
-    r"\s+|#[^\n]*"
-    r"|(?P<int>[0-9]+)"
-    rf"|(?P<ident>{_IDENT.pattern})"
-    r"|(?P<sym><=|>=|!=|\(\)|[()+\-*;=:<>])")
-
+    r"(?P<skip>\s+|#[^\n]*)"
+    r"|(?P<num>[0-9]+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
+    r"|(?P<sym><=|>=|!=|\(\)|[()+\-*;=:<>])"
+    r"|(?P<bad>.)")
 _KEYWORDS = {"let", "rec", "main", "if", "then", "else", "events"}
-_CMPS = {"<=", "<", "=", ">=", ">", "!="}
+_ATOM_START = {"(", "()", "num", "ident"}
 
 
-def _tokenize(text: str) -> list[str]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ProgramError(f"unexpected character {text[pos]!r}")
-        pos = m.end()
-        if m.lastgroup:
-            toks.append(m.group())
-    toks.append("<eof>")
-    return toks
-
-
-class _ProgParser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        if t != "<eof>":
-            self.pos += 1
-        return t
-
-    def expect(self, tok):
-        t = self.next()
-        if t != tok:
-            raise ProgramError(f"expected {tok!r}, found {t!r}")
+class _ProgParser(TokenStream):
+    error = staticmethod(_syntax_error)
 
     def parse(self):
         events: list[str] = []
-        if self.peek() == "events":
+        if self.peek().kind == "events":
             self.next()
             self.expect(":")
-            while self.peek() not in ("let", "main", "<eof>"):
-                events.append(self.next())
-        raw_defs = []
-        while self.peek() == "let":
+            while self.peek().kind not in ("let", "main", "eof"):
+                events.append(self.expect("ident").text)
+        defs = []
+        while self.peek().kind == "let":
             self.next()
-            if self.peek() == "rec":
+            if self.peek().kind == "rec":
                 self.next()
-            name = self.next()
-            if not _IDENT.fullmatch(name):
-                raise ProgramError(f"bad definition name {name!r}")
+            name = self.expect("ident")
+            if any(name.text == d for d, _, _ in defs):
+                self.err(f"duplicate definition {name.text!r}", name)
             params = []
-            while self.peek() != "=":
-                p = self.next()
-                if not _IDENT.fullmatch(p):
-                    raise ProgramError(f"bad parameter {p!r} in {name}")
-                params.append(p)
-            self.expect("=")
-            raw_defs.append((name, params, self.parse_expr()))
-        if self.peek() != "main":
-            raise ProgramError("expected 'main = <expr>'")
-        self.next()
+            while self.peek().kind != "=":
+                params.append(self.expect("ident").text)
+            self.next()
+            defs.append((name.text, params, self.parse_expr()))
+        self.expect("main")
         self.expect("=")
         main = self.parse_expr()
-        if self.peek() != "<eof>":
-            raise ProgramError(f"trailing input after main: {self.peek()!r}")
-        return events, raw_defs, main
+        self.expect("eof")
+        return events, defs, main
 
     def parse_expr(self):
-        if self.peek() == "if":
+        if self.peek().kind == "if":
             self.next()
             cond = self.parse_cmp()
             self.expect("then")
@@ -181,32 +140,32 @@ class _ProgParser:
 
     def parse_cmp(self):
         v = self.parse_sum()
-        if self.peek() in _CMPS:
+        if self.peek().kind in CMP_OPS:
             op = self.next()
-            return Atom(op, _int(v), _int(self.parse_sum()))
+            return Atom(op.kind, self.operand(v, op),
+                        self.operand(self.parse_sum(), op))
         return v
 
     def parse_sum(self):
         v = self.parse_app()
-        while self.peek() in ("+", "-"):
-            ctor = Add if self.next() == "+" else Sub
-            v = ctor(_int(v), _int(self.parse_app()))
-        if self.peek() == "*":
-            raise ProgramError("non-linear condition: multiplication is not "
-                               "allowed")
+        while self.peek().kind in ("+", "-"):
+            op = self.next()
+            ctor = Add if op.kind == "+" else Sub
+            v = ctor(self.operand(v, op), self.operand(self.parse_app(), op))
+        if self.peek().kind == "*":
+            self.err("non-linear condition: multiplication is not allowed")
         return v
 
     def parse_app(self):
-        t = self.peek()
-        if t == "-":
-            self.next()
-            return INeg(_int(self.parse_app()))
+        if self.peek().kind == "-":
+            op = self.next()
+            return INeg(self.operand(self.parse_app(), op))
         head = self.parse_atom()
         if isinstance(head, _UVar):
             args = []
-            while self._at_atom():
+            while self.peek().kind in _ATOM_START:
                 args.append(self.parse_atom())
-            if self.peek() == ";":
+            if self.peek().kind == ";":
                 self.next()
                 return _USeq(_UApp(head.name, tuple(args)),
                              self.parse_expr())
@@ -214,27 +173,30 @@ class _ProgParser:
                 return _UApp(head.name, tuple(args))
         return head
 
-    def _at_atom(self):
-        t = self.peek()
-        return (t == "(" or t == "()" or t.isdigit()
-                or (_IDENT.fullmatch(t) and t not in _KEYWORDS))
-
     def parse_atom(self):
         t = self.next()
-        if t == "()":
+        if t.kind == "()":
             return _UUnit()
-        if t == "(":
-            if self.peek() == ")":
+        if t.kind == "(":
+            if self.peek().kind == ")":
                 self.next()
                 return _UUnit()
             v = self.parse_expr()
             self.expect(")")
             return v
-        if t.isdigit():
-            return IConst(int(t))
-        if _IDENT.fullmatch(t) and t not in _KEYWORDS:
-            return _UVar(t)
-        raise ProgramError(f"unexpected token {t!r}")
+        if t.kind == "num":
+            return IConst(int(t.text))
+        if t.kind == "ident":
+            return _UVar(t.text)
+        self.err(f"unexpected {t.text or 'end of input'!r}", t)
+
+    def operand(self, u, op) -> IntExpr:
+        """u as an operand of the arithmetic or comparison `op`"""
+        if isinstance(u, _UVar):
+            return IVar(u.name)
+        if not isinstance(u, IntExpr):
+            self.err(f"expected an integer expression, got {u!r}", op)
+        return u
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +210,13 @@ def parse_program(text: str) -> Program:
     shares the kind of that parameter slot; any other argument fixes the
     slot's kind (an integer for a number or arithmetic).  A parameter that
     nothing constrains is a continuation."""
-    events, raw_defs, main = _ProgParser(text).parse()
+    events, raw_defs, main = _ProgParser(
+        tokenize(text, _TOKEN, _KEYWORDS, _syntax_error)).parse()
     if not events:
         events = ["read", "close", "end"]
     if "end" not in events:
         events = events + ["end"]
     slots = {name: params for name, params, _ in raw_defs}
-    if len(slots) != len(raw_defs):
-        raise ProgramError("duplicate definition name")
     kinds = _Kinds(events, slots)
     for dname, params, body in raw_defs + [("main", [], main)]:
         kinds.definition(dname, params, body)
@@ -386,7 +347,11 @@ class _Translation:
         self.bound = self.names.union(kinds)
         return self.expr(body)
 
-    def integer(self, e: IntExpr) -> IntExpr:
+    def integer(self, e) -> IntExpr:
+        """e, an integer expression or a bare name, over internal names;
+        each name must be an integer parameter."""
+        if isinstance(e, _UVar):
+            e = IVar(e.name)
         names = int_vars(e)
         for n in names:
             if self.kinds.get(n) != INT:
@@ -415,7 +380,7 @@ class _Translation:
                 f"call of {head} with {len(real)} arguments, expected "
                 f"{arity[head]}")
         return app(f, *[
-            self.integer(_int(a)) if isinstance(a, IntExpr) or (
+            self.integer(a) if isinstance(a, IntExpr) or (
                 isinstance(a, _UVar) and kinds.get(a.name) == INT)
             else self.expr(a) for a in real])
 

@@ -165,7 +165,10 @@ def parse_sexprs(text: str) -> list:
             toks.append(c)
             i += 1
         elif c == "|":
-            j = text.index("|", i + 1)
+            j = text.find("|", i + 1)
+            if j < 0:
+                rest = text[i:].partition("\n")[0]
+                raise HflError(f"unterminated quoted symbol {rest!r}")
             toks.append(text[i + 1:j])
             i = j + 1
         else:

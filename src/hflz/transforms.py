@@ -398,7 +398,7 @@ class PredicateSet:
     @classmethod
     def parse(cls, text: str) -> "PredicateSet":
         """One line per binder: 'y: y>0, y>=10'.  A '*' line is the default."""
-        from .parser import parse_formula
+        from .parser import HflSyntaxError, parse_formula
 
         per: dict[str, list[Atom]] = {}
         default: list[Atom] = []
@@ -414,7 +414,12 @@ class PredicateSet:
             atoms = []
             for part in _split_commas(rest):
                 var = "x" if name == "*" else name
-                f = parse_formula(part.strip(), {var: INT})
+                try:
+                    f = parse_formula(part.strip(), {var: INT})
+                except HflSyntaxError as e:
+                    raise AbstractionError(
+                        f"line {lineno}: {e.message} in {part.strip()!r}"
+                    ) from None
                 if not isinstance(f, Atom):
                     raise AbstractionError(
                         f"line {lineno}: predicate must be a single atom")

@@ -16,7 +16,7 @@ from hflz.pretty import to_text
 from hflz.semantics import eval_bounded
 from hflz.smt import SolverError, symbol
 from hflz.syntax import (
-    Add, Atom, IConst, IVar, Sub, alpha_eq, dualize,
+    Add, Atom, HflError, IConst, IVar, Sub, alpha_eq, dualize,
 )
 
 
@@ -176,6 +176,13 @@ def test_parse_rule_query_dialect():
     s = parse_smtlib_horn(text)
     assert s.preds == {"p": 1}
     assert len(s.definite) == 2 and len(s.goals) == 1
+
+
+def test_unterminated_quoted_symbol_is_named():
+    with pytest.raises(HflError, match=r"^unterminated quoted symbol "
+                                       r"'\|x Int\)\) \(p x\)\)\)'$"):
+        parse_smtlib_horn("(declare-fun p (Int) Bool)\n"
+                          "(assert (forall ((|x Int)) (p x)))\n")
 
 
 # ---------------------------------------------------------------------------

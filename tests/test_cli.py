@@ -90,6 +90,15 @@ def test_translate_refuses_a_kind_conflict(tmp_path, capsys):
     assert "used both as an integer and as a continuation" in captured.err
 
 
+def test_translate_reports_where_a_program_is_malformed(tmp_path, capsys):
+    f = tmp_path / "bad.prog"
+    f.write_text("events: a\nlet f k =\n  a k\nmain = f @\n")
+    assert main(["translate", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 4:10: unexpected character '@'\n"
+
+
 def test_validity_pure(corpus, tmp_path, capsys):
     f = tmp_path / "phi.hfl"
     f.write_text("<read> <close> <end> true\n")

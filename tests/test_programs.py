@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -142,6 +144,34 @@ def test_errors():
         # arity mismatch at the call site
         translate_program(parse_program(
             "let f n k = k\nmain = f ()\n"))
+
+
+@pytest.mark.parametrize("text, position, message", [
+    pytest.param("events: a\nlet f n k =\n  if n <= 0 then k\n  k\n"
+                 "main = f 1 ()\n", "5:1", "expected 'else', found 'main'",
+                 id="missing-else"),
+    pytest.param("main = f @ 1\n", "1:10", "unexpected character '@'",
+                 id="bad-character"),
+    pytest.param("events: ( )\nmain = ()\n", "1:9",
+                 "expected 'ident', found '('", id="symbol-event"),
+    pytest.param("let main x = x\nmain = ()\n", "1:5",
+                 "expected 'ident', found 'main'", id="keyword-definition"),
+    pytest.param("let if x = x\n", "1:5", "expected 'ident', found 'if'",
+                 id="keyword-if-definition"),
+    pytest.param("let f k then = k\nmain = f ()\n", "1:9",
+                 "expected 'ident', found 'then'", id="keyword-parameter"),
+    pytest.param("let f k = k\nlet g k = k\nlet f k = k\nmain = f ()\n",
+                 "3:5", "duplicate definition 'f'", id="duplicate"),
+    pytest.param("main = 1 +\n\t()\n", "1:10",
+                 "expected an integer expression, got _UUnit()",
+                 id="unit-operand"),
+    pytest.param("main = (f ()\n", "2:1", "expected ')', found 'end of input'",
+                 id="unclosed"),
+])
+def test_error_positions(text, position, message):
+    with pytest.raises(ProgramError,
+                       match=f"^{position}: {re.escape(message)}$"):
+        parse_program(text)
 
 
 def test_arithmetic_errors():

@@ -192,6 +192,42 @@ def test_order1_matches_reference_across_a_byte_boundary(m, phi):
     assert eval_bounded(phi, 0, lts=m) == expected
 
 
+@st.composite
+def chains_with_extra_transitions(draw):
+    """An a-chain of 2 to 5 states from its initial state, plus up to 3
+    random transitions."""
+    n = draw(st.integers(2, 5))
+    states = tuple(f"s{i}" for i in range(n))
+    chain = {(states[i], "a", states[i + 1]) for i in range(n - 1)}
+    extra = draw(st.sets(st.tuples(st.sampled_from(states),
+                                   st.sampled_from(LABELS),
+                                   st.sampled_from(states)), max_size=3))
+    return Lts(states=states, labels=frozenset(LABELS),
+               transitions=frozenset(chain | extra), initial=states[0])
+
+
+@st.composite
+def guarded_fixpoints(draw):
+    """sigma x: prop. psi op <l> x, or [l] x"""
+    step = (Diamond if draw(st.booleans()) else Box)(
+        draw(st.sampled_from(LABELS)), Var("x", PROP))
+    body = (Or if draw(st.booleans()) else And)(
+        draw(pure_formulas(depth=3)), step)
+    return (Mu if draw(st.booleans()) else Nu)("x", PROP, body)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains_with_extra_transitions(), guarded_fixpoints())
+def test_guarded_fixpoints_match_reference(m, phi):
+    """The value of a zero-argument fixpoint at the head of a chain takes
+    one unfolding per step along it, so an engine that evaluated such a
+    body only once would disagree with the reference here."""
+    ok, stats = check_pure_stats(m, phi)
+    assert ok == reference_check_pure_stats(m, phi)[0]
+    for count, bound in stats.iterations:
+        assert count <= bound
+
+
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 33, 40])
 def test_pre_image_reads_every_byte(n):
     rng = random.Random(n)

@@ -383,6 +383,14 @@ def test_predicate_set_parse():
         PredicateSet.parse("just words")
 
 
+def test_predicate_syntax_errors_name_their_line():
+    with pytest.raises(AbstractionError, match="^line 2: unexpected "
+                                               "character '@' in 'z > @'$"):
+        PredicateSet.parse("y: y > 0\nz: z > @")
+    with pytest.raises(AbstractionError, match="^line 3: unbound variable "):
+        PredicateSet.parse("y: y > 0\n\nz: y > 0")
+
+
 def test_abstraction_golden(corpus):
     phi = parse_formula((corpus / "sec42.hfl").read_text())
     preds = PredicateSet.parse((corpus / "sec42.preds").read_text())
