@@ -11,16 +11,13 @@ from dataclasses import dataclass
 from functools import partial, reduce
 
 from . import smt
+from .smt import ChcShapeError
 from .syntax import (
-    And, App, Atom, Box, Diamond, Exists, FALSE, FalseF, Forall, HflError, INT,
-    IVar, IntExpr, IntType, Lambda, Mu, Or, PROP, TRUE, TrueF, Var, Formula,
-    app, arg_types, arrow, base_name, dual_int_atom, dualize, fresh_name,
-    int_vars, lam, spine, subformulas, subst_ints, typecheck,
+    And, App, Atom, Box, Diamond, Exists, FALSE, FalseF, Forall, INT, IVar,
+    IntExpr, IntType, Lambda, Mu, Or, PROP, TRUE, TrueF, Var, Formula, app,
+    arg_types, arrow, base_name, dual_int_atom, dualize, fresh_name, int_vars,
+    lam, readable_name, spine, subformulas, subst_ints, typecheck,
 )
-
-
-class ChcShapeError(HflError):
-    """The formula or clause set falls outside the supported fragment."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,7 +212,7 @@ def _define(preds: dict[str, int], definite: list[Clause], mu: Mu) -> str:
             raise ChcShapeError(
                 f"fixpoint {name} body must be a lambda chain over its "
                 "parameters")
-        p = _source_local(base_name(body.var), taken)
+        p = readable_name(body.var, taken)
         taken.add(p)
         ienv[body.var] = IVar(p)
         params.append(p)
@@ -239,15 +236,6 @@ def _check_chc_fragment(phi: Formula):
                     "covers nu-formulas)")
 
 
-def _source_local(base: str, taken: set[str]) -> str:
-    if base and base not in taken:
-        return base
-    i = 1
-    while f"{base or 'v'}{i}" in taken:
-        i += 1
-    return f"{base or 'v'}{i}"
-
-
 def _disjuncts(phi: Formula, ienv: dict[str, IVar], penv: dict[str, str],
                taken: set[str], define) -> list[list[Atom | PredApp]]:
     """DNF expansion of a dualized (mu-side) body into clause item lists."""
@@ -266,7 +254,7 @@ def _disjuncts(phi: Formula, ienv: dict[str, IVar], penv: dict[str, str],
         case Atom(op, l, r):
             return [[Atom(op, _to_source(l, ienv), _to_source(r, ienv))]]
         case Exists(x, b, pieces):
-            lname = _source_local(base_name(x), taken)
+            lname = readable_name(x, taken)
             ienv2 = {**ienv, x: IVar(lname)}
             guards: list[Atom | PredApp] = [
                 Atom(">=", IVar(lname), _to_source(p, ienv)) for p in pieces]
@@ -367,41 +355,43 @@ def parse_smtlib_horn(text: str) -> ChcSystem:
         return [read_item(s)]
 
     for form in smt.parse_sexprs(text):
-        if not isinstance(form, list) or not form:
-            raise ChcShapeError(f"unexpected toplevel form {form!r}")
-        head = form[0]
-        if head in ("set-logic", "set-info", "set-option", "check-sat",
-                    "get-model", "exit"):
-            continue
-        if head == "declare-fun":
-            _, name, sorts, res = form
-            if res != "Bool" or any(s != "Int" for s in sorts):
+        match form:
+            case [("set-logic" | "set-info" | "set-option" | "check-sat"
+                   | "get-model" | "exit"), *_]:
+                pass
+            case ["declare-fun", str(name), list(sorts), res]:
+                if res != "Bool" or any(s != "Int" for s in sorts):
+                    raise ChcShapeError(
+                        f"predicate {name} must have sort Int^k -> Bool")
+                preds[name] = len(sorts)
+            case ["declare-rel", str(name), list(sorts)]:
+                preds[name] = len(sorts)
+            case [("assert" | "rule" | "query") as head, body]:
+                match body:
+                    case ["forall", _, inner]:
+                        body = inner
+                match head, body:
+                    case "query", _:
+                        pre, post = body, "false"
+                    case _, ["=>", pre, post]:
+                        pass
+                    case _:
+                        pre, post = "true", body
+                items = tuple(read_body(pre))
+                concl = None if post == "false" else read_item(post)
+                if concl is not None and not isinstance(concl, PredApp):
+                    raise ChcShapeError(
+                        "clause head must be a predicate application or "
+                        "false")
+                clauses.append(Clause(concl, items))
+            case [("declare-fun" | "declare-rel" | "assert" | "rule"
+                   | "query"), *_]:
                 raise ChcShapeError(
-                    f"predicate {name} must have sort Int^k -> Bool")
-            preds[name] = len(sorts)
-            continue
-        if head == "declare-rel":
-            _, name, sorts = form
-            preds[name] = len(sorts)
-            continue
-        if head in ("assert", "rule", "query"):
-            body = form[1]
-            if isinstance(body, list) and body and body[0] == "forall":
-                body = body[2]
-            if head == "query":
-                pre, post = body, "false"
-            elif isinstance(body, list) and body and body[0] == "=>":
-                _, pre, post = body
-            else:
-                pre, post = "true", body
-            items = tuple(read_body(pre))
-            concl = None if post == "false" else read_item(post)
-            if concl is not None and not isinstance(concl, PredApp):
-                raise ChcShapeError(
-                    "clause head must be a predicate application or false")
-            clauses.append(Clause(concl, items))
-            continue
-        raise ChcShapeError(f"unsupported command {head!r}")
+                    f"malformed command {smt.sexpr_text(form)}")
+            case [head, *_]:
+                raise ChcShapeError(f"unsupported command {head!r}")
+            case _:
+                raise ChcShapeError(f"unexpected toplevel form {form!r}")
 
     return ChcSystem(preds=preds,
                      definite=tuple(c for c in clauses if c.head),

@@ -56,10 +56,12 @@ class Lts:
             raise LtsFormatError("duplicate state ids")
         if self.initial not in declared:
             raise LtsFormatError(f"initial state {self.initial!r} not declared")
-        for src, lbl, dst in self.transitions:
-            if src not in declared or dst not in declared:
-                raise LtsFormatError(
-                    f"transition {src} {lbl} {dst} uses an undeclared state")
+        # sorted, so that of several faults the same one is always named
+        for src, lbl, dst in sorted(self.transitions):
+            for s in (src, dst):
+                if s not in declared:
+                    raise LtsFormatError(f"undeclared state {s!r} in "
+                                         f"transition {src} {lbl} {dst}")
             if lbl not in self.labels:
                 raise LtsFormatError(
                     f"transition {src} {lbl} {dst} uses an undeclared label")
@@ -124,8 +126,6 @@ def parse_lts(text: str) -> Lts:
 
     if initial is None:
         raise LtsFormatError("missing initial declaration")
-    if initial not in states:
-        raise LtsFormatError(f"initial state {initial!r} not declared")
     used_labels = {lbl for _, lbl, _ in transitions}
     if declared_labels is not None:
         undeclared = used_labels - set(declared_labels)
@@ -135,11 +135,6 @@ def parse_lts(text: str) -> Lts:
         labels = frozenset(declared_labels)
     else:
         labels = frozenset(used_labels)
-    for src, lbl, dst in transitions:
-        for s in (src, dst):
-            if s not in states:
-                raise LtsFormatError(f"undeclared state {s!r} in transition "
-                                     f"{src} {lbl} {dst}")
     return Lts(states=tuple(states), labels=labels,
                transitions=frozenset(transitions), initial=initial)
 

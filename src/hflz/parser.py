@@ -140,11 +140,7 @@ class _Parser(TokenStream):
         t = self.peek()
         if t.kind in ("mu", "nu"):
             self.next()
-            name = self.expect("ident").text
-            if self.peek().kind != ":":
-                self.err(f"type annotation missing on binder {name!r}")
-            self.next()
-            ty = self.parse_type()
+            name, ty = self.parse_binding()
             if not is_predicate_type(ty):
                 self.err(f"fixpoint binder {name!r} must have a predicate type")
             self.expect(".")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .syntax import (
     Add, And, App, Atom, Box, Diamond, Exists, FalseF, Forall, IConst, INeg,
     IVar, IntExpr, Lambda, Mu, Nu, Or, Sub, TrueF, Var,
-    Formula, base_name, free_vars, spine,
+    Formula, base_name, free_vars, readable_name, spine,
 )
 
 # precedence levels, loosest to tightest
@@ -55,16 +55,6 @@ def to_text(phi: Formula) -> str:
     return _text(phi, {}, reserved, _TERM)
 
 
-def _pick(base: str, taken: set[str]) -> str:
-    cand = base_name(base) or "x"
-    if cand not in taken:
-        return cand
-    i = 1
-    while f"{cand}{i}" in taken:
-        i += 1
-    return f"{cand}{i}"
-
-
 def _text(phi: Formula, names: dict[str, str], taken: set[str],
           level: int) -> str:
     match phi:
@@ -84,7 +74,7 @@ def _text(phi: Formula, names: dict[str, str], taken: set[str],
             return _wrap(f"{op} {_text(b, names, taken, _OPERAND)}",
                          _OPERAND, level)
         case Mu(x, _, b) | Nu(x, _, b) | Exists(x, b, _) | Forall(x, b, _):
-            d, decl = _pick(x, taken), ""
+            d, decl = readable_name(x, taken), ""
             if isinstance(phi, (Mu, Nu)):
                 decl = f": {phi.vtype}"
             elif phi.lower:
@@ -101,7 +91,7 @@ def _text(phi: Formula, names: dict[str, str], taken: set[str],
             body = phi
             nm, tk = dict(names), set(taken)
             while isinstance(body, Lambda):
-                d = _pick(body.var, tk)
+                d = readable_name(body.var, tk)
                 binds.append(f"{d}: {body.vtype}")
                 nm[body.var] = d
                 tk.add(d)

@@ -85,6 +85,14 @@ def _is_handle(u, bound) -> bool:
     return isinstance(u, _UVar) and u.name not in bound
 
 
+def _describe(u) -> str:
+    """The form of a parse tree, for an error message."""
+    if isinstance(u, _UApp):
+        return f"a call of {u.head}"
+    return {_UUnit: "()", _USeq: "a sequence", _UIf: "a conditional",
+            Atom: "a comparison"}.get(type(u), "an integer expression")
+
+
 def _syntax_error(message: str, line: int, col: int) -> ProgramError:
     return ProgramError(f"{line}:{col}: {message}")
 
@@ -195,7 +203,8 @@ class _ProgParser(TokenStream):
         if isinstance(u, _UVar):
             return IVar(u.name)
         if not isinstance(u, IntExpr):
-            self.err(f"expected an integer expression, got {u!r}", op)
+            self.err("expected an integer expression, got "
+                     f"{_describe(u)}", op)
         return u
 
 
@@ -416,4 +425,4 @@ class _Translation:
                 return self.call(head, args)
             case _UVar(n):
                 return self.call(n, ())
-        raise ProgramError(f"expected an expression, got {u!r}")
+        raise ProgramError(f"expected an expression, got {_describe(u)}")

@@ -13,7 +13,7 @@ import time
 
 from .syntax import (
     Add, And, Atom, FalseF, HflError, IConst, INeg, IVar, IntExpr, Or, Sub,
-    TrueF, Formula, base_name, subst_ints,
+    TrueF, Formula, subst_ints,
 )
 
 
@@ -37,7 +37,7 @@ def int_expr_to_sexpr(e: IntExpr) -> str:
         case IConst(n):
             return str(n) if n >= 0 else f"(- {-n})"
         case IVar(x):
-            return symbol(base_name(x))
+            return symbol(x)
         case Add(l, r):
             return f"(+ {int_expr_to_sexpr(l)} {int_expr_to_sexpr(r)})"
         case Sub(l, r):
@@ -150,49 +150,44 @@ def run_solver(command: str, script: str, timeout: float,
 # Minimal s-expression reader (for the HORN reader and solver output)
 
 
+# a comment, a parenthesis, a quoted symbol (unterminated when it lacks
+# its closing |) or any other word
+_SEXPR_TOKEN = re.compile(r";[^\n]*|[()]|\|[^|]*\|?|[^ \t\r\n();]+")
+
+
 def parse_sexprs(text: str) -> list:
     """Parse a sequence of s-expressions into nested lists of strings."""
-    toks: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append(c)
-            i += 1
-        elif c == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                rest = text[i:].partition("\n")[0]
-                raise HflError(f"unterminated quoted symbol {rest!r}")
-            toks.append(text[i + 1:j])
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            toks.append(text[i:j])
-            i = j
-
-    out: list = []
+    top: list = []
     stack: list[list] = []
-    for t in toks:
-        if t == "(":
-            stack.append([])
-        elif t == ")":
+    for tok in _SEXPR_TOKEN.findall(text):
+        c = tok[0]
+        if c == "(":
+            stack.append(top)
+            top = []
+        elif c == ")":
             if not stack:
                 raise HflError("unbalanced ')' in s-expression input")
-            done = stack.pop()
-            (stack[-1] if stack else out).append(done)
-        else:
-            (stack[-1] if stack else out).append(t)
+            done, top = top, stack.pop()
+            top.append(done)
+        elif c == "|":
+            if len(tok) == 1 or tok[-1] != "|":
+                rest = tok.partition("\n")[0]
+                raise HflError(f"unterminated quoted symbol {rest!r}")
+            top.append(tok[1:-1])
+        elif c != ";":
+            top.append(tok)
     if stack:
         raise HflError("unbalanced '(' in s-expression input")
-    return out
+    return top
+
+
+class ChcShapeError(HflError):
+    """The formula or clause set falls outside the supported fragment."""
+
+
+def sexpr_text(s) -> str:
+    """An s-expression written back as text, quoting aside."""
+    return s if isinstance(s, str) else f"({' '.join(map(sexpr_text, s))})"
 
 
 def sexpr_to_int_expr(s) -> IntExpr:
@@ -200,8 +195,8 @@ def sexpr_to_int_expr(s) -> IntExpr:
         if s.lstrip("-").isdigit():
             return IConst(int(s))
         return IVar(s)
-    if not s:
-        raise HflError("empty s-expression in arithmetic term")
+    if len(s) < 2:
+        raise ChcShapeError(f"malformed arithmetic term {sexpr_text(s)}")
     head, *args = s
     if head == "+":
         e = sexpr_to_int_expr(args[0])
@@ -219,7 +214,7 @@ def sexpr_to_int_expr(s) -> IntExpr:
         consts = [a for a in args if isinstance(a, str)
                   and a.lstrip("-").isdigit()]
         if len(consts) != len(args) - 1 or len(args) != 2:
-            raise HflError("nonlinear multiplication in HORN input")
+            raise ChcShapeError("nonlinear multiplication in HORN input")
         c = int(consts[0])
         other = args[0] if args[1] == consts[0] else args[1]
         base = sexpr_to_int_expr(other)
@@ -231,21 +226,22 @@ def sexpr_to_int_expr(s) -> IntExpr:
         for _ in range(c - 1):
             e = Add(e, base)
         return INeg(e) if neg else e
-    raise HflError(f"unsupported arithmetic operator {head!r}")
+    raise ChcShapeError(f"unsupported arithmetic operator {head!r}")
 
 
-_SMT_CMP = {"<=", "<", ">=", ">", "="}
+# a tuple, not a set: a list in operator position must not raise TypeError
+_SMT_CMP = ("<=", "<", ">=", ">", "=")
 
 
 def sexpr_to_atom(s) -> Atom:
     if not isinstance(s, list) or not s:
-        raise HflError(f"expected an atom, got {s!r}")
+        raise ChcShapeError(f"expected an atom, got {s!r}")
     head, *args = s
     if head == "not" and len(args) == 1 and isinstance(args[0], list) \
-            and args[0] and args[0][0] == "=":
+            and len(args[0]) == 3 and args[0][0] == "=":
         _, l, r = args[0]
         return Atom("!=", sexpr_to_int_expr(l), sexpr_to_int_expr(r))
     if head in _SMT_CMP and len(args) == 2:
         return Atom(head, sexpr_to_int_expr(args[0]),
                     sexpr_to_int_expr(args[1]))
-    raise HflError(f"unsupported atom head {head!r}")
+    raise ChcShapeError(f"unsupported atom head {head!r}")

@@ -290,6 +290,16 @@ def fresh_name(base: str) -> str:
     return f"{base_name(base)}%{next(_fresh_counter)}"
 
 
+def readable_name(name: str, taken: set[str]) -> str:
+    """name's base name (x when that is empty) for a reader, or the first
+    of base1, base2, ... that is not in taken."""
+    base = base_name(name) or "x"
+    i = 0
+    while (cand := f"{base}{i or ''}") in taken:
+        i += 1
+    return cand
+
+
 # ---------------------------------------------------------------------------
 # Traversal kernel: the one place that knows every node kind's children.
 # Add a node kind here and in the few walkers that give nodes their own
@@ -583,8 +593,6 @@ def dualize(phi: Formula) -> Formula:
     complements atoms.  For closed prop formulas, M |= dual(phi) iff not
     M |= phi."""
     match phi:
-        case Var(_, _):
-            return phi
         case TrueF():
             return FALSE
         case FalseF():
@@ -601,17 +609,13 @@ def dualize(phi: Formula) -> Formula:
             return Nu(x, t, dualize(b))
         case Nu(x, t, b):
             return Mu(x, t, dualize(b))
-        case Lambda(x, t, b):
-            return Lambda(x, t, dualize(b))
-        case App(f, a):
-            return App(dualize(f), a if isinstance(a, IntExpr) else dualize(a))
         case Atom(_, _, _):
             return dual_int_atom(phi)
         case Exists(x, b, lower):
             return Forall(x, dualize(b), lower)
         case Forall(x, b, lower):
             return Exists(x, dualize(b), lower)
-    raise TypeError(f"not a formula: {phi!r}")
+    return map_children(phi, dualize)
 
 
 class NotAFixpoint(HflError):

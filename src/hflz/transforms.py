@@ -18,8 +18,8 @@ from .syntax import (
     Add, And, App, Atom, Box, CMP_FN, Diamond, Exists, FALSE, FalseF, Forall,
     HflError, IConst, INT, INeg, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or,
     PROP, Sub, TRUE, TrueF, Var, Formula, SimpleType, app, arg_types, arrow,
-    base_name, eval_int, fresh_name, int_vars, lam, map_children, spine,
-    subst_ints, substitute,
+    base_name, eval_int, free_vars, fresh_name, int_vars, lam, map_children,
+    spine, subst_ints, substitute,
 )
 
 
@@ -293,8 +293,7 @@ class WindowEntailment(EntailmentOracle):
         self._warned = False
 
     def entails(self, hyps: list[Formula], concl: Formula) -> bool | None:
-        names = sorted(set().union(
-            *(qf_int_vars(h) for h in hyps), qf_int_vars(concl)))
+        names = sorted(set().union(*map(free_vars, hyps), free_vars(concl)))
         if len(names) > self.max_vars:
             return None
         if not self._warned:
@@ -324,25 +323,11 @@ class SmtEntailment(EntailmentOracle):
         self.timeout = timeout
 
     def entails(self, hyps: list[Formula], concl: Formula) -> bool | None:
-        # the printer drops fresh-name suffixes (y%2 -> y), so give every
-        # variable its own base name first: y, y_1, ...
-        symbols: dict[str, IntExpr] = {}
-        for n in sorted(set().union(
-                *(qf_int_vars(h) for h in hyps), qf_int_vars(concl))):
-            s, i = base_name(n), 0
-            while IVar(s) in symbols.values():
-                i += 1
-                s = f"{base_name(n)}_{i}"
-            symbols[n] = IVar(s)
-
-        def sexpr(phi: Formula) -> str:
-            return qf_formula_to_sexpr(qf_subst(phi, symbols))
-
         lines = ["(set-logic QF_LIA)"]
-        lines += [f"(declare-const {symbol(v.name)} Int)"
-                  for v in symbols.values()]
-        lines += [f"(assert {sexpr(h)})" for h in hyps]
-        lines.append(f"(assert (not {sexpr(concl)}))")
+        lines += [f"(declare-const {symbol(n)} Int)" for n in sorted(
+            set().union(*map(free_vars, hyps), free_vars(concl)))]
+        lines += [f"(assert {qf_formula_to_sexpr(h)})" for h in hyps]
+        lines.append(f"(assert (not {qf_formula_to_sexpr(concl)}))")
         lines.append("(check-sat)")
         try:
             kind, _ = run_solver(self.command, "\n".join(lines) + "\n",
@@ -350,18 +335,6 @@ class SmtEntailment(EntailmentOracle):
         except SolverError:
             return None
         return {"unsat": True, "sat": False}.get(kind)
-
-
-def qf_int_vars(phi: Formula) -> set[str]:
-    match phi:
-        case Atom(_, l, r):
-            return set(int_vars(l) + int_vars(r))
-        case And(l, r) | Or(l, r):
-            return qf_int_vars(l) | qf_int_vars(r)
-        case TrueF() | FalseF():
-            return set()
-    raise AbstractionError(
-        f"not a quantifier-free arithmetic formula: {type(phi).__name__}")
 
 
 def qf_holds(phi: Formula, env: dict[str, int]) -> bool:
@@ -480,7 +453,7 @@ class _Abstraction:
                      e: IntExpr) -> list[Formula]:
         out = []
         for tvar, a in templates:
-            extra = qf_int_vars(a) - {tvar}
+            extra = free_vars(a) - {tvar}
             if extra:
                 raise AbstractionError(
                     "call-site instantiation only supports predicates over "

@@ -1,3 +1,4 @@
+import re
 import stat
 import subprocess
 import sys
@@ -129,10 +130,25 @@ def test_nested_duplicate_predicates_are_merged():
 PRIMED = r"(nu x': int -> prop. \y': int. y' < 100 /\ x'(y' + 1))(1)"
 
 
+def odd_names_system() -> ChcSystem:
+    # a predicate named ( and two fresh copies y%1, y%2 of one variable y:
+    # each name must be written as itself and read back as itself
+    y1, y2 = IVar("y%1"), IVar("y%2")
+    return ChcSystem(
+        preds={"(": 1},
+        definite=(
+            Clause(PredApp("(", (IConst(0),)), ()),
+            Clause(PredApp("(", (y2,)),
+                   (Atom("<", y1, y2), PredApp("(", (y1,)))),
+        ),
+        goals=(Clause(None, (PredApp("(", (y1,)), Atom("<", y1, IConst(0)))),),
+    )
+
+
 def test_emit_parse_identity(corpus):
     for sys0 in (mult_system(), sec41_system(),
                  parse_smtlib_horn((corpus / "mult.smt2").read_text()),
-                 hfl_to_chc(parse_formula(PRIMED))):
+                 hfl_to_chc(parse_formula(PRIMED)), odd_names_system()):
         text = emit_smtlib_horn(sys0)
         assert text.splitlines()[0] == "(set-logic HORN)"
         assert text.strip().endswith("(check-sat)")
@@ -183,6 +199,31 @@ def test_unterminated_quoted_symbol_is_named():
                                        r"'\|x Int\)\) \(p x\)\)\)'$"):
         parse_smtlib_horn("(declare-fun p (Int) Bool)\n"
                           "(assert (forall ((|x Int)) (p x)))\n")
+
+
+_P = "(declare-fun p (Int) Bool)\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_P + "(assert (forall ((x Int)) (=> (< (+) x) (p x))))",
+     "malformed arithmetic term (+)"),
+    (_P + "(assert (forall ((x Int)) (=> (< x (-)) (p x))))",
+     "malformed arithmetic term (-)"),
+    (_P + "(assert (forall ((x Int)) (=> (< () x) (p x))))",
+     "malformed arithmetic term ()"),
+    ("(assert)", "malformed command (assert)"),
+    (_P + "(query)", "malformed command (query)"),
+    ("(declare-fun p (Int))", "malformed command (declare-fun p (Int))"),
+    ("(declare-fun (p) (Int) Bool)",
+     "malformed command (declare-fun (p) (Int) Bool)"),
+    ("(declare-rel p)", "malformed command (declare-rel p)"),
+    (_P + "(assert (forall ((x Int))))", "unsupported atom head 'forall'"),
+    (_P + "(assert (=> (p x)))", "unsupported atom head '=>'"),
+    (_P + "(assert (=> (not (= x)) (p x)))", "unsupported atom head 'not'"),
+])
+def test_malformed_horn_forms_are_named(text, message):
+    with pytest.raises(ChcShapeError, match=f"^{re.escape(message)}$"):
+        parse_smtlib_horn(text)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,13 @@ def test_to_chc_from_chc_round_trip(corpus, tmp_path, capsys):
     assert "(declare-fun mult (Int Int Int) Bool)" in emitted
 
 
+def test_from_chc_names_a_malformed_form(tmp_path, capsys):
+    f = tmp_path / "bad.smt2"
+    f.write_text("(declare-fun p (Int) Bool)\n(assert)\n")
+    assert main(["from-chc", str(f)]) == 3
+    assert capsys.readouterr().err == "error: malformed command (assert)\n"
+
+
 def test_translate(corpus, capsys):
     assert main(["translate", str(corpus / "file_straight.prog")]) == 0
     assert capsys.readouterr().out.strip() == "<read> <read> <close> <end> true"

@@ -163,8 +163,14 @@ def test_errors():
     pytest.param("let f k = k\nlet g k = k\nlet f k = k\nmain = f ()\n",
                  "3:5", "duplicate definition 'f'", id="duplicate"),
     pytest.param("main = 1 +\n\t()\n", "1:10",
-                 "expected an integer expression, got _UUnit()",
+                 "expected an integer expression, got ()",
                  id="unit-operand"),
+    pytest.param("main = f () + 1\n", "1:13",
+                 "expected an integer expression, got a call of f",
+                 id="call-operand"),
+    pytest.param("main = (if 1 < 2 then () else ()) + 1\n", "1:35",
+                 "expected an integer expression, got a conditional",
+                 id="conditional-operand"),
     pytest.param("main = (f ()\n", "2:1", "expected ')', found 'end of input'",
                  id="unclosed"),
 ])
@@ -172,6 +178,15 @@ def test_error_positions(text, position, message):
     with pytest.raises(ProgramError,
                        match=f"^{position}: {re.escape(message)}$"):
         parse_program(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("main = 1\n", "expected an expression, got an integer expression"),
+    ("main = 1 < 2\n", "expected an expression, got a comparison"),
+])
+def test_main_must_be_an_expression(text, message):
+    with pytest.raises(ProgramError, match=f"^{re.escape(message)}$"):
+        translate_program(parse_program(text))
 
 
 def test_arithmetic_errors():

@@ -14,12 +14,12 @@ from hflz.semantics import check_pure, eval_bounded
 from hflz.smt import parse_sexprs
 from hflz.syntax import (
     And, App, Atom, HflError, IConst, INT, IVar, Lambda, Mu, Or, PROP, Sub,
-    Var, alpha_eq, app, arrow, eval_int, subformulas,
+    Var, alpha_eq, app, arrow, eval_int, free_vars, subformulas,
 )
 from hflz.transforms import (
     AbstractionError, BoundExpr, HigherOrderMuError, PredicateSet,
     SmtEntailment, WindowEntailment, abstract_predicates, desugar_quantifiers,
-    eliminate_mu, qf_holds, qf_int_vars,
+    eliminate_mu, qf_holds,
 )
 
 
@@ -361,11 +361,11 @@ def test_smt_entailment_declares_every_symbol(tmp_path):
 
 def test_qf_helpers():
     phi = parse_formula("x > 0 /\\ x <= y", {"x": INT, "y": INT})
-    assert qf_int_vars(phi) == {"x", "y"}
+    assert free_vars(phi) == {"x", "y"}
     assert qf_holds(phi, {"x": 1, "y": 2})
     assert not qf_holds(phi, {"x": 0, "y": 2})
     with pytest.raises(AbstractionError):
-        qf_int_vars(parse_formula("<a> true"))
+        qf_holds(parse_formula("<a> true"), {})
 
 
 # ---------------------------------------------------------------------------
