@@ -15,8 +15,8 @@ from .smt import ChcShapeError
 from .syntax import (
     And, App, Atom, Box, Diamond, Exists, FALSE, FalseF, Forall, INT, IVar,
     IntExpr, IntType, Lambda, Mu, Or, PROP, TRUE, TrueF, Var, Formula, app,
-    arg_types, arrow, base_name, dual_int_atom, dualize, fresh_name, int_vars,
-    lam, readable_name, spine, subformulas, subst_ints, typecheck,
+    arg_types, arrow, base_name, dualize, fresh_name, int_vars, lam,
+    readable_name, spine, subformulas, subst_ints, substitute, typecheck,
 )
 
 
@@ -87,38 +87,28 @@ def chc_to_hfl(system: ChcSystem) -> Formula:
     """Encode satisfiability of the system as validity of a closed formula.
 
     Definite clauses become least-fixpoint definitions (mutual recursion is
-    handled by nesting), goal clauses are dualized and conjoined.
+    handled by nesting).  A goal clause ``B => false`` becomes the dual of
+    its clause body ``exists x. B``, and the goals are conjoined.
     """
-    goals: list[Formula] = []
-    for goal in system.goals:
-        gvars = goal.variables()
-        env = {v: IVar(fresh_name(v)) for v in gvars}
-        parts: list[Formula] = []
-        for item in goal.body:
-            if isinstance(item, Atom):
-                parts.append(dual_int_atom(smt.qf_subst(item, env)))
-            else:
-                pred = dualize(_pred_formula(system, item.name, {}))
-                parts.append(
-                    app(pred, *[subst_ints(e, env) for e in item.args]))
-        body = reduce(Or, parts) if parts else FALSE
-        for v in reversed(gvars):
-            body = Forall(env[v].name, body)
-        goals.append(body)
+    # each predicate's arity and definite clauses
+    defs = {p: (k, []) for p, k in system.preds.items()}
+    for c in system.definite:
+        defs[c.head.name][1].append(c)
+    goals = [dualize(_clause_body(defs, goal, [], {}))
+             for goal in system.goals]
     return reduce(And, goals) if goals else TRUE
 
 
 # module-level, not a closure that calls itself through its own cell, so a
 # call leaves no cyclic garbage
-def _pred_formula(system: ChcSystem, p: str,
+def _pred_formula(defs: dict[str, tuple[int, list[Clause]]], p: str,
                   outer: dict[str, Var]) -> Formula:
-    arity = system.preds[p]
+    arity, clauses = defs[p]
     t = arrow(*([INT] * arity), PROP) if arity else PROP
     binder = fresh_name(p)
     outer = {**outer, p: Var(binder, t)}
-    clauses = [c for c in system.definite if c.head.name == p]
     params = [fresh_name(b) for b in _param_names(clauses, arity)]
-    bodies = [_clause_body(system, c, params, outer) for c in clauses]
+    bodies = [_clause_body(defs, c, params, outer) for c in clauses]
     disj = reduce(Or, bodies) if bodies else FALSE
     return Mu(binder, t, lam([(x, INT) for x in params], disj))
 
@@ -132,11 +122,13 @@ def _param_names(clauses: list[Clause], arity: int) -> list[str]:
     return [f"x{i + 1}" for i in range(arity)]
 
 
-def _clause_body(system: ChcSystem, c: Clause, params: list[str],
-                 outer: dict[str, Var]) -> Formula:
+def _clause_body(defs: dict[str, tuple[int, list[Clause]]], c: Clause,
+                 params: list[str], outer: dict[str, Var]) -> Formula:
+    """The body of c with its head's arguments bound to params (a goal has
+    no head) and its other variables existentially quantified."""
     env: dict[str, IVar] = {}
     equalities: list[Atom] = []
-    for param, arg in zip(params, c.head.args):
+    for param, arg in zip(params, c.head.args if c.head else ()):
         if isinstance(arg, IVar) and arg.name not in env:
             env[arg.name] = IVar(param)
         else:
@@ -145,15 +137,13 @@ def _clause_body(system: ChcSystem, c: Clause, params: list[str],
     for v in local_sources:
         env[v] = IVar(fresh_name(v))
     # equalities may mention locals, so rename them after env is complete
-    equalities = [smt.qf_subst(a, env) for a in equalities]
-
-    parts: list[Formula] = list(equalities)
+    parts: list[Formula] = [substitute(a, env) for a in equalities]
     for item in c.body:
         if isinstance(item, Atom):
-            parts.append(smt.qf_subst(item, env))
+            parts.append(substitute(item, env))
         else:
             target: Formula = outer[item.name] if item.name in outer \
-                else _pred_formula(system, item.name, outer)
+                else _pred_formula(defs, item.name, outer)
             parts.append(
                 app(target, *[subst_ints(e, env) for e in item.args]))
     body = reduce(And, parts) if parts else TRUE
@@ -341,7 +331,7 @@ def parse_smtlib_horn(text: str) -> ChcSystem:
         if isinstance(s, str):
             if s in preds:
                 return PredApp(s, ())
-            raise ChcShapeError(f"unknown body item {s!r}")
+            raise ChcShapeError(f"unknown body item {smt.sexpr_text(s)!r}")
         if s and isinstance(s[0], str) and s[0] in preds:
             return PredApp(s[0],
                            tuple(smt.sexpr_to_int_expr(a) for a in s[1:]))
@@ -389,9 +379,11 @@ def parse_smtlib_horn(text: str) -> ChcSystem:
                 raise ChcShapeError(
                     f"malformed command {smt.sexpr_text(form)}")
             case [head, *_]:
-                raise ChcShapeError(f"unsupported command {head!r}")
+                raise ChcShapeError(
+                    f"unsupported command {smt.sexpr_text(head)!r}")
             case _:
-                raise ChcShapeError(f"unexpected toplevel form {form!r}")
+                raise ChcShapeError(
+                    f"unexpected toplevel form {smt.sexpr_text(form)!r}")
 
     return ChcSystem(preds=preds,
                      definite=tuple(c for c in clauses if c.head),
@@ -435,7 +427,7 @@ def validate_model(system: ChcSystem,
             raise ChcShapeError(
                 f"model for {item.name} has {len(params)} parameters, "
                 f"expected {len(item.args)}")
-        return smt.qf_subst(body, dict(zip(params, item.args)))
+        return substitute(body, dict(zip(params, item.args)))
 
     undecided = False
     for c in system.definite + system.goals:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .parser import TokenStream, tokenize
+from .parser import Token, TokenStream, tokenize
 from .syntax import (
     Add, And, Atom, CMP_OPS, Diamond, HflError, IConst, INT, INeg, IVar,
     IntExpr, Mu, Nu, Or, PROP, Sub, TRUE, Var, Formula, SimpleType, app,
@@ -119,22 +119,22 @@ class _ProgParser(TokenStream):
                 events.append(self.expect("ident").text)
         defs = []
         while self.peek().kind == "let":
-            self.next()
+            at = self.next()
             if self.peek().kind == "rec":
                 self.next()
             name = self.expect("ident")
-            if any(name.text == d for d, _, _ in defs):
+            if any(name.text == d for d, _, _, _ in defs):
                 self.err(f"duplicate definition {name.text!r}", name)
             params = []
             while self.peek().kind != "=":
                 params.append(self.expect("ident").text)
             self.next()
-            defs.append((name.text, params, self.parse_expr()))
-        self.expect("main")
+            defs.append((name.text, params, self.parse_expr(), at))
+        at = self.expect("main")
         self.expect("=")
         main = self.parse_expr()
         self.expect("eof")
-        return events, defs, main
+        return events, defs, main, at
 
     def parse_expr(self):
         if self.peek().kind == "if":
@@ -219,21 +219,21 @@ def parse_program(text: str) -> Program:
     shares the kind of that parameter slot; any other argument fixes the
     slot's kind (an integer for a number or arithmetic).  A parameter that
     nothing constrains is a continuation."""
-    events, raw_defs, main = _ProgParser(
+    events, raw_defs, main, main_at = _ProgParser(
         tokenize(text, _TOKEN, _KEYWORDS, _syntax_error)).parse()
     if not events:
         events = ["read", "close", "end"]
     if "end" not in events:
         events = events + ["end"]
-    slots = {name: params for name, params, _ in raw_defs}
+    slots = {name: params for name, params, _, _ in raw_defs}
     kinds = _Kinds(events, slots)
-    for dname, params, body in raw_defs + [("main", [], main)]:
-        kinds.definition(dname, params, body)
+    for d in raw_defs + [("main", [], main, main_at)]:
+        kinds.definition(*d)
     defs = tuple(
         Definition(name, tuple(
             (p, INT if kinds.find((name, p)) is INT else PROP)
             for p in params), body)
-        for name, params, body in raw_defs)
+        for name, params, body, _ in raw_defs)
     return Program(events=tuple(events), definitions=defs, main=main)
 
 
@@ -258,14 +258,15 @@ class _Kinds:
         if a in (INT, PROP):
             a, b = b, a
         if a in (INT, PROP) and a != b:
-            raise ProgramError(
+            raise _syntax_error(
                 f"parameter {key[1]} of {key[0]} used both as an integer and "
-                "as a continuation")
+                "as a continuation", self.at.line, self.at.col)
         if a != b:
             self.parent[a] = b
 
-    def definition(self, dname: str, params: list[str], body):
-        self.dname, self.params = dname, params
+    def definition(self, dname: str, params: list[str], body, at: Token):
+        """Walk a definition's body; a kind conflict is reported at `at`."""
+        self.dname, self.params, self.at = dname, params, at
         self.bound = self.names.union(params)
         self.walk(body, PROP)
 

@@ -3,6 +3,7 @@ the CHC bridge and the entailment oracles."""
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import shlex
@@ -10,10 +11,11 @@ import subprocess
 import tempfile
 import threading
 import time
+from functools import reduce
 
 from .syntax import (
     Add, And, Atom, FalseF, HflError, IConst, INeg, IVar, IntExpr, Or, Sub,
-    TrueF, Formula, subst_ints,
+    TrueF, Formula, eval_int, int_vars,
 )
 
 
@@ -66,22 +68,6 @@ def qf_formula_to_sexpr(phi: Formula) -> str:
             return "true"
         case FalseF():
             return "false"
-    raise HflError(
-        f"not a quantifier-free arithmetic formula: {type(phi).__name__}")
-
-
-def qf_subst(phi: Formula, mapping: dict[str, IntExpr]) -> Formula:
-    """Parallel substitution of integer variables in a quantifier-free
-    arithmetic formula."""
-    match phi:
-        case Atom(op, l, r):
-            return Atom(op, subst_ints(l, mapping), subst_ints(r, mapping))
-        case And(l, r):
-            return And(qf_subst(l, mapping), qf_subst(r, mapping))
-        case Or(l, r):
-            return Or(qf_subst(l, mapping), qf_subst(r, mapping))
-        case TrueF() | FalseF():
-            return phi
     raise HflError(
         f"not a quantifier-free arithmetic formula: {type(phi).__name__}")
 
@@ -190,43 +176,40 @@ def sexpr_text(s) -> str:
     return s if isinstance(s, str) else f"({' '.join(map(sexpr_text, s))})"
 
 
+# an SMT-LIB numeral, here also with a leading '-'
+_NUMERAL = re.compile(r"-?[0-9]+")
+
+
 def sexpr_to_int_expr(s) -> IntExpr:
     if isinstance(s, str):
-        if s.lstrip("-").isdigit():
-            return IConst(int(s))
-        return IVar(s)
+        return IConst(int(s)) if _NUMERAL.fullmatch(s) else IVar(s)
     if len(s) < 2:
         raise ChcShapeError(f"malformed arithmetic term {sexpr_text(s)}")
     head, *args = s
+    if head not in ("+", "-", "*"):
+        raise ChcShapeError(
+            f"unsupported arithmetic operator {sexpr_text(head)!r}")
+    terms = [sexpr_to_int_expr(a) for a in args]
     if head == "+":
-        e = sexpr_to_int_expr(args[0])
-        for a in args[1:]:
-            e = Add(e, sexpr_to_int_expr(a))
-        return e
+        return reduce(Add, terms)
     if head == "-":
-        if len(args) == 1:
-            return INeg(sexpr_to_int_expr(args[0]))
-        e = sexpr_to_int_expr(args[0])
-        for a in args[1:]:
-            e = Sub(e, sexpr_to_int_expr(a))
-        return e
-    if head == "*":
-        consts = [a for a in args if isinstance(a, str)
-                  and a.lstrip("-").isdigit()]
-        if len(consts) != len(args) - 1 or len(args) != 2:
-            raise ChcShapeError("nonlinear multiplication in HORN input")
-        c = int(consts[0])
-        other = args[0] if args[1] == consts[0] else args[1]
-        base = sexpr_to_int_expr(other)
-        if c == 0:
-            return IConst(0)
-        neg = c < 0
-        c = abs(c)
-        e = base
-        for _ in range(c - 1):
-            e = Add(e, base)
-        return INeg(e) if neg else e
-    raise ChcShapeError(f"unsupported arithmetic operator {head!r}")
+        return reduce(Sub, terms) if len(terms) > 1 else INeg(terms[0])
+    # the constant factors fold; at most one factor may have variables
+    factors = [e for e in terms if int_vars(e)]
+    if len(factors) > 1:
+        raise ChcShapeError("nonlinear multiplication in HORN input")
+    c = math.prod(eval_int(e, {}) for e in terms if not int_vars(e))
+    return _times(c, factors[0]) if factors else IConst(c)
+
+
+def _times(c: int, e: IntExpr) -> IntExpr:
+    """c·e as a sum of copies of e, built by doubling: O(log |c|) deep"""
+    if c < 0:
+        return INeg(_times(-c, e))
+    if c <= 1:
+        return e if c else IConst(0)
+    half = _times(c // 2, e)
+    return Add(Add(half, half), e) if c % 2 else Add(half, half)
 
 
 # a tuple, not a set: a list in operator position must not raise TypeError
@@ -235,7 +218,7 @@ _SMT_CMP = ("<=", "<", ">=", ">", "=")
 
 def sexpr_to_atom(s) -> Atom:
     if not isinstance(s, list) or not s:
-        raise ChcShapeError(f"expected an atom, got {s!r}")
+        raise ChcShapeError(f"expected an atom, got {sexpr_text(s)!r}")
     head, *args = s
     if head == "not" and len(args) == 1 and isinstance(args[0], list) \
             and len(args[0]) == 3 and args[0][0] == "=":
@@ -244,4 +227,4 @@ def sexpr_to_atom(s) -> Atom:
     if head in _SMT_CMP and len(args) == 2:
         return Atom(head, sexpr_to_int_expr(args[0]),
                     sexpr_to_int_expr(args[1]))
-    raise ChcShapeError(f"unsupported atom head {head!r}")
+    raise ChcShapeError(f"unsupported atom head {sexpr_text(head)!r}")

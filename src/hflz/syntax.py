@@ -375,13 +375,19 @@ def int_vars(e: IntExpr) -> list[str]:
     raise TypeError(f"not an integer expression: {e!r}")
 
 
-def subst_ints(e: IntExpr, mapping: dict[str, IntExpr]) -> IntExpr:
-    """Replace every IVar named in mapping at once (parallel substitution)."""
+def subst_ints(e: IntExpr, mapping: dict) -> IntExpr:
+    """Replace every IVar named in mapping at once (parallel substitution);
+    a formula in the place of an IVar is a type error."""
     match e:
         case IConst(_):
             return e
         case IVar(x):
-            return mapping.get(x, e)
+            r = mapping.get(x, e)
+            if r is not e and not isinstance(r, IntExpr):
+                raise HflTypeError(
+                    f"cannot substitute a formula for integer variable "
+                    f"{base_name(x)}")
+            return r
         case Add(l, r):
             return Add(subst_ints(l, mapping), subst_ints(r, mapping))
         case Sub(l, r):
@@ -519,65 +525,68 @@ def typecheck(phi: Formula, env: dict[str, SimpleType] | None = None) -> SimpleT
 # Substitution
 
 
-def substitute(phi: Formula, x: str, repl: Formula | IntExpr) -> Formula:
-    """Capture-avoiding substitution of repl for the free variable x."""
-    return _Substitution(x, repl).go(phi)
+def substitute(phi: Formula,
+               mapping: dict[str, Formula | IntExpr]) -> Formula:
+    """Capture-avoiding parallel substitution: each free variable named in
+    mapping is replaced by its entry, all at once."""
+    return _Substitution(mapping).go(phi) if mapping else phi
 
 
 class _Substitution:
-    """phi[x := repl] by one walk.  The walk is a method, not a closure that
-    calls itself through its own cell, so a call leaves no cyclic garbage."""
+    """phi[mapping] by one walk.  A binder that shadows a name drops it
+    from its body's mapping; one that may capture a free variable of a
+    replacement is renamed by one more entry there.  The walk is a method,
+    not a closure that calls itself through its own cell, so a call leaves
+    no cyclic garbage."""
 
-    def __init__(self, x: str, repl: Formula | IntExpr):
-        self.x, self.repl = x, repl
-        self.int_repl = isinstance(repl, IntExpr)
-        self.repl_fv = (set(int_vars(repl)) if self.int_repl
-                        else free_vars(repl))
-        self.mapping = {x: repl}
+    def __init__(self, mapping: dict[str, Formula | IntExpr]):
+        self.mapping = mapping
+        # the free variables of all replacements, at the first binder
+        self.repl_fv: set[str] | None = None
 
     def go(self, phi: Formula) -> Formula:
-        x, int_repl, mapping = self.x, self.int_repl, self.mapping
+        mapping = self.mapping
         match phi:
-            case Var(n, t):
-                if n != x:
-                    return phi
-                if int_repl:
+            case Var(n, _):
+                r = mapping.get(n, phi)
+                if r is not phi and isinstance(r, IntExpr):
                     raise HflTypeError(
                         f"cannot substitute an integer expression for "
                         f"formula variable {base_name(n)}")
-                return self.repl
-            case Atom(op, l, r) if int_repl:
+                return r
+            case Atom(op, l, r):
                 return Atom(op, subst_ints(l, mapping), subst_ints(r, mapping))
-            case Mu(y, t, b) | Nu(y, t, b) | Lambda(y, t, b) as node:
-                ctor = type(node)
-                if y == x:
-                    return node
-                if y in self.repl_fv and x in free_vars(b):
-                    y2 = fresh_name(y)
-                    b = substitute(b, y, Var(y2, t) if not isinstance(t, IntType)
-                                   else IVar(y2))
-                    y = y2
-                return ctor(y, t, self.go(b))
-            case Exists(y, b, lower) | Forall(y, b, lower) as node:
-                ctor = type(node)
-                lower2 = tuple(subst_ints(e, mapping) for e in lower) \
-                    if int_repl else lower
-                if y == x:
-                    return ctor(y, b, lower2)
-                if y in self.repl_fv and x in free_vars(b):
-                    y2 = fresh_name(y)
-                    b = substitute(b, y, IVar(y2))
-                    y = y2
-                return ctor(y, self.go(b), lower2)
             case App(f, a) if isinstance(a, IntExpr):
-                if int_repl:
-                    return App(self.go(f), subst_ints(a, mapping))
-                if x in int_vars(a):
-                    raise HflTypeError(
-                        f"cannot substitute a formula for integer variable "
-                        f"{base_name(x)}")
-                return App(self.go(f), a)
+                return App(self.go(f), subst_ints(a, mapping))
+            case Mu(y, t, b) | Nu(y, t, b) | Lambda(y, t, b):
+                return type(phi)(*self.under(y, t, b))
+            case Exists(y, b, lower) | Forall(y, b, lower):
+                lower = tuple(subst_ints(e, mapping) for e in lower)
+                y, _, b = self.under(y, INT, b)
+                return type(phi)(y, b, lower)
         return map_children(phi, self.go)
+
+    def under(self, y: str, t: SimpleType, body: Formula):
+        """(binder, type, body) of the binder y: t over body, substituted"""
+        outer = mapping = self.mapping
+        if y in mapping:
+            mapping = {x: r for x, r in mapping.items() if x != y}
+            if not mapping:
+                return y, t, body
+        if self.repl_fv is None:  # outer is still the caller's mapping
+            self.repl_fv = set()
+            for r in outer.values():
+                self.repl_fv.update(int_vars(r) if isinstance(r, IntExpr)
+                                    else free_vars(r))
+        if y in self.repl_fv and not free_vars(body).isdisjoint(mapping):
+            y2 = fresh_name(y)
+            mapping = {**mapping, y: IVar(y2) if isinstance(t, IntType)
+                       else Var(y2, t)}
+            y = y2
+        self.mapping = mapping
+        body = self.go(body)
+        self.mapping = outer
+        return y, t, body
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +639,7 @@ def unfold_fixpoint(phi: Formula) -> Formula:
     """sigma x. phi  -->  phi[x := sigma x. phi] (root fixpoint only)."""
     match phi:
         case Mu(x, _, b) | Nu(x, _, b):
-            return substitute(b, x, phi)
+            return substitute(b, {x: phi})
         case _:
             raise NotAFixpoint(f"not a fixpoint formula: {type(phi).__name__}")
 
@@ -639,7 +648,7 @@ def beta_step(phi: Formula) -> Formula:
     """One beta-contraction of a root App-of-Lambda redex."""
     match phi:
         case App(Lambda(x, _, b), a):
-            return substitute(b, x, a)
+            return substitute(b, {x: a})
         case _:
             raise NoRedex("no beta redex at the root")
 

@@ -11,9 +11,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .smt import (
-    SolverError, qf_formula_to_sexpr, qf_subst, run_solver, symbol,
-)
+from .smt import SolverError, qf_formula_to_sexpr, run_solver, symbol
 from .syntax import (
     Add, And, App, Atom, Box, CMP_FN, Diamond, Exists, FALSE, FalseF, Forall,
     HflError, IConst, INT, INeg, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or,
@@ -21,10 +19,6 @@ from .syntax import (
     base_name, eval_int, free_vars, fresh_name, int_vars, lam, map_children,
     spine, subst_ints, substitute,
 )
-
-
-class HigherOrderMuError(HflError):
-    """mu-elimination only covers fixpoints of type int^k -> prop."""
 
 
 class AbstractionError(HflError):
@@ -138,7 +132,7 @@ def _desugar(phi: Formula) -> Formula:
 
 def eliminate_mu(phi: Formula, bound: BoundExpr,
                  style: str = "forall") -> Formula:
-    """Replace every first-order least fixpoint by a counter-indexed
+    """Replace every least fixpoint, of any order, by a counter-indexed
     greatest fixpoint bounded by the given number of unfoldings.
 
     With style="forall" (the default),
@@ -153,7 +147,9 @@ def eliminate_mu(phi: Formula, bound: BoundExpr,
 
     which needs no quantifier and so survives window-bounded evaluation;
     it requires a single-piece bound.  Either way, valid output implies
-    valid input (phi^n(false) implies mu x. phi).
+    valid input: phi^n(false) <= mu x. phi holds in every lattice of
+    monotone functions.  The parameters y1..yk may have any type; the
+    bound may name the integer variables in scope.
 
     The arguments of an applied mu fill its parameters y1..yk, and only
     the ones left unfilled keep their lambda; an occurrence of x is treated
@@ -230,14 +226,11 @@ class _MuElimination:
         z, xp = fresh_name("z"), Var(fresh_name(base_name(x) + "'"),
                                      arrow(INT, t))
         scope, recur = self.scope, self.recur
-        self.scope = {**scope, **{base_name(y): y for y in ys}}
+        self.scope = {**scope, **{base_name(y): y for y, at in zip(ys, ats)
+                                  if isinstance(at, IntType)}}
         self.recur = {**recur, x: App(xp, Sub(IVar(z), IConst(1)))}
         body = self.go(app(body, *_vars(params[len(ys):])))
         self.scope, self.recur = scope, recur
-        if not all(isinstance(a, IntType) for a in ats):
-            raise HigherOrderMuError(
-                f"mu binder {base_name(x)} has type {t}; only "
-                "int^k -> prop fixpoints can be eliminated")
         pieces = tuple(self.bound.to_int_exprs(self.scope))
         inner = Nu(xp.name, xp.type, Lambda(z, INT, lam(
             params, And(Atom(">", IVar(z), IConst(0)), body))))
@@ -270,7 +263,7 @@ def _param_names(phi: Formula, k: int) -> list[str]:
 def _contract(f: Formula, a: Formula | IntExpr) -> Formula:
     """f(a), contracted if f is a lambda and a an integer or a variable."""
     if isinstance(f, Lambda) and isinstance(a, (IntExpr, Var)):
-        return substitute(f.body, f.var, a)
+        return substitute(f.body, {f.var: a})
     return App(f, a)
 
 
@@ -458,7 +451,7 @@ class _Abstraction:
                 raise AbstractionError(
                     "call-site instantiation only supports predicates over "
                     f"the binder variable alone, got extra vars {extra}")
-            out.append(self.weakest(benv, qf_subst(a, {tvar: e})))
+            out.append(self.weakest(benv, substitute(a, {tvar: e})))
         return out
 
     # a signature has one entry per parameter: the predicate templates of
@@ -494,7 +487,7 @@ class _Abstraction:
             case Lambda(x, t, b):
                 if isinstance(t, IntType):
                     templates = self.preds.for_binder(base_name(x))
-                    bools = [(fresh_name("b"), qf_subst(a, {tv: IVar(x)}))
+                    bools = [(fresh_name("b"), substitute(a, {tv: IVar(x)}))
                              for tv, a in templates]
                     body, bsig = self.go(b, benv + bools, sigs)
                     for bx, _a in reversed(bools):

@@ -8,16 +8,16 @@ import time
 import pytest
 
 from hflz.chc import (
-    ChcShapeError, ChcSystem, Clause, PredApp, SolverVerdict,
-    chc_to_hfl, emit_smtlib_horn, hfl_to_chc, parse_smtlib_horn,
-    solve_external, validate_model,
+    ChcShapeError, ChcSystem, Clause, PredApp, chc_to_hfl, emit_smtlib_horn,
+    hfl_to_chc, parse_smtlib_horn, solve_external, validate_model,
 )
 from hflz.parser import parse_formula
 from hflz.pretty import to_text
-from hflz.semantics import eval_bounded
-from hflz.smt import SolverError, symbol
+from hflz.smt import (
+    SolverError, parse_sexprs, sexpr_to_int_expr, symbol,
+)
 from hflz.syntax import (
-    Add, Atom, HflError, IConst, IVar, Sub, alpha_eq, dualize,
+    Add, Atom, HflError, IConst, INeg, IVar, Sub, alpha_eq, eval_int,
 )
 
 
@@ -194,6 +194,51 @@ def test_parse_rule_query_dialect():
     assert len(s.definite) == 2 and len(s.goals) == 1
 
 
+def _term(text: str):
+    return sexpr_to_int_expr(parse_sexprs(text)[0])
+
+
+X = IVar("x")
+
+
+@pytest.mark.parametrize("text, expr", [
+    ("5", IConst(5)),
+    ("-5", IConst(-5)),
+    # numerals are ASCII digits; anything else is a symbol
+    ("--5", IVar("--5")),
+    ("\u00b2", IVar("\u00b2")),
+    ("(* 2 x)", Add(X, X)),
+    ("(* x 3)", Add(Add(X, X), X)),
+    ("(* -2 x)", INeg(Add(X, X))),
+    ("(* (- 2) x)", INeg(Add(X, X))),
+    ("(* 0 x)", IConst(0)),
+    ("(* 2 3)", IConst(6)),
+    ("(* (- 2) 3 (+ 1 1))", IConst(-12)),
+    ("(* 2 (+ x 1))", Add(Add(X, IConst(1)), Add(X, IConst(1)))),
+])
+def test_horn_terms(text, expr):
+    assert _term(text) == expr
+
+
+def _depth(e) -> int:
+    kids = [v for v in vars(e).values() if not isinstance(v, (int, str))]
+    return 1 + max(map(_depth, kids), default=0)
+
+
+@pytest.mark.parametrize("c", [3000, -4097, 65535])
+def test_horn_product_by_a_large_constant_is_shallow(c):
+    e = _term(f"(* {c} x)")
+    assert eval_int(e, {"x": 7}) == 7 * c
+    assert _depth(e) <= 2 * abs(c).bit_length() + 2
+
+
+@pytest.mark.parametrize("text", ["(* x y)", "(* 2 x (- y))", "(* x x)"])
+def test_horn_nonlinear_product_is_refused(text):
+    with pytest.raises(ChcShapeError,
+                       match="^nonlinear multiplication in HORN input$"):
+        _term(text)
+
+
 def test_unterminated_quoted_symbol_is_named():
     with pytest.raises(HflError, match=r"^unterminated quoted symbol "
                                        r"'\|x Int\)\) \(p x\)\)\)'$"):
@@ -220,6 +265,12 @@ _P = "(declare-fun p (Int) Bool)\n"
     (_P + "(assert (forall ((x Int))))", "unsupported atom head 'forall'"),
     (_P + "(assert (=> (p x)))", "unsupported atom head '=>'"),
     (_P + "(assert (=> (not (= x)) (p x)))", "unsupported atom head 'not'"),
+    (_P + "(assert (=> ((a) 1 2) (p 1)))", "unsupported atom head '(a)'"),
+    (_P + "(assert (=> (< ((a) 1) 2) (p 1)))",
+     "unsupported arithmetic operator '(a)'"),
+    ("((a) 1)", "unsupported command '(a)'"),
+    ("a", "unexpected toplevel form 'a'"),
+    (_P + "(assert (=> q (p 1)))", "unknown body item 'q'"),
 ])
 def test_malformed_horn_forms_are_named(text, message):
     with pytest.raises(ChcShapeError, match=f"^{re.escape(message)}$"):

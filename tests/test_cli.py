@@ -56,6 +56,18 @@ def test_elim_mu_golden(corpus, capsys):
         "z > 0 /\\ (y <= 0 \\/ x'(z - 1, y - 1)))(u, i)")
 
 
+def test_elim_mu_at_order_two(tmp_path, capsys):
+    f = tmp_path / "order2.hfl"
+    f.write_text("(mu x: (int -> prop) -> int -> prop. \\f: int -> prop. "
+                 "\\y: int. f(y) \\/ <a> x(\\v: int. f(v + 1), y - 1))"
+                 "(\\w: int. w >= 2, 0)\n")
+    assert main(["elim-mu", str(f), "--bound", "3", "--style", "apply"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "(nu x': int -> (int -> prop) -> int -> prop. "
+        "\\(z: int, f: int -> prop, y: int). z > 0 /\\ (f(y) \\/ "
+        "<a> x'(z - 1, \\v: int. f(v + 1), y - 1)))(3, \\w: int. w >= 2, 0)")
+
+
 def test_abstract_golden(corpus, capsys):
     assert main(["abstract", str(corpus / "sec42.hfl"),
                  "--preds", str(corpus / "sec42.preds")]) == 0
@@ -79,6 +91,17 @@ def test_from_chc_names_a_malformed_form(tmp_path, capsys):
     f.write_text("(declare-fun p (Int) Bool)\n(assert)\n")
     assert main(["from-chc", str(f)]) == 3
     assert capsys.readouterr().err == "error: malformed command (assert)\n"
+
+
+def test_from_chc_reads_products_as_solvers_write_them(tmp_path, capsys):
+    f = tmp_path / "times.smt2"
+    f.write_text("(declare-fun p (Int) Bool)\n"
+                 "(assert (forall ((x Int)) (=> (= x (* (- 2) 3)) (p x))))\n"
+                 "(assert (forall ((y Int)) (=> (and (p y) (> (* 2 y) 0)) "
+                 "false)))\n")
+    assert main(["from-chc", str(f)]) == 0
+    assert capsys.readouterr().out == \
+        "forall y. (nu p: int -> prop. \\x: int. x != -6)(y) \\/ y + y <= 0\n"
 
 
 def test_translate(corpus, capsys):
@@ -309,7 +332,7 @@ def test_failing_side_is_an_error_in_both_modes(tmp_path, capsys, mode):
 
 def test_inapplicable_elimination_stage_is_skipped(corpus, scripts, capsys):
     # file_rec's mu binder has type int -> prop -> prop, which
-    # eliminate_mu rejects; the CHC stage is skipped at every bound, and at
+    # hfl_to_chc rejects; the CHC stage is skipped at every bound, and at
     # window 8 no other stage decides the formula
     assert main(["validity", str(corpus / "file_rec.prog"),
                  "--lts", str(corpus / "mfile.lts"), "--window", "8",

@@ -1,4 +1,4 @@
-"""Every name a source file imports is used in that file."""
+"""Every name a source or test file imports is used in that file."""
 
 import ast
 import pathlib
@@ -7,7 +7,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted([*(ROOT / "src" / "hflz").glob("*.py"),
-                *(ROOT / "scripts").glob("*.py")])
+                *(ROOT / "scripts").glob("*.py"),
+                *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

@@ -173,6 +173,13 @@ def test_errors():
                  id="conditional-operand"),
     pytest.param("main = (f ()\n", "2:1", "expected ')', found 'end of input'",
                  id="unclosed"),
+    pytest.param("events: read\nlet g j k = read (g 3 j)\nmain = g (()) 1\n",
+                 "3:1", "parameter j of g used both as an integer and as a "
+                 "continuation", id="kind-conflict-in-main"),
+    pytest.param("events: a\nlet g m k = if m <= 0 then k else a k\n"
+                 "  let u k = g () k\nmain = g 1 ()\n", "3:3",
+                 "parameter m of g used both as an integer and as a "
+                 "continuation", id="kind-conflict-in-a-definition"),
 ])
 def test_error_positions(text, position, message):
     with pytest.raises(ProgramError,

@@ -54,7 +54,7 @@ def test_typecheck_fixpoint_body_type_mismatch():
 def test_substitute_capture_avoiding():
     # (\y. x) [x := y] must not capture the free y
     inner = Lambda("y", PROP, Var("x", PROP))
-    out = substitute(inner, "x", Var("y", PROP))
+    out = substitute(inner, {"x": Var("y", PROP)})
     assert isinstance(out, Lambda)
     assert out.var != "y"
     assert free_vars(out) == {"y"}
@@ -62,8 +62,43 @@ def test_substitute_capture_avoiding():
 
 def test_substitute_int():
     phi = parse_formula("x <= 3", {"x": INT})
-    out = substitute(phi, "x", IConst(5))
+    out = substitute(phi, {"x": IConst(5)})
     assert out == Atom("<=", IConst(5), IConst(3))
+
+
+def test_substitute_is_parallel():
+    x, y = Var("x", PROP), Var("y", PROP)
+    assert substitute(Or(x, Diamond("a", y)), {"x": y, "y": x}) == \
+        Or(y, Diamond("a", x))
+    phi = parse_formula("x <= y", {"x": INT, "y": INT})
+    assert substitute(phi, {"x": IVar("y"), "y": IVar("x")}) == \
+        Atom("<=", IVar("y"), IVar("x"))
+
+
+def test_substitute_renames_a_capturing_binder():
+    # (\y. x /\ y)[x := y, z := true]: the free y of the replacement must
+    # stay free, so the binder y is renamed
+    y = Var("y", PROP)
+    phi = Lambda("y", PROP, And(Var("x", PROP), y))
+    out = substitute(phi, {"x": y, "z": TRUE})
+    assert out.var != "y"
+    assert out.body == And(y, Var(out.var, PROP))
+    # an integer binder is renamed the same way; below a binder that
+    # shadows j, j is left alone
+    i, j = IVar("i"), IVar("j")
+    phi = Exists("i", And(Atom("<", i, j),
+                          Exists("j", Atom("=", j, IConst(0)))))
+    out = substitute(phi, {"j": i})
+    assert out.var != "i"
+    assert out.body == And(Atom("<", IVar(out.var), i), phi.body.rhs)
+
+
+def test_substitute_keeps_the_type_errors():
+    phi = parse_formula("(\\y: int. y <= 0)(x)", {"x": INT})
+    with pytest.raises(HflTypeError, match="formula for integer variable"):
+        substitute(phi, {phi.arg.name: TRUE})
+    with pytest.raises(HflTypeError, match="integer expression for formula"):
+        substitute(Var("p", PROP), {"p": IConst(1)})
 
 
 _TWO_WALKS = (r"forall i. (mu x: int -> prop. \y: int. y <= 3 \/ x(y - 1))(i)"
@@ -80,7 +115,7 @@ _PROGRAM_TEXT = (pathlib.Path(__file__).resolve().parent.parent / "corpus"
                  / "file_rec.prog").read_text()
 _PROGRAM = parse_program(_PROGRAM_TEXT)
 _PASSES = {
-    "substitute": lambda: substitute(_PHI.body, _PHI.var, IConst(2)),
+    "substitute": lambda: substitute(_PHI.body, {_PHI.var: IConst(2)}),
     "eliminate_mu": lambda: eliminate_mu(_DESUGARED, BoundExpr.const(4)),
     "desugar_quantifiers": lambda: desugar_quantifiers(_PHI),
     "to_text": lambda: to_text(_PHI),

@@ -1,4 +1,3 @@
-import os
 import stat
 import sys
 from collections import Counter
@@ -14,12 +13,12 @@ from hflz.semantics import check_pure, eval_bounded
 from hflz.smt import parse_sexprs
 from hflz.syntax import (
     And, App, Atom, HflError, IConst, INT, IVar, Lambda, Mu, Or, PROP, Sub,
-    Var, alpha_eq, app, arrow, eval_int, free_vars, subformulas,
+    Var, alpha_eq, arrow, eval_int, free_vars, subformulas, typecheck,
 )
 from hflz.transforms import (
-    AbstractionError, BoundExpr, HigherOrderMuError, PredicateSet,
-    SmtEntailment, WindowEntailment, abstract_predicates, desugar_quantifiers,
-    eliminate_mu, qf_holds,
+    AbstractionError, BoundExpr, PredicateSet, SmtEntailment,
+    WindowEntailment, abstract_predicates, desugar_quantifiers, eliminate_mu,
+    qf_holds,
 )
 
 
@@ -233,12 +232,16 @@ def test_eliminate_mu_apply_rejects_max():
         eliminate_mu(phi, BoundExpr.const(1), style="bogus")
 
 
-def test_eliminate_mu_higher_order_refused():
+def test_eliminate_mu_at_higher_order():
+    # the counter-indexed nu takes the prop parameter as it is
     phi = Mu("x", arrow(PROP, PROP),
              Lambda("p", PROP, App(Var("x", arrow(PROP, PROP)),
                                    Var("p", PROP))))
-    with pytest.raises(HigherOrderMuError):
-        eliminate_mu(App(phi, parse_formula("true")), BoundExpr.const(2))
+    elim = eliminate_mu(App(phi, parse_formula("true")), BoundExpr.const(2))
+    assert typecheck(elim) == PROP
+    assert to_text(elim) == (
+        "forall u >= 2. (nu x': int -> prop -> prop. \\(z: int, p: prop). "
+        "z > 0 /\\ x'(z - 1, p))(u, true)")
 
 
 @settings(max_examples=100, deadline=None)
