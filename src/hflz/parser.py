@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from .syntax import (
     Add, App, Arrow, Atom, And, Box, CMP_OPS, Diamond, Exists, FALSE, Forall,
-    HflError, IConst, INT, INeg, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or,
-    PROP, Sub, TRUE, Var, Formula, SimpleType, fresh_name, is_predicate_type,
+    HflError, IConst, INT, INeg, IVar, IntExpr, IntType, KEYWORDS, Lambda, Mu,
+    Nu, Or, PROP, Sub, TRUE, Var, Formula, SimpleType, fresh_name,
+    is_predicate_type,
 )
 
 
@@ -41,11 +42,10 @@ _TOKEN = re.compile(
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<sym>\\/|/\\|->|<=|>=|!=|[()\[\]<>=+\-.,:\\*])"
     r"|(?P<bad>.)")
-_KEYWORDS = {"true", "false", "mu", "nu", "exists", "forall", "int", "prop"}
 
 
 def tokenize(text: str, pattern: re.Pattern = _TOKEN,
-             keywords: set[str] = _KEYWORDS,
+             keywords: set[str] = KEYWORDS,
              error=HflSyntaxError) -> list[Token]:
     """Split text by `pattern`, whose groups are skip, num, ident, sym and
     bad; keywords and symbols are their own token kinds.  A bad character

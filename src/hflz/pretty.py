@@ -49,9 +49,8 @@ def _wrap(s: str, have: int, need: int) -> str:
 def to_text(phi: Formula) -> str:
     """Deterministic readable rendering; reparses to an alpha-equivalent
     formula."""
-    reserved = {base_name(v) for v in free_vars(phi)}
-    reserved |= {"true", "false", "mu", "nu", "exists", "forall", "max",
-                 "int", "prop"}
+    # readable_name skips keywords; max is not one, but heads a bound
+    reserved = {base_name(v) for v in free_vars(phi)} | {"max"}
     return _text(phi, {}, reserved, _TERM)
 
 

@@ -28,11 +28,14 @@ a finished entry would never change again.
 
 Each evaluator compiles the formula once, into closures (Feeley &
 Lapalme, "Using closures for code generation", 1987): ``compile`` matches
-each node a single time and returns a function from an environment to the
-node's value.  What a node fixes is bound into that function: its
-children's functions, a fixpoint's sorted free names, a comparison, the
-window, a label's predecessor index.  Lambda and fixpoint values carry
-their compiled bodies, so evaluation never walks the syntax tree.
+each node a single time, a quantifier as its walk, and returns a function
+from an environment to the node's value with the node's free names; so no
+other walk runs between ``typecheck`` and solving.  What a node fixes is bound
+into that function: its children's functions, a fixpoint's sorted free
+names, a comparison, the window, a label's predecessor index.  Lambda and
+fixpoint values carry their compiled bodies, so evaluation never walks the
+syntax tree.  Tables are keyed by ``_FixCode``, never by an ``id``: a walk
+built by compile is garbage once compiled, so its ``id`` can come again.
 
 ``check_pure`` runs it on pure HFL, where every domain is finite and the
 answer is exact.  ``eval_bounded`` runs it on full HFL(Z) with integer
@@ -48,13 +51,12 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from . import transforms
 from .lts import Lts, pre_image, trivial_model
 from .syntax import (
     Add, And, App, Arrow, Atom, Box, CMP_FN, Diamond, Exists, FalseF, Forall,
     HflError, IConst, INeg, IntExpr, IntType, IVar, Lambda, Mu, Nu, Or,
-    PropType, Sub, TrueF, Var, Formula, SimpleType, arg_types, free_vars,
-    is_pure, typecheck,
+    PropType, Sub, TrueF, Var, Formula, SimpleType, arg_types,
+    desugar_quantifier, int_vars, is_pure, typecheck,
 )
 
 
@@ -150,7 +152,7 @@ class _Partial:
         return _Partial(self.fix, args)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _FixCode:
     """A compiled mu or nu node, shared by all of its instances."""
     var: str
@@ -354,72 +356,76 @@ class _BoundedEvaluator:
 
     def holds_initially(self, phi: Formula) -> bool:
         try:
-            denotation = _prop(self.compile(phi)({}))
+            denotation = _prop(self.compile(phi)[0]({}))
         finally:
             # its fixpoints refer back to this evaluator
             self.fix_cache.clear()
         return bool(denotation >> self.lts.states.index(self.lts.initial) & 1)
 
-    def compile(self, phi: Formula) -> Callable[[dict], object]:
-        """phi as a function from an environment to its value.  The match
-        runs here, once per node; the returned function only computes."""
+    def compile(self, phi: Formula) -> tuple[Callable, frozenset[str]]:
+        """phi as a function from an environment to its value, and phi's
+        free names: the match runs here, once per node (a quantifier as its
+        walk, syntax.desugar_quantifier); the function only computes."""
+        if isinstance(phi, (Exists, Forall)):
+            phi = desugar_quantifier(phi)
         match phi:
             case Var(n, _):
-                return itemgetter(n)
+                return itemgetter(n), frozenset((n,))
             case TrueF():
                 full = self.full
-                return lambda env: full
+                return lambda env: full, frozenset()
             case FalseF():
-                return lambda env: 0
+                return lambda env: 0, frozenset()
             # an absorbing left operand leaves the right one unevaluated,
             # so its fixpoint calls add no table entries
             case Or(l, r):
-                lf, rf, full = self.compile(l), self.compile(r), self.full
+                (lf, lnames), (rf, rnames) = self.compile(l), self.compile(r)
+                full = self.full
 
                 def or_(env):
                     lv = _prop(lf(env))
                     if lv == full:
                         return lv
                     return lv | _prop(rf(env))
-                return or_
+                return or_, lnames | rnames
             case And(l, r):
-                lf, rf = self.compile(l), self.compile(r)
+                (lf, lnames), (rf, rnames) = self.compile(l), self.compile(r)
 
                 def and_(env):
                     lv = _prop(lf(env))
                     if not lv:
                         return 0
                     return lv & _prop(rf(env))
-                return and_
+                return and_, lnames | rnames
             case Diamond(a, b):
-                bf, index = self.compile(b), self.pre.get(a)
-                return lambda env: pre_image(index, _prop(bf(env)))
+                (bf, names), index = self.compile(b), self.pre.get(a)
+                return lambda env: pre_image(index, _prop(bf(env))), names
             case Box(a, b):
-                bf, index, full = self.compile(b), self.pre.get(a), self.full
+                (bf, names), index = self.compile(b), self.pre.get(a)
+                full = self.full
                 return lambda env: full & ~pre_image(
-                    index, full & ~_prop(bf(env)))
+                    index, full & ~_prop(bf(env))), names
             case Lambda(x, t, b):
-                bf = self.compile(b)
-                return lambda env: _Closure(x, t, bf, env)
+                bf, names = self.compile(b)
+                return lambda env: _Closure(x, t, bf, env), names - {x}
             case Mu(x, t, b) | Nu(x, t, b):
-                code = _FixCode(x, self.compile(b), isinstance(phi, Mu),
-                                arg_types(t))
-                names, node_id = sorted(free_vars(phi)), id(phi)
-                cache = self.fix_cache
+                bf, names = self.compile(b)
+                code = _FixCode(x, bf, isinstance(phi, Mu), arg_types(t))
+                names, cache = names - {x}, self.fix_cache
+                keys = sorted(names)
 
                 def fixpoint(env):
-                    vals = tuple(env[n] for n in names)
+                    vals = tuple(env[n] for n in keys)
                     if not all(isinstance(v, int) for v in vals):
                         fix = _FixFun(code, env, self)
                     else:
-                        fix = cache.get((node_id, vals))
+                        fix = cache.get((code, vals))
                         if fix is None:
-                            fix = cache[node_id, vals] = _FixFun(
-                                code, env, self)
+                            fix = cache[code, vals] = _FixFun(code, env, self)
                     return _Partial(fix, ()) if code.argts else fix.call(())
-                return fixpoint
+                return fixpoint, names
             case App(f, a) if isinstance(a, IntExpr):
-                ff, af = self.compile(f), _compile_int(a)
+                (ff, names), af = self.compile(f), _compile_int(a)
                 window, apply = self.window, self.apply
 
                 def app_int(env):
@@ -434,10 +440,11 @@ class _BoundedEvaluator:
                     if type(fv) is _TableFun:
                         return fv.items[av + window]
                     return apply(fv, av)
-                return app_int
+                return app_int, names.union(int_vars(a))
             case App(f, a):
-                ff, af, apply = self.compile(f), self.compile(a), self.apply
-                return lambda env: apply(ff(env), af(env))
+                (ff, fnames), (af, anames) = self.compile(f), self.compile(a)
+                apply = self.apply
+                return lambda env: apply(ff(env), af(env)), fnames | anames
             case Atom(op, l, r):
                 lf, rf = _compile_int(l), _compile_int(r)
                 cmp, full, window = CMP_FN[op], self.full, self.window
@@ -448,10 +455,7 @@ class _BoundedEvaluator:
                     if abs(lv) > window or abs(rv) > window:
                         return 0
                     return full if cmp(lv, rv) else 0
-                return atom
-            case Exists(_, _, _) | Forall(_, _, _):
-                raise HflError("quantifier sugar must be desugared before "
-                               "bounded evaluation")
+                return atom, frozenset(int_vars(l) + int_vars(r))
         raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -486,5 +490,4 @@ def eval_bounded(phi: Formula, window: int, lts: Lts | None = None,
     t = typecheck(phi, {})
     if not isinstance(t, PropType):
         raise HflError(f"bounded evaluation needs type prop, got {t}")
-    phi = transforms.desugar_quantifiers(phi)
     return _BoundedEvaluator(m, window, table_cap).holds_initially(phi)

@@ -9,6 +9,7 @@ its simple type, and binders are made globally unique at construction time
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 
@@ -290,14 +291,47 @@ def fresh_name(base: str) -> str:
     return f"{base_name(base)}%{next(_fresh_counter)}"
 
 
+KEYWORDS = {"true", "false", "mu", "nu", "exists", "forall", "int", "prop"}
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+
+
 def readable_name(name: str, taken: set[str]) -> str:
-    """name's base name (x when that is empty) for a reader, or the first
-    of base1, base2, ... that is not in taken."""
-    base = base_name(name) or "x"
+    """name's base name for a reader, or the first of base1, base2, ...
+    that is not in taken or a keyword.  In a base that is no identifier,
+    _ replaces each other character, and x leads unless a letter or _."""
+    base = base_name(name)
+    if not _IDENT.fullmatch(base):
+        base = re.sub(r"[^A-Za-z0-9_']", "_", base)
+        base = base if _IDENT.match(base) else "x" + base
     i = 0
-    while (cand := f"{base}{i or ''}") in taken:
+    while (cand := f"{base}{i or ''}") in taken or cand in KEYWORDS:
         i += 1
     return cand
+
+
+def desugar_quantifier(phi: Formula) -> Formula:
+    """The walk over the integers that a quantifier node stands for, its
+    body as it is: exists x. p -> (mu q. \\x. p \\/ q(x-1) \\/ q(x+1)) 0,
+    forall the dual, a bounded one upward from its bound.  Other nodes
+    are returned as they are."""
+    match phi:
+        case Exists(x, b, pieces) | Forall(x, b, pieces):
+            # exists walks with mu and \/, guarding its lower bounds
+            # with >= and /\; forall is the dual
+            fix, walk, guard, cmp = (Mu, Or, And, ">=") \
+                if isinstance(phi, Exists) else (Nu, And, Or, "<")
+            q = Var(fresh_name("q"), arrow(INT, PROP))
+            if not pieces:
+                body = walk(walk(b, App(q, Sub(IVar(x), IConst(1)))),
+                            App(q, Add(IVar(x), IConst(1))))
+                start: IntExpr = IConst(0)
+            else:
+                for piece in pieces[1:]:
+                    b = guard(Atom(cmp, IVar(x), piece), b)
+                body = walk(b, App(q, Add(IVar(x), IConst(1))))
+                start = pieces[0]
+            return App(fix(q.name, q.type, Lambda(x, INT, body)), start)
+    return phi
 
 
 # ---------------------------------------------------------------------------

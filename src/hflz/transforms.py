@@ -16,8 +16,8 @@ from .syntax import (
     Add, And, App, Atom, Box, CMP_FN, Diamond, Exists, FALSE, FalseF, Forall,
     HflError, IConst, INT, INeg, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or,
     PROP, Sub, TRUE, TrueF, Var, Formula, SimpleType, app, arg_types, arrow,
-    base_name, eval_int, free_vars, fresh_name, int_vars, lam, map_children,
-    spine, subst_ints, substitute,
+    base_name, desugar_quantifier, eval_int, free_vars, fresh_name, int_vars,
+    lam, map_children, spine, subst_ints, substitute,
 )
 
 
@@ -91,39 +91,13 @@ def _split_commas(text: str) -> list[str]:
 
 
 def desugar_quantifiers(phi: Formula) -> Formula:
-    """Replace exists/forall sugar by fixpoint walks over the integers.
-
-    exists x. p  ->  (mu q. \\x. p \\/ q(x-1) \\/ q(x+1)) 0
-    forall x. p  ->  (nu q. \\x. p /\\ q(x-1) /\\ q(x+1)) 0
-    Bounded forms walk upward only from the bound.
-    """
+    """Replace each exists/forall by its walk, syntax.desugar_quantifier."""
     return _desugar(phi)
 
 
 def _desugar(phi: Formula) -> Formula:
-    # module-level, not a closure that calls itself through its own cell,
-    # so a call leaves no cyclic garbage
-    match phi:
-        case Exists(x, b, pieces) | Forall(x, b, pieces):
-            # exists walks with mu and \/, guarding its lower bounds
-            # with >= and /\; forall is the dual
-            fix, walk, guard, cmp = (Mu, Or, And, ">=") \
-                if isinstance(phi, Exists) else (Nu, And, Or, "<")
-            b = _desugar(b)
-            q = fresh_name("q")
-            qt = arrow(INT, PROP)
-            qv = Var(q, qt)
-            if not pieces:
-                body = walk(walk(b, App(qv, Sub(IVar(x), IConst(1)))),
-                            App(qv, Add(IVar(x), IConst(1))))
-                start: IntExpr = IConst(0)
-            else:
-                for piece in pieces[1:]:
-                    b = guard(Atom(cmp, IVar(x), piece), b)
-                body = walk(b, App(qv, Add(IVar(x), IConst(1))))
-                start = pieces[0]
-            return App(fix(q, qt, Lambda(x, INT, body)), start)
-    return map_children(phi, _desugar)
+    # module-level, so a call leaves no cyclic garbage
+    return desugar_quantifier(map_children(phi, _desugar))
 
 
 # ---------------------------------------------------------------------------

@@ -399,11 +399,24 @@ def test_validate_model_mult():
     assert validate_model(s, good, oracle) is True
 
 
+def loaded_by(module: str) -> list[str]:
+    """The hflz modules a fresh process holds after importing module."""
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(*sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'hflz'))"],
+        capture_output=True, text=True, timeout=60, check=True).stdout
+    return out.split()
+
+
 def test_chc_loads_only_what_it_uses():
     # a solver process imports hflz.chc; the package loads no module it
     # does not name
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, hflz.chc; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'hflz'))"],
-        capture_output=True, text=True, timeout=60, check=True).stdout
-    assert out.strip() == "['hflz', 'hflz.chc', 'hflz.smt', 'hflz.syntax']"
+    assert loaded_by("hflz.chc") == [
+        "hflz", "hflz.chc", "hflz.smt", "hflz.syntax"]
+
+
+def test_semantics_loads_only_what_it_uses():
+    # the engine desugars quantifiers by the rule in syntax, so it loads
+    # neither transforms nor, through it, smt
+    assert loaded_by("hflz.semantics") == [
+        "hflz", "hflz.lts", "hflz.semantics", "hflz.syntax"]

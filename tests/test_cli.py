@@ -104,6 +104,25 @@ def test_from_chc_reads_products_as_solvers_write_them(tmp_path, capsys):
         "forall y. (nu p: int -> prop. \\x: int. x != -6)(y) \\/ y + y <= 0\n"
 
 
+def test_from_chc_prints_names_that_parse_back(tmp_path, capsys):
+    # SMT-LIB symbols that are not formula identifiers, one a keyword
+    f = tmp_path / "odd.smt2"
+    f.write_text("(declare-fun p (Int Int) Bool)\n"
+                 "(assert (forall ((int Int) (x!1 Int)) "
+                 "(=> (= int x!1) (p int x!1))))\n"
+                 "(assert (forall ((|a b| Int) (--5 Int)) "
+                 "(=> (and (p |a b| --5) (> |a b| --5)) false)))\n")
+    assert main(["from-chc", str(f)]) == 0
+    text = capsys.readouterr().out
+    assert text == (
+        "forall a_b. forall __5. (nu p: int -> int -> prop. "
+        "\\(int1: int, x_1: int). int1 != x_1)(a_b, __5) \\/ a_b <= __5\n")
+    g = tmp_path / "odd.hfl"
+    g.write_text(text)
+    assert main(["typecheck", str(g)]) == 0
+    assert capsys.readouterr().out == "prop\n"
+
+
 def test_translate(corpus, capsys):
     assert main(["translate", str(corpus / "file_straight.prog")]) == 0
     assert capsys.readouterr().out.strip() == "<read> <read> <close> <end> true"

@@ -625,16 +625,42 @@ def test_each_node_is_compiled_once(corpus, engine_counts):
 
 
 def test_long_conjunctions_keep_their_stack_depth():
-    # the engine takes one Python frame per conjunct, as when it walked the
-    # syntax tree on every visit; desugar_quantifiers takes two and runs
-    # out of stack first, near 500 conjuncts.  Three per conjunct would
-    # already fail here.
+    # the engine takes one Python frame per conjunct, compiling and
+    # evaluating, as when it walked the syntax tree on every visit;
+    # typecheck takes one too and runs out of stack first, near 990
+    # conjuncts.  Two per conjunct would already fail here.
     walk = parse_formula(
         r"(mu x: int -> prop. \y: int. y <= 0 \/ x(y - 1))(3)")
     phi = walk
-    for _ in range(399):
+    for _ in range(799):
         phi = And(walk, phi)
     assert eval_bounded(phi, 4)
+
+
+FIVE_WITNESSES = (r"(exists x0. x0 = -1) /\ (exists x1. x1 = 3) /\ "
+                  r"(exists x2. x2 = -2) /\ (exists x3. x3 = 12) /\ "
+                  r"(exists x4. x4 = 7)")
+
+
+def test_tables_are_keyed_by_compiled_code():
+    # each exists compiles as a walk built inside compile, which is
+    # garbage once its compile returns, so the next walk can get its id:
+    # keyed on id(node), a walk found the table of an earlier one and
+    # answered True here, though 12 is outside the window.  Whether an id
+    # is reused depends on the allocator's state, so ask many times.
+    phi = parse_formula(FIVE_WITNESSES)
+    assert not any(eval_bounded(phi, 8) for _ in range(100))
+
+
+def test_conjoined_closed_walks_each_read_their_own_table():
+    # the seeded family of the test above; keyed on id(node), 3 to 6 of
+    # these 300 conjunctions got a wrong answer, in three runs
+    rng = random.Random(20)
+    for _ in range(300):
+        witnesses = [rng.randint(-12, 12) for _ in range(rng.randint(2, 6))]
+        phi = parse_formula(r" /\ ".join(
+            f"(exists x{j}. x{j} = {c})" for j, c in enumerate(witnesses)))
+        assert eval_bounded(phi, 8) == all(abs(c) <= 8 for c in witnesses)
 
 
 def test_long_pure_conjunctions_pass_is_pure():
