@@ -85,10 +85,14 @@ class Lts:
                 if src == state and lbl == label}
 
 
-def trivial_model() -> Lts:
-    """The single-state, transition-free model used for validity checking."""
-    return Lts(states=("*",), labels=frozenset(), transitions=frozenset(),
+_TRIVIAL = Lts(states=("*",), labels=frozenset(), transitions=frozenset(),
                initial="*")
+
+
+def trivial_model() -> Lts:
+    """The single-state, transition-free model used for validity checking:
+    one shared instance, frozen and with no index tables to fill."""
+    return _TRIVIAL
 
 
 def parse_lts(text: str) -> Lts:

@@ -29,13 +29,16 @@ a finished entry would never change again.
 Each evaluator compiles the formula once, into closures (Feeley &
 Lapalme, "Using closures for code generation", 1987): ``compile`` matches
 each node a single time, a quantifier as its walk, and returns a function
-from an environment to the node's value with the node's free names; so no
-other walk runs between ``typecheck`` and solving.  What a node fixes is bound
-into that function: its children's functions, a fixpoint's sorted free
-names, a comparison, the window, a label's predecessor index.  Lambda and
-fixpoint values carry their compiled bodies, so evaluation never walks the
-syntax tree.  Tables are keyed by ``_FixCode``, never by an ``id``: a walk
-built by compile is garbage once compiled, so its ``id`` can come again.
+from an environment to the node's value with the node's free names and
+its type.  It types each node by the rules of ``syntax.typecheck``, in
+their order and with their errors, so the entry points walk the formula
+once before solving and raise any type error before they evaluate.  What
+a node fixes is bound into that function: its children's functions, a
+fixpoint's sorted free names, a comparison, the window, a label's
+predecessor index.  Lambda and fixpoint values carry their compiled
+bodies, so evaluation never walks the syntax tree.  Tables are keyed by
+``_FixCode``, never by an ``id``: a walk built by compile is garbage once
+compiled, so its ``id`` can come again.
 
 ``check_pure`` runs it on pure HFL, where every domain is finite and the
 answer is exact.  ``eval_bounded`` runs it on full HFL(Z) with integer
@@ -53,10 +56,11 @@ from operator import itemgetter
 
 from .lts import Lts, pre_image, trivial_model
 from .syntax import (
-    Add, And, App, Arrow, Atom, Box, CMP_FN, Diamond, Exists, FalseF, Forall,
-    HflError, IConst, INeg, IntExpr, IntType, IVar, Lambda, Mu, Nu, Or,
-    PropType, Sub, TrueF, Var, Formula, SimpleType, arg_types,
-    desugar_quantifier, int_vars, is_pure, typecheck,
+    INT, PROP, Add, And, App, Arrow, Atom, Box, CMP_FN, Diamond, Exists,
+    FalseF, Forall, HflError, IConst, INeg, IntExpr, IntType, IVar, Lambda,
+    Mu, Nu, Or, PropType, Sub, TrueF, Var, Formula, SimpleType, arg_types,
+    check_int_var, desugar_quantifier, expect_prop_operand, fixpoint_type,
+    function_type, is_pure, result_type, typecheck_int, var_type,
 )
 
 
@@ -96,6 +100,9 @@ class _Bot:
 BOT = _Bot()
 
 
+_NO_NAMES: frozenset[str] = frozenset()
+
+
 def _prop(v) -> int:
     if v is BOT:
         return 0
@@ -104,23 +111,36 @@ def _prop(v) -> int:
     raise HflError(f"expected a proposition value, got {v!r}")
 
 
-def _compile_int(e: IntExpr) -> Callable[[dict], int]:
-    """e as a function from an environment to its value."""
+def _compile_int(e: IntExpr, tenv: dict) -> tuple[Callable[[dict], int],
+                                                 frozenset[str]]:
+    """e as a function from an environment to its value, and e's names,
+    each checked to have type int under tenv."""
     match e:
         case IConst(n):
-            return lambda env: n
+            return lambda env: n, _NO_NAMES
         case IVar(x):
-            return itemgetter(x)
+            check_int_var(x, tenv)
+            return itemgetter(x), frozenset((x,))
         case Add(l, r):
-            lf, rf = _compile_int(l), _compile_int(r)
-            return lambda env: lf(env) + rf(env)
+            (lf, lnames), (rf, rnames) = (_compile_int(l, tenv),
+                                          _compile_int(r, tenv))
+            return lambda env: lf(env) + rf(env), lnames | rnames
         case Sub(l, r):
-            lf, rf = _compile_int(l), _compile_int(r)
-            return lambda env: lf(env) - rf(env)
+            (lf, lnames), (rf, rnames) = (_compile_int(l, tenv),
+                                          _compile_int(r, tenv))
+            return lambda env: lf(env) - rf(env), lnames | rnames
         case INeg(b):
-            bf = _compile_int(b)
-            return lambda env: -bf(env)
+            bf, names = _compile_int(b, tenv)
+            return lambda env: -bf(env), names
     raise TypeError(f"not an integer expression: {e!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class _Compiled:
+    """A quantifier's body, compiled, in the place of the body in its walk."""
+    code: Callable[[dict], object]
+    names: frozenset[str]
+    type: SimpleType
 
 
 @dataclass
@@ -354,32 +374,46 @@ class _BoundedEvaluator:
 
     # -- compilation
 
-    def holds_initially(self, phi: Formula) -> bool:
+    def holds_initially(self, code: Callable[[dict], object]) -> bool:
+        """Whether the initial state is in the value of the compiled code
+        of a closed prop formula."""
         try:
-            denotation = _prop(self.compile(phi)[0]({}))
+            denotation = _prop(code({}))
         finally:
             # its fixpoints refer back to this evaluator
             self.fix_cache.clear()
         return bool(denotation >> self.lts.states.index(self.lts.initial) & 1)
 
-    def compile(self, phi: Formula) -> tuple[Callable, frozenset[str]]:
-        """phi as a function from an environment to its value, and phi's
-        free names: the match runs here, once per node (a quantifier as its
-        walk, syntax.desugar_quantifier); the function only computes."""
+    def compile(self, phi: Formula, tenv: dict[str, SimpleType]
+                ) -> tuple[Callable, frozenset[str], SimpleType]:
+        """phi as a function from an environment to its value, phi's free
+        names, and phi's type under tenv by the rules of syntax.typecheck:
+        the match runs here, once per node (a quantifier as its walk,
+        syntax.desugar_quantifier); the function only computes."""
         if isinstance(phi, (Exists, Forall)):
-            phi = desugar_quantifier(phi)
+            # typecheck's order: the bounds, then the body, typed once and
+            # compiled once, and spliced into the walk
+            for e in phi.lower:
+                typecheck_int(e, tenv)
+            bf, names, bt = self.compile(phi.body, {**tenv, phi.var: INT})
+            expect_prop_operand(phi, bt)
+            phi = desugar_quantifier(type(phi)(
+                phi.var, _Compiled(bf, names, bt), phi.lower))
         match phi:
-            case Var(n, _):
-                return itemgetter(n), frozenset((n,))
+            case Var(n, t):
+                return itemgetter(n), frozenset((n,)), var_type(n, t, tenv)
             case TrueF():
                 full = self.full
-                return lambda env: full, frozenset()
+                return lambda env: full, _NO_NAMES, PROP
             case FalseF():
-                return lambda env: 0, frozenset()
+                return lambda env: 0, _NO_NAMES, PROP
             # an absorbing left operand leaves the right one unevaluated,
             # so its fixpoint calls add no table entries
             case Or(l, r):
-                (lf, lnames), (rf, rnames) = self.compile(l), self.compile(r)
+                lf, lnames, lt = self.compile(l, tenv)
+                expect_prop_operand(phi, lt)
+                rf, rnames, rt = self.compile(r, tenv)
+                expect_prop_operand(phi, rt)
                 full = self.full
 
                 def or_(env):
@@ -387,29 +421,38 @@ class _BoundedEvaluator:
                     if lv == full:
                         return lv
                     return lv | _prop(rf(env))
-                return or_, lnames | rnames
+                return or_, lnames | rnames, PROP
             case And(l, r):
-                (lf, lnames), (rf, rnames) = self.compile(l), self.compile(r)
+                lf, lnames, lt = self.compile(l, tenv)
+                expect_prop_operand(phi, lt)
+                rf, rnames, rt = self.compile(r, tenv)
+                expect_prop_operand(phi, rt)
 
                 def and_(env):
                     lv = _prop(lf(env))
                     if not lv:
                         return 0
                     return lv & _prop(rf(env))
-                return and_, lnames | rnames
+                return and_, lnames | rnames, PROP
             case Diamond(a, b):
-                (bf, names), index = self.compile(b), self.pre.get(a)
-                return lambda env: pre_image(index, _prop(bf(env))), names
+                bf, names, bt = self.compile(b, tenv)
+                expect_prop_operand(phi, bt)
+                index = self.pre.get(a)
+                return (lambda env: pre_image(index, _prop(bf(env))), names,
+                        PROP)
             case Box(a, b):
-                (bf, names), index = self.compile(b), self.pre.get(a)
-                full = self.full
+                bf, names, bt = self.compile(b, tenv)
+                expect_prop_operand(phi, bt)
+                index, full = self.pre.get(a), self.full
                 return lambda env: full & ~pre_image(
-                    index, full & ~_prop(bf(env))), names
+                    index, full & ~_prop(bf(env))), names, PROP
             case Lambda(x, t, b):
-                bf, names = self.compile(b)
-                return lambda env: _Closure(x, t, bf, env), names - {x}
+                bf, names, bt = self.compile(b, {**tenv, x: t})
+                return (lambda env: _Closure(x, t, bf, env), names - {x},
+                        Arrow(t, bt))
             case Mu(x, t, b) | Nu(x, t, b):
-                bf, names = self.compile(b)
+                bf, names, bt = self.compile(b, {**tenv, x: t})
+                t = fixpoint_type(t, bt)
                 code = _FixCode(x, bf, isinstance(phi, Mu), arg_types(t))
                 names, cache = names - {x}, self.fix_cache
                 keys = sorted(names)
@@ -423,9 +466,11 @@ class _BoundedEvaluator:
                         if fix is None:
                             fix = cache[code, vals] = _FixFun(code, env, self)
                     return _Partial(fix, ()) if code.argts else fix.call(())
-                return fixpoint, names
+                return fixpoint, names, t
             case App(f, a) if isinstance(a, IntExpr):
-                (ff, names), af = self.compile(f), _compile_int(a)
+                ff, names, ft = self.compile(f, tenv)
+                ft = function_type(ft)
+                af, anames = _compile_int(a, tenv)
                 window, apply = self.window, self.apply
 
                 def app_int(env):
@@ -440,13 +485,17 @@ class _BoundedEvaluator:
                     if type(fv) is _TableFun:
                         return fv.items[av + window]
                     return apply(fv, av)
-                return app_int, names.union(int_vars(a))
+                return app_int, names | anames, result_type(ft, INT)
             case App(f, a):
-                (ff, fnames), (af, anames) = self.compile(f), self.compile(a)
+                ff, fnames, ft = self.compile(f, tenv)
+                ft = function_type(ft)
+                af, anames, at = self.compile(a, tenv)
                 apply = self.apply
-                return lambda env: apply(ff(env), af(env)), fnames | anames
+                return (lambda env: apply(ff(env), af(env)), fnames | anames,
+                        result_type(ft, at))
             case Atom(op, l, r):
-                lf, rf = _compile_int(l), _compile_int(r)
+                (lf, lnames), (rf, rnames) = (_compile_int(l, tenv),
+                                              _compile_int(r, tenv))
                 cmp, full, window = CMP_FN[op], self.full, self.window
 
                 def atom(env):
@@ -455,7 +504,9 @@ class _BoundedEvaluator:
                     if abs(lv) > window or abs(rv) > window:
                         return 0
                     return full if cmp(lv, rv) else 0
-                return atom, frozenset(int_vars(l) + int_vars(r))
+                return atom, lnames | rnames, PROP
+            case _Compiled(code, names, t):
+                return code, names, t
         raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -473,11 +524,11 @@ def check_pure_stats(lts: Lts, phi: Formula,
     """Exact M |= phi for closed pure formulas of type prop."""
     if not is_pure(phi):
         raise ImpureFormulaError("formula contains integers or quantifier sugar")
-    t = typecheck(phi, {})
+    ev = _BoundedEvaluator(lts, 0, table_cap)
+    code, _, t = ev.compile(phi, {})
     if not isinstance(t, PropType):
         raise ImpureFormulaError(f"model checking needs type prop, got {t}")
-    ev = _BoundedEvaluator(lts, 0, table_cap)
-    return ev.holds_initially(phi), ev.stats
+    return ev.holds_initially(code), ev.stats
 
 
 def eval_bounded(phi: Formula, window: int, lts: Lts | None = None,
@@ -486,8 +537,9 @@ def eval_bounded(phi: Formula, window: int, lts: Lts | None = None,
     restricted to [-window, window].  true implies M |= phi."""
     if window < 0:
         raise ValueError("window must be non-negative")
-    m = lts if lts is not None else trivial_model()
-    t = typecheck(phi, {})
+    ev = _BoundedEvaluator(lts if lts is not None else trivial_model(),
+                           window, table_cap)
+    code, _, t = ev.compile(phi, {})
     if not isinstance(t, PropType):
         raise HflError(f"bounded evaluation needs type prop, got {t}")
-    return _BoundedEvaluator(m, window, table_cap).holds_initially(phi)
+    return ev.holds_initially(code)

@@ -484,65 +484,96 @@ def is_pure(phi: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Typing
+# Typing: one rule per check, with its error text.  typecheck below and the
+# fixpoint engine's compile walk (semantics) both apply these rules, each
+# in typecheck's order, so both raise the same error first.
+
+
+def _bound_type(name: str, env: dict[str, SimpleType]) -> SimpleType:
+    t = env.get(name)
+    if t is None:
+        raise HflTypeError(f"unbound variable {base_name(name)}")
+    return t
+
+
+def var_type(name: str, annotated: SimpleType,
+             env: dict[str, SimpleType]) -> SimpleType:
+    """The type of a formula variable, which must be the one it is bound at."""
+    t = _bound_type(name, env)
+    if t != annotated:
+        raise HflTypeError(f"variable {base_name(name)} annotated {annotated} "
+                           f"but bound at {t}")
+    return t
+
+
+def check_int_var(name: str, env: dict[str, SimpleType]) -> None:
+    t = _bound_type(name, env)
+    if not isinstance(t, IntType):
+        raise HflTypeError(f"{base_name(name)} has type {t}, expected int")
+
+
+_OPERAND = {Or: "disjunct", And: "conjunct", Diamond: "modal operand",
+            Box: "modal operand", Exists: "quantifier body",
+            Forall: "quantifier body"}
+
+
+def expect_prop_operand(phi: Formula, t: SimpleType) -> None:
+    """An operand of the connective, modality or quantifier phi has type t."""
+    if not isinstance(t, PropType):
+        raise HflTypeError(
+            f"{_OPERAND[type(phi)]} must have type prop, got {t}")
+
+
+def fixpoint_type(binder: SimpleType, body: SimpleType) -> SimpleType:
+    if body != binder:
+        raise HflTypeError(
+            f"fixpoint body has type {body}, binder says {binder}")
+    return binder
+
+
+def function_type(t: SimpleType) -> Arrow:
+    """The type of an applied formula, which must be a function type."""
+    if not isinstance(t, Arrow):
+        raise HflTypeError(f"cannot apply a value of type {t}")
+    return t
+
+
+def result_type(fun: Arrow, arg: SimpleType) -> SimpleType:
+    if arg != fun.arg:
+        raise HflTypeError(f"argument has type {arg}, expected {fun.arg}")
+    return fun.res
 
 
 def typecheck_int(e: IntExpr, env: dict[str, SimpleType]) -> SimpleType:
     for n in int_vars(e):
-        t = env.get(n)
-        if t is None:
-            raise HflTypeError(f"unbound variable {base_name(n)}")
-        if not isinstance(t, IntType):
-            raise HflTypeError(f"{base_name(n)} has type {t}, expected int")
+        check_int_var(n, env)
     return INT
 
 
 def typecheck(phi: Formula, env: dict[str, SimpleType] | None = None) -> SimpleType:
     """Return the unique simple type of phi under env, or raise HflTypeError."""
     env = env or {}
-
-    def expect_prop(t: SimpleType, what: str):
-        if not isinstance(t, PropType):
-            raise HflTypeError(f"{what} must have type prop, got {t}")
-
     match phi:
         case Var(n, t):
-            et = env.get(n)
-            if et is None:
-                raise HflTypeError(f"unbound variable {base_name(n)}")
-            if et != t:
-                raise HflTypeError(
-                    f"variable {base_name(n)} annotated {t} but bound at {et}")
-            return t
+            return var_type(n, t, env)
         case TrueF() | FalseF():
             return PROP
-        case Or(l, r):
-            expect_prop(typecheck(l, env), "disjunct")
-            expect_prop(typecheck(r, env), "disjunct")
-            return PROP
-        case And(l, r):
-            expect_prop(typecheck(l, env), "conjunct")
-            expect_prop(typecheck(r, env), "conjunct")
+        case Or(l, r) | And(l, r):
+            expect_prop_operand(phi, typecheck(l, env))
+            expect_prop_operand(phi, typecheck(r, env))
             return PROP
         case Diamond(_, b) | Box(_, b):
-            expect_prop(typecheck(b, env), "modal operand")
+            expect_prop_operand(phi, typecheck(b, env))
             return PROP
         case Mu(x, t, b) | Nu(x, t, b):
-            bt = typecheck(b, {**env, x: t})
-            if bt != t:
-                raise HflTypeError(f"fixpoint body has type {bt}, binder says {t}")
-            return t
+            return fixpoint_type(t, typecheck(b, {**env, x: t}))
         case Lambda(x, t, b):
             return Arrow(t, typecheck(b, {**env, x: t}))
         case App(f, a):
-            ft = typecheck(f, env)
-            if not isinstance(ft, Arrow):
-                raise HflTypeError(f"cannot apply a value of type {ft}")
-            at = (typecheck_int(a, env) if isinstance(a, IntExpr)
-                  else typecheck(a, env))
-            if at != ft.arg:
-                raise HflTypeError(f"argument has type {at}, expected {ft.arg}")
-            return ft.res
+            ft = function_type(typecheck(f, env))
+            return result_type(ft, typecheck_int(a, env)
+                               if isinstance(a, IntExpr)
+                               else typecheck(a, env))
         case Atom(_, l, r):
             typecheck_int(l, env)
             typecheck_int(r, env)
@@ -550,7 +581,7 @@ def typecheck(phi: Formula, env: dict[str, SimpleType] | None = None) -> SimpleT
         case Exists(x, b, lower) | Forall(x, b, lower):
             for e in lower:
                 typecheck_int(e, env)
-            expect_prop(typecheck(b, {**env, x: INT}), "quantifier body")
+            expect_prop_operand(phi, typecheck(b, {**env, x: INT}))
             return PROP
     raise TypeError(f"not a formula: {phi!r}")
 

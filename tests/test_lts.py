@@ -27,6 +27,8 @@ def test_trivial_model():
     assert m.states == ("*",)
     assert m.transitions == frozenset()
     assert m.initial == "*"
+    # one shared instance, so its index is built once per process
+    assert trivial_model() is m
 
 
 def test_labels_inferred_when_undeclared():

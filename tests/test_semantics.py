@@ -1,10 +1,11 @@
 import gc
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hflz import semantics
+from hflz import semantics, syntax
 from hflz.chc import (
     ChcSystem, Clause, PredApp, chc_to_hfl, parse_smtlib_horn,
 )
@@ -17,8 +18,9 @@ from hflz.semantics import (
 )
 from hflz.syntax import (
     INT, Add, And, App, Arrow, Atom, Box, CMP_OPS, Diamond, Exists, FALSE,
-    Forall, IConst, IVar, Lambda, Mu, Nu, Or, PROP, Sub, TRUE, Var, app,
-    arrow, dualize, lam, map_children, subformulas,
+    Forall, HflError, HflTypeError, IConst, IVar, Lambda, Mu, Nu, Or, PROP,
+    Sub, TRUE, Var, app, arrow, dualize, is_pure, lam, map_children,
+    subformulas, typecheck,
 )
 from hflz.transforms import BoundExpr, desugar_quantifiers, eliminate_mu
 
@@ -515,9 +517,9 @@ def engine_counts(monkeypatch):
         counts["fixfuns"] += 1
         init(self, *args)
 
-    def counted_compile(self, phi):
+    def counted_compile(self, *args):
         counts["compiles"] += 1
-        return compile_(self, phi)
+        return compile_(self, *args)
 
     monkeypatch.setattr(semantics._FixFun, "body_value", counted_body_value)
     monkeypatch.setattr(semantics._FixFun, "__init__", counted_init)
@@ -612,7 +614,10 @@ def test_mult_dual_builds_few_fixpoints(corpus, engine_counts):
 
 
 def test_each_node_is_compiled_once(corpus, engine_counts):
-    # hundreds of body evaluations, and never a compile among them
+    # hundreds of body evaluations, and never a compile among them.  A
+    # quantifier's body is compiled once, before its walk, and the walk
+    # holds it as one more leaf; a body compiled twice would add its own
+    # 12 or more nodes here
     walk = parse_formula(
         r"forall i. (mu x: int -> prop. \y: int. y <= 4 \/ x(y - 3))(i)")
     cases = ((eliminate_mu(walk, BoundExpr.const(4), style="apply"), 12,
@@ -621,14 +626,17 @@ def test_each_node_is_compiled_once(corpus, engine_counts):
         engine_counts.update(body=0, compiles=0)
         assert eval_bounded(phi, window) == holds
         nodes = sum(1 for _ in subformulas(desugar_quantifiers(phi)))
-        assert engine_counts["compiles"] <= nodes < engine_counts["body"]
+        leaves = sum(isinstance(s, (Exists, Forall))
+                     for s in subformulas(phi))
+        assert engine_counts["compiles"] <= nodes + leaves \
+            < engine_counts["body"]
 
 
 def test_long_conjunctions_keep_their_stack_depth():
     # the engine takes one Python frame per conjunct, compiling and
-    # evaluating, as when it walked the syntax tree on every visit;
-    # typecheck takes one too and runs out of stack first, near 990
-    # conjuncts.  Two per conjunct would already fail here.
+    # evaluating, as when it walked the syntax tree on every visit; it
+    # runs out of stack near 985 conjuncts, in compile, which types each
+    # node as it goes.  Two per conjunct would already fail here.
     walk = parse_formula(
         r"(mu x: int -> prop. \y: int. y <= 0 \/ x(y - 1))(3)")
     phi = walk
@@ -883,3 +891,113 @@ def test_eliminated_formula_holds_only_where_the_original_does(
         assert eval_bounded(phi, window, lts=m)
     except TableCapError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# Typing inside the compile walk: typecheck's rules, texts and order
+
+
+TYPES = (PROP, PROP_TO_PROP, INT_TO_PROP)
+MODEL = parse_lts("states: s0 s1\ninitial: s0\ntrans:\ns0 a s1\ns1 b s0\n")
+
+
+def replace_at(phi, k, fn):
+    """phi with its k-th subformula in preorder replaced by fn of it."""
+    seen = itertools.count()
+
+    def go(s):
+        return fn(s) if next(seen) == k else map_children(s, go)
+    return go(phi)
+
+
+@st.composite
+def mutants(draw):
+    """A random formula with one or two subformulas s made (mostly)
+    ill-typed: a wrong annotation, an int or a prop where a function is
+    expected, a non-prop operand or quantifier body, an unbound or a
+    non-int name.  Of two faults, typecheck's order names one."""
+    phi = draw(st.one_of(pure_formulas(), order1_formulas(), int_formulas()))
+    for _ in range(draw(st.integers(1, 2))):
+        phi = draw(mutated(phi))
+    return phi
+
+
+@st.composite
+def mutated(draw, phi):
+    k = draw(st.integers(0, sum(1 for _ in subformulas(phi)) - 1))
+    wrong = draw(st.sampled_from(TYPES))
+    kind = draw(st.sampled_from(["annotate", "apply_int", "apply_prop",
+                                 "operand", "unbound", "int_var"]))
+
+    def mutate(s):
+        match kind, s:
+            case "annotate", Var(n, _):
+                return Var(n, wrong)
+            case "annotate", Mu(x, _, b) | Nu(x, _, b) | Lambda(x, _, b):
+                return type(s)(x, wrong, b)
+            case "int_var", Var(n, _):
+                return Atom("=", IVar(n), IConst(0))
+            case "apply_int", _:
+                return App(s, IConst(1))
+            case "apply_prop", _:
+                return App(s, TRUE)
+            case "unbound", _:
+                return Var("unbound%0", wrong)
+        nonprop = Lambda("p%0", PROP, s)
+        return draw(st.sampled_from([
+            Or(s, nonprop), And(nonprop, s), Diamond("a", nonprop),
+            Box("b", nonprop), Exists("i%0", nonprop)]))
+    return replace_at(phi, k, mutate)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutants())
+def test_the_engine_raises_typechecks_first_error(engine_counts, phi):
+    try:
+        t = typecheck(phi)
+    except HflTypeError as e:
+        error, text = HflTypeError, str(e)
+    else:
+        if t == PROP:
+            return
+        error, text = HflError, f"bounded evaluation needs type prop, got {t}"
+    engine_counts.update(body=0, fixfuns=0)
+    with pytest.raises(error) as raised:
+        eval_bounded(phi, 2, lts=MODEL)
+    assert type(raised.value) is error and str(raised.value) == text
+    if is_pure(phi):
+        if error is HflError:
+            error, text = ImpureFormulaError, \
+                f"model checking needs type prop, got {t}"
+        with pytest.raises(error) as raised:
+            check_pure(MODEL, phi)
+        assert type(raised.value) is error and str(raised.value) == text
+    # raised while compiling, before any evaluation
+    assert engine_counts["body"] == engine_counts["fixfuns"] == 0
+
+
+def test_the_engine_keeps_the_quantifier_and_top_level_texts():
+    body = Lambda("y", INT, Atom("=", IVar("y"), IVar("x")))
+    for q in (Exists("x", body), Forall("x", body, (IConst(-1),))):
+        with pytest.raises(HflTypeError, match=r"^quantifier body must have "
+                                               r"type prop, got int -> prop$"):
+            eval_bounded(q, 2)
+    fun = Lambda("p", PROP, Var("p", PROP))
+    with pytest.raises(HflError, match=r"^bounded evaluation needs type prop, "
+                                       r"got prop -> prop$"):
+        eval_bounded(fun, 2)
+    with pytest.raises(ImpureFormulaError, match=r"^model checking needs type "
+                                                 r"prop, got prop -> prop$"):
+        check_pure(MODEL, fun)
+
+
+def test_the_entry_points_never_call_typecheck(monkeypatch, corpus):
+    def refuse(*args):
+        raise AssertionError("typecheck was called")
+    monkeypatch.setattr(syntax, "typecheck", refuse)
+    assert not hasattr(semantics, "typecheck")
+    mult = parse_formula((corpus / "mult.hfl").read_text())
+    assert eval_bounded(app(mult, IConst(2), IConst(3), IConst(6)), 8)
+    assert eval_bounded(parse_formula("exists x >= 1. x = 3"), 4)
+    assert check_pure(MODEL, parse_formula(r"nu y: prop. <a> <b> y"))
