@@ -73,7 +73,9 @@ def _run_side(phi: Formula, lts: Lts, args: argparse.Namespace,
               schedule: list[tuple[str, BoundExpr]],
               cancel: threading.Event) -> _SideResult:
     """Run the one-sided pipeline; result.valid means this side's formula
-    was proved valid.  exact_false is only set by the exact pure checker."""
+    was proved valid.  exact_false is only set by an exact stage: the pure
+    checker, or the solver's unsat on a system built without
+    mu-elimination."""
     res = _SideResult()
 
     def timed(stage, fn):
@@ -131,7 +133,9 @@ def _abstract(phi: Formula, args: argparse.Namespace) -> Formula:
 def _try_chc(phi: Formula, bound: BoundExpr | None, label: str,
              args: argparse.Namespace, cancel, res: _SideResult,
              timed) -> bool:
-    """CHC path for first-order Horn-shaped formulas; True when proved."""
+    """CHC path for first-order Horn-shaped formulas; True when decided.
+    A system built without mu-elimination is equivalent to phi, so its
+    unsat refutes phi as its sat proves it."""
     try:
         elim = eliminate_mu(phi, bound) if bound is not None else phi
         system = hfl_to_chc(elim)
@@ -142,6 +146,9 @@ def _try_chc(phi: Formula, bound: BoundExpr | None, label: str,
     res.solver_verdict = verdict.kind
     if verdict.kind == "sat":
         res.stage, res.valid, res.bound = "chc", True, label
+        return True
+    if verdict.kind == "unsat" and bound is None:
+        res.stage, res.exact_false, res.bound = "chc", True, label
         return True
     return False
 

@@ -28,17 +28,17 @@ a finished entry would never change again.
 
 Each evaluator compiles the formula once, into closures (Feeley &
 Lapalme, "Using closures for code generation", 1987): ``compile`` matches
-each node a single time, a quantifier as its walk, and returns a function
-from an environment to the node's value with the node's free names and
-its type.  It types each node by the rules of ``syntax.typecheck``, in
-their order and with their errors, so the entry points walk the formula
-once before solving and raise any type error before they evaluate.  What
-a node fixes is bound into that function: its children's functions, a
-fixpoint's sorted free names, a comparison, the window, a label's
-predecessor index.  Lambda and fixpoint values carry their compiled
-bodies, so evaluation never walks the syntax tree.  Tables are keyed by
-``_FixCode``, never by an ``id``: a walk built by compile is garbage once
-compiled, so its ``id`` can come again.
+each node a single time and returns a function from an environment to the
+node's value with the node's free names and its type.  It types each node
+by the rules of ``syntax.typecheck``, in their order and with their
+errors, so the entry points walk the formula once before solving and
+raise any type error before they evaluate.  What a node fixes is bound
+into that function: its children's functions, a fixpoint's sorted free
+names, a comparison, the window, a label's predecessor index.  Lambda and
+fixpoint values carry their compiled bodies, so evaluation never walks
+the syntax tree.  A value closed over integers is cached on its compiled
+node (a ``_FixCode``, or an ``exists`` node's function), never on an
+``id``.
 
 ``check_pure`` runs it on pure HFL, where every domain is finite and the
 answer is exact.  ``eval_bounded`` runs it on full HFL(Z) with integer
@@ -46,6 +46,14 @@ arguments restricted to a window [-B, B].  Out-of-window applications and
 atoms contribute false, which makes the result an underapproximation: true
 implies M |= phi.  ``table_cap`` bounds every tabulated domain and every
 fixpoint table.
+
+A quantifier stands for a walk over the integers
+(``syntax.desugar_quantifier``), but the engine folds it over the window
+instead of solving that walk: ``exists x >= max(p0, p1). b`` is the union
+of ``b`` over x in [max(p0, p1), B], and empty when a bound is outside the
+window, which is the walk's value.  A ``forall`` walk always applies
+itself at B + 1, or starts outside the window, so it is empty.  A fold
+is not a table, so ``table_cap`` does not count it.
 """
 
 from __future__ import annotations
@@ -59,8 +67,8 @@ from .syntax import (
     INT, PROP, Add, And, App, Arrow, Atom, Box, CMP_FN, Diamond, Exists,
     FalseF, Forall, HflError, IConst, INeg, IntExpr, IntType, IVar, Lambda,
     Mu, Nu, Or, PropType, Sub, TrueF, Var, Formula, SimpleType, arg_types,
-    check_int_var, desugar_quantifier, expect_prop_operand, fixpoint_type,
-    function_type, is_pure, result_type, typecheck_int, var_type,
+    check_int_var, expect_prop_operand, fixpoint_type, function_type,
+    is_pure, result_type, var_type,
 )
 
 
@@ -133,14 +141,6 @@ def _compile_int(e: IntExpr, tenv: dict) -> tuple[Callable[[dict], int],
             bf, names = _compile_int(b, tenv)
             return lambda env: -bf(env), names
     raise TypeError(f"not an integer expression: {e!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class _Compiled:
-    """A quantifier's body, compiled, in the place of the body in its walk."""
-    code: Callable[[dict], object]
-    names: frozenset[str]
-    type: SimpleType
 
 
 @dataclass
@@ -372,6 +372,25 @@ class _BoundedEvaluator:
             return fv.take(self.canonical(av))
         raise HflError(f"cannot apply {fv!r}")
 
+    def fold(self, var: str, body: Callable[[dict], object],
+             lower: Sequence[Callable[[dict], int]], env: dict) -> int:
+        """exists var >= lower. body as its walk evaluates it: the union of
+        body over var's window values from max(lower) (-window without
+        bounds), stopping at the full set.  A bound outside the window
+        makes it empty: the walk starts there, or its guard is false."""
+        window, full, lo = self.window, self.full, -self.window
+        for f in lower:
+            bound = f(env)
+            if abs(bound) > window:
+                return 0
+            lo = max(lo, bound)
+        out = 0
+        for v in range(lo, window + 1):
+            out |= _prop(body({**env, var: v}))
+            if out == full:
+                break
+        return out
+
     # -- compilation
 
     def holds_initially(self, code: Callable[[dict], object]) -> bool:
@@ -388,17 +407,7 @@ class _BoundedEvaluator:
                 ) -> tuple[Callable, frozenset[str], SimpleType]:
         """phi as a function from an environment to its value, phi's free
         names, and phi's type under tenv by the rules of syntax.typecheck:
-        the match runs here, once per node (a quantifier as its walk,
-        syntax.desugar_quantifier); the function only computes."""
-        if isinstance(phi, (Exists, Forall)):
-            # typecheck's order: the bounds, then the body, typed once and
-            # compiled once, and spliced into the walk
-            for e in phi.lower:
-                typecheck_int(e, tenv)
-            bf, names, bt = self.compile(phi.body, {**tenv, phi.var: INT})
-            expect_prop_operand(phi, bt)
-            phi = desugar_quantifier(type(phi)(
-                phi.var, _Compiled(bf, names, bt), phi.lower))
+        the match runs here, once per node; the function only computes."""
         match phi:
             case Var(n, t):
                 return itemgetter(n), frozenset((n,)), var_type(n, t, tenv)
@@ -505,8 +514,32 @@ class _BoundedEvaluator:
                         return 0
                     return full if cmp(lv, rv) else 0
                 return atom, lnames | rnames, PROP
-            case _Compiled(code, names, t):
-                return code, names, t
+            case Exists(x, b, lower) | Forall(x, b, lower):
+                # typecheck's order: the bounds, then the body
+                bounds = [_compile_int(e, tenv) for e in lower]
+                bf, names, bt = self.compile(b, {**tenv, x: INT})
+                expect_prop_operand(phi, bt)
+                names = names.difference((x,)).union(
+                    *(bnames for _, bnames in bounds))
+                if isinstance(phi, Forall):
+                    # its walk applies itself at window + 1, or starts
+                    # outside the window, which is false: so its greatest
+                    # fixpoint is empty at every entry
+                    return lambda env: 0, names, PROP
+                lower_fs = [f for f, _ in bounds]
+                keys, cache, fold = sorted(names), self.fix_cache, self.fold
+
+                def exists(env):
+                    # cached by the rule of a fixpoint closed over
+                    # integers, keyed on this function
+                    vals = tuple(env[n] for n in keys)
+                    if not all(isinstance(v, int) for v in vals):
+                        return fold(x, bf, lower_fs, env)
+                    val = cache.get((exists, vals))
+                    if val is None:
+                        val = cache[exists, vals] = fold(x, bf, lower_fs, env)
+                    return val
+                return exists, names, PROP
         raise TypeError(f"not a formula: {phi!r}")
 
 

@@ -177,6 +177,34 @@ def test_validity_invalid_by_dual(tmp_path, scripts, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("mode", [[], ["--no-race"]])
+def test_unsat_of_an_exact_system_refutes(tmp_path, scripts, capsys, mode):
+    # built without mu-elimination, the system is equivalent to the
+    # formula, and the solver's unsat at y = 5 is a counterexample that
+    # window 2 does not reach
+    f = tmp_path / "phi.hfl"
+    f.write_text("forall y. (nu x: int -> prop. \\y: int. y < 5 /\\ "
+                 "x(y + 1))(y)\n")
+    assert main(["validity", str(f), "--window", "2", "--solver",
+                 solver_cmd(scripts), "--format", "json", *mode]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["stage"], doc["bound"],
+            doc["solver_verdict"]) == ("Invalid", "chc", "-", "unsat")
+
+
+def test_unsat_after_mu_elimination_is_no_verdict(tmp_path, scripts,
+                                                  capsys):
+    # valid, but one unfolding is too few for i >= -1: an unsat of the
+    # eliminated system only says the bound is too small
+    f = tmp_path / "phi.hfl"
+    f.write_text("forall i. (mu x: int -> prop. \\y: int. y <= -2 \\/ "
+                 "x(y - 1))(i)\n")
+    assert main(["validity", str(f), "--bound", "1", "--solver",
+                 solver_cmd(scripts), "--no-race", "--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["solver_verdict"]) == ("Unknown", "unsat")
+
+
 def test_validity_program(corpus, capsys):
     rc = main(["validity", str(corpus / "mfile.lts"),
                str(corpus / "file_rec.prog"), "--no-race"])
@@ -339,8 +367,9 @@ def test_closed_stdout_keeps_the_verdict_exit_code(corpus):
 
 @pytest.mark.parametrize("mode", [[], ["--no-race"]])
 def test_failing_side_is_an_error_in_both_modes(tmp_path, capsys, mode):
+    # the walk's table needs entries 0 to 3, and a cap of 1 allows one
     f = tmp_path / "e.hfl"
-    f.write_text("exists x. x = 3\n")
+    f.write_text("(mu x: int -> prop. \\y: int. y = 3 \\/ x(y + 1))(0)\n")
     assert main(["validity", str(f), "--table-cap", "1", *mode]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

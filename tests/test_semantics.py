@@ -504,10 +504,11 @@ def test_eval_with_lts(corpus):
 
 @pytest.fixture
 def engine_counts(monkeypatch):
-    counts = {"body": 0, "fixfuns": 0, "compiles": 0}
+    counts = {"body": 0, "fixfuns": 0, "compiles": 0, "folds": 0}
     body_value = semantics._FixFun.body_value
     init = semantics._FixFun.__init__
     compile_ = semantics._BoundedEvaluator.compile
+    fold = semantics._BoundedEvaluator.fold
 
     def counted_body_value(self, keys):
         counts["body"] += 1
@@ -521,20 +522,29 @@ def engine_counts(monkeypatch):
         counts["compiles"] += 1
         return compile_(self, *args)
 
+    def counted_fold(self, *args):
+        counts["folds"] += 1
+        return fold(self, *args)
+
     monkeypatch.setattr(semantics._FixFun, "body_value", counted_body_value)
+    monkeypatch.setattr(semantics._BoundedEvaluator, "fold", counted_fold)
     monkeypatch.setattr(semantics._FixFun, "__init__", counted_init)
     monkeypatch.setattr(semantics._BoundedEvaluator, "compile",
                         counted_compile)
     return counts
 
 
+ELIMINATED_WALK = eliminate_mu(parse_formula(
+    r"forall i. (mu x: int -> prop. \y: int. y <= 4 \/ x(y - 3))(i)"),
+    BoundExpr.const(4), style="apply")
+
+
 def test_eliminated_walk_evaluates_each_entry_rarely(engine_counts):
-    # a call into the solved inner nu returns its entry; solving the whole
-    # table again on each call costs 56,939 body evaluations here
-    walk = parse_formula(
-        r"forall i. (mu x: int -> prop. \y: int. y <= 4 \/ x(y - 3))(i)")
-    phi = eliminate_mu(walk, BoundExpr.const(4), style="apply")
-    assert not eval_bounded(phi, 12)
+    # the exists dual calls its inner table, the dual of the eliminated
+    # nu, at each of the 25 window values; a call into the solved table
+    # returns its entry, and solving the whole table again on each call
+    # costs thousands of body evaluations
+    assert not eval_bounded(dualize(ELIMINATED_WALK), 12)
     assert engine_counts["body"] <= 150
 
 
@@ -614,22 +624,44 @@ def test_mult_dual_builds_few_fixpoints(corpus, engine_counts):
 
 
 def test_each_node_is_compiled_once(corpus, engine_counts):
-    # hundreds of body evaluations, and never a compile among them.  A
-    # quantifier's body is compiled once, before its walk, and the walk
-    # holds it as one more leaf; a body compiled twice would add its own
-    # 12 or more nodes here
-    walk = parse_formula(
-        r"forall i. (mu x: int -> prop. \y: int. y <= 4 \/ x(y - 3))(i)")
-    cases = ((eliminate_mu(walk, BoundExpr.const(4), style="apply"), 12,
-              False), (mult_dual(corpus), 2, True))
+    # dozens of body evaluations, and never a compile among them: compile
+    # runs once per node of the input, a quantifier included, and builds
+    # no walk for it
+    cases = ((dualize(ELIMINATED_WALK), 12, False), (mult_dual(corpus), 2,
+                                                     True))
     for phi, window, holds in cases:
         engine_counts.update(body=0, compiles=0)
         assert eval_bounded(phi, window) == holds
-        nodes = sum(1 for _ in subformulas(desugar_quantifiers(phi)))
-        leaves = sum(isinstance(s, (Exists, Forall))
-                     for s in subformulas(phi))
-        assert engine_counts["compiles"] <= nodes + leaves \
-            < engine_counts["body"]
+        nodes = sum(1 for _ in subformulas(phi))
+        assert engine_counts["compiles"] == nodes < engine_counts["body"]
+
+
+@pytest.mark.parametrize("text", [
+    r"forall i. (mu x: int -> prop. \y: int. y <= 4 \/ x(y - 3))(i)",
+    r"forall i >= max(-1, 0). (exists j. i = j /\ (nu x: int -> prop."
+    r" \y: int. x(y - 1))(j))",
+    r"(mu x: int -> prop. \y: int. y = 2 \/ (forall i. x(i)))(0)",
+])
+def test_a_forall_evaluates_no_body(text, engine_counts):
+    # its walk always applies itself outside the window, so it is false
+    # at once, with nothing of its body evaluated
+    phi = parse_formula(text)
+    assert not eval_bounded(phi, 3)
+    assert engine_counts["folds"] == 0
+    assert engine_counts["body"] == engine_counts["fixfuns"] \
+        == (1 if isinstance(phi, App) else 0)
+
+
+def test_an_exists_closed_over_integers_is_folded_once_per_value(
+        engine_counts):
+    # entries 0, 1, 2 are each evaluated again when the entry they read
+    # grows; the exists inside closes over y only, so each of its three
+    # values is folded once, and found in the cache after
+    phi = parse_formula(
+        r"(mu f: int -> prop. \y: int. y >= 3 \/"
+        r" ((exists k >= y. k = 3) /\ f(y + 1)))(0)")
+    assert eval_bounded(phi, 4)
+    assert engine_counts["folds"] == 3 < engine_counts["body"] == 7
 
 
 def test_long_conjunctions_keep_their_stack_depth():
@@ -651,11 +683,12 @@ FIVE_WITNESSES = (r"(exists x0. x0 = -1) /\ (exists x1. x1 = 3) /\ "
 
 
 def test_tables_are_keyed_by_compiled_code():
-    # each exists compiles as a walk built inside compile, which is
-    # garbage once its compile returns, so the next walk can get its id:
-    # keyed on id(node), a walk found the table of an earlier one and
-    # answered True here, though 12 is outside the window.  Whether an id
-    # is reused depends on the allocator's state, so ask many times.
+    # each exists once compiled as a walk built inside compile, which was
+    # garbage once its compile returned, so the next walk could get its
+    # id: keyed on id(node), a walk found the table of an earlier one and
+    # answered True here, though 12 is outside the window.  A fold is
+    # cached on its compiled function.  Whether an id is reused depends on
+    # the allocator's state, so ask many times.
     phi = parse_formula(FIVE_WITNESSES)
     assert not any(eval_bounded(phi, 8) for _ in range(100))
 
@@ -802,6 +835,59 @@ def test_eval_bounded_matches_reference(m, phi, window):
     integer formulas, nested fixpoints of both polarities included."""
     assert eval_bounded(phi, window, lts=m) == \
         reference_eval_bounded(phi, window, lts=m)
+
+
+@st.composite
+def quantifier_bounds(draw, ivars):
+    """0 to 3 lower bounds; a constant reaches -6 or 6, outside every
+    window drawn below."""
+    exprs = st.one_of(st.integers(-6, 6).map(IConst), int_exprs(ivars))
+    return tuple(draw(st.lists(exprs, max_size=3)))
+
+
+@st.composite
+def quantified_formulas(draw, depth=0, ivars=(), funs=()):
+    """Prop formulas built around quantifiers: nested ones, and ones inside
+    a mu or nu body that apply that fixpoint, the shape of the mult dual.
+    The leaves are int_formulas over the names in scope."""
+    options = ["exists", "exists", "forall", "fix", "fix", "and_or"]
+    kind = draw(st.sampled_from(options if depth < 3 else ["leaf"]))
+    if kind == "leaf":
+        return draw(int_formulas(depth=4, ivars=ivars, funs=funs, binders=3,
+                                 allow_leaf=True))
+    sub = dict(depth=depth + 1, ivars=ivars, funs=funs)
+    if kind == "and_or":
+        return draw(st.sampled_from([And, Or]))(
+            draw(quantified_formulas(**sub)), draw(quantified_formulas(**sub)))
+    x = f"q{depth}"
+    if kind != "fix":
+        body = draw(quantified_formulas(depth=depth + 1, ivars=ivars + (x,),
+                                        funs=funs))
+        return (Exists if kind == "exists" else Forall)(
+            x, body, draw(quantifier_bounds(ivars)))
+    g, y = f"g{depth}", f"y{depth}"
+    step = draw(st.sampled_from([And, Or]))(
+        App(Var(g, INT_TO_PROP), draw(int_exprs((x, y)))),
+        draw(quantified_formulas(depth=depth + 1, ivars=ivars + (y, x),
+                                 funs=funs + ((g, 1),))))
+    inner = draw(st.sampled_from([Exists, Forall]))(
+        x, step, draw(quantifier_bounds(ivars + (y,))))
+    base = Atom(draw(st.sampled_from(CMP_OPS)), IVar(y),
+                IConst(draw(st.integers(-2, 2))))
+    fix, op = draw(st.sampled_from([(Mu, Or), (Nu, And), (Mu, And),
+                                    (Nu, Or)]))
+    body = Lambda(y, INT, op(base, inner))
+    return App(fix(g, INT_TO_PROP, body), draw(int_exprs(ivars)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ltss(max_states=3, max_trans=6), quantified_formulas(),
+       st.integers(0, 4))
+def test_quantifier_folds_match_their_walks(m, phi, window):
+    """A quantifier folded over the window has the value of the walk that
+    syntax.desugar_quantifier makes of it."""
+    assert eval_bounded(phi, window, lts=m) == \
+        eval_bounded(desugar_quantifiers(phi), window, lts=m)
 
 
 INT_PROP_TO_PROP = arrow(INT, PROP, PROP)
