@@ -38,7 +38,10 @@ names, a comparison, the window, a label's predecessor index.  Lambda and
 fixpoint values carry their compiled bodies, so evaluation never walks
 the syntax tree.  A value closed over integers is cached on its compiled
 node (a ``_FixCode``, or an ``exists`` node's function), never on an
-``id``.
+``id``.  A closed prop node is evaluated once per evaluation: under a
+binder, its function computes the value on first use and returns it from
+then on, so a state property such as ``<b> true`` in a fixpoint body costs
+one pre-image, not one per iteration (Emerson & Lei, LICS 1986).
 
 ``check_pure`` runs it on pure HFL, where every domain is finite and the
 answer is exact.  ``eval_bounded`` runs it on full HFL(Z) with integer
@@ -141,6 +144,19 @@ def _compile_int(e: IntExpr, tenv: dict) -> tuple[Callable[[dict], int],
             bf, names = _compile_int(b, tenv)
             return lambda env: -bf(env), names
     raise TypeError(f"not an integer expression: {e!r}")
+
+
+def _once(f: Callable[[dict], object]) -> Callable[[dict], object]:
+    """f evaluated on its first call, and that value returned from then on
+    (for a closed prop node, whose value no environment changes)."""
+    val = None
+
+    def once(env):
+        nonlocal val
+        if val is None:
+            val = f(env)
+        return val
+    return once
 
 
 @dataclass
@@ -430,7 +446,7 @@ class _BoundedEvaluator:
                     if lv == full:
                         return lv
                     return lv | _prop(rf(env))
-                return or_, lnames | rnames, PROP
+                f, names, t = or_, lnames | rnames, PROP
             case And(l, r):
                 lf, lnames, lt = self.compile(l, tenv)
                 expect_prop_operand(phi, lt)
@@ -442,19 +458,18 @@ class _BoundedEvaluator:
                     if not lv:
                         return 0
                     return lv & _prop(rf(env))
-                return and_, lnames | rnames, PROP
+                f, names, t = and_, lnames | rnames, PROP
             case Diamond(a, b):
                 bf, names, bt = self.compile(b, tenv)
                 expect_prop_operand(phi, bt)
                 index = self.pre.get(a)
-                return (lambda env: pre_image(index, _prop(bf(env))), names,
-                        PROP)
+                f, t = lambda env: pre_image(index, _prop(bf(env))), PROP
             case Box(a, b):
                 bf, names, bt = self.compile(b, tenv)
                 expect_prop_operand(phi, bt)
                 index, full = self.pre.get(a), self.full
-                return lambda env: full & ~pre_image(
-                    index, full & ~_prop(bf(env))), names, PROP
+                f, t = lambda env: full & ~pre_image(
+                    index, full & ~_prop(bf(env))), PROP
             case Lambda(x, t, b):
                 bf, names, bt = self.compile(b, {**tenv, x: t})
                 return (lambda env: _Closure(x, t, bf, env), names - {x},
@@ -476,8 +491,8 @@ class _BoundedEvaluator:
                             fix = cache[code, vals] = _FixFun(code, env, self)
                     return _Partial(fix, ()) if code.argts else fix.call(())
                 return fixpoint, names, t
-            case App(f, a) if isinstance(a, IntExpr):
-                ff, names, ft = self.compile(f, tenv)
+            case App(fun, a) if isinstance(a, IntExpr):
+                ff, names, ft = self.compile(fun, tenv)
                 ft = function_type(ft)
                 af, anames = _compile_int(a, tenv)
                 window, apply = self.window, self.apply
@@ -494,14 +509,14 @@ class _BoundedEvaluator:
                     if type(fv) is _TableFun:
                         return fv.items[av + window]
                     return apply(fv, av)
-                return app_int, names | anames, result_type(ft, INT)
-            case App(f, a):
-                ff, fnames, ft = self.compile(f, tenv)
+                f, names, t = app_int, names | anames, result_type(ft, INT)
+            case App(fun, a):
+                ff, fnames, ft = self.compile(fun, tenv)
                 ft = function_type(ft)
                 af, anames, at = self.compile(a, tenv)
                 apply = self.apply
-                return (lambda env: apply(ff(env), af(env)), fnames | anames,
-                        result_type(ft, at))
+                f, names, t = (lambda env: apply(ff(env), af(env)),
+                               fnames | anames, result_type(ft, at))
             case Atom(op, l, r):
                 (lf, lnames), (rf, rnames) = (_compile_int(l, tenv),
                                               _compile_int(r, tenv))
@@ -513,7 +528,7 @@ class _BoundedEvaluator:
                     if abs(lv) > window or abs(rv) > window:
                         return 0
                     return full if cmp(lv, rv) else 0
-                return atom, lnames | rnames, PROP
+                f, names, t = atom, lnames | rnames, PROP
             case Exists(x, b, lower) | Forall(x, b, lower):
                 # typecheck's order: the bounds, then the body
                 bounds = [_compile_int(e, tenv) for e in lower]
@@ -540,7 +555,18 @@ class _BoundedEvaluator:
                         val = cache[exists, vals] = fold(x, bf, lower_fs, env)
                     return val
                 return exists, names, PROP
-        raise TypeError(f"not a formula: {phi!r}")
+            case _:
+                raise TypeError(f"not a formula: {phi!r}")
+        # Operators, modalities, atoms and applications reach here; the
+        # other nodes returned above, a closed fixpoint or exists being
+        # cached in fix_cache.  A closed prop node depends only on the model
+        # and the window, so under a binder it is evaluated on first use
+        # and keeps that value for every later evaluation of the binder's
+        # body.  Outside every binder it is evaluated once anyway, and a
+        # wrapper there would cost a frame per conjunct of a long chain.
+        if names or not tenv or not isinstance(t, PropType):
+            return f, names, t
+        return _once(f), names, t
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,11 @@ def desugar_quantifier(phi: Formula) -> Formula:
                             App(q, Add(IVar(x), IConst(1))))
                 start: IntExpr = IConst(0)
             else:
+                if any(x in int_vars(p) for p in pieces[1:]):
+                    # the guards sit inside the walk's \x, where a bound's
+                    # own x would be captured: give the walk a fresh one
+                    x2 = fresh_name(x)
+                    b, x = substitute(b, {x: IVar(x2)}), x2
                 for piece in pieces[1:]:
                     b = guard(Atom(cmp, IVar(x), piece), b)
                 body = walk(b, App(q, Add(IVar(x), IConst(1))))

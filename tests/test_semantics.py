@@ -336,21 +336,33 @@ def test_one_model_answers_a_sequence_of_formulas(m, data):
                 assert check_pure(m, psi) == expected
 
 
-@pytest.mark.parametrize("case", ["mult", "reach", "ring"])
+@pytest.mark.parametrize("case", ["mult", "reach", "ring", "safe",
+                                  "closed_app"])
 def test_engine_leaves_no_cyclic_garbage(corpus, case):
     # an evaluator's fixpoints refer back to it; garbage in a cycle lives
-    # until the cyclic collector runs, and its pauses reach the tail
+    # until the cyclic collector runs, and its pauses reach the tail.  The
+    # last two have closed operands in a fixpoint body; closed_app's
+    # f(<close> true) is a partial application, whose function value refers
+    # back to the evaluator, so the engine must keep no such value
     mfile = parse_lts((corpus / "mfile.lts").read_text())
     mult = parse_formula((corpus / "mult.hfl").read_text())
     reach = parse_formula(r"mu y: prop. <end> true \/ <read> y \/ <close> y")
     ring = parse_formula(
         r"(nu f: prop -> prop. \p: prop. p /\ f(<read> p))(true)")
+    safe = parse_formula(r"nu y: prop. [close] false /\ [read] y")
+    closed_app = parse_formula(
+        r"mu y: prop. (nu f: prop -> prop -> prop. \p: prop. \q: prop."
+        r" (p \/ q) /\ f(<read> p, q))(<close> true, <read> y)")
+
+    def both(phi):
+        return check_pure(mfile, phi), eval_bounded(phi, 0, lts=mfile)
     run = {
         "mult": lambda: eval_bounded(
             app(mult, IConst(3), IConst(4), IConst(12)), 12),
         "reach": lambda: check_pure(mfile, reach),
-        "ring": lambda: (check_pure(mfile, ring),
-                         eval_bounded(ring, 0, lts=mfile)),
+        "ring": lambda: both(ring),
+        "safe": lambda: both(safe),
+        "closed_app": lambda: both(closed_app),
     }[case]
     run()
     gc.collect()
@@ -580,6 +592,38 @@ def test_zero_argument_fixpoints_read_their_own_entry(
     assert ok == holds == reference_check_pure_stats(m, phi)[0]
     assert engine_counts["body"] == 4
     assert [count for count, _ in stats.iterations] == [4]
+
+
+@pytest.mark.parametrize("text, label", [
+    (r"mu y: prop. <b> true \/ <a> y", "b"),
+    (r"nu y: prop. [c] false /\ [a] y", "c"),
+])
+def test_a_closed_operand_is_evaluated_once_per_evaluation(
+        monkeypatch, engine_counts, text, label):
+    # from the end of an n-state a-chain, where the label's edge is, the
+    # value moves back one state per body evaluation: n + 1 of them.  The
+    # operand <b> true or [c] false is closed, so its pre-image is computed
+    # once, and each evaluation adds the one of <a> y or [a] y; computed
+    # in every evaluation it costs 2n + 2 pre-images in all
+    n = 40
+    chain = a_chain(n)
+    last = chain.states[-1]
+    m = Lts(states=chain.states, labels=frozenset({"a", label}),
+            transitions=chain.transitions | {(last, label, last)},
+            initial=chain.initial)
+    calls = []
+    pre_image = semantics.pre_image
+    monkeypatch.setattr(semantics, "pre_image",
+                        lambda index, b: calls.append(b) or pre_image(index, b))
+    phi = parse_formula(text)
+    holds = reference_check_pure_stats(m, phi)[0]
+    for evaluate in (lambda: check_pure(m, phi),
+                     lambda: eval_bounded(phi, 0, lts=m)):
+        calls.clear()
+        engine_counts["body"] = 0
+        assert evaluate() == holds
+        assert engine_counts["body"] == n + 1
+        assert len(calls) <= n + 2
 
 
 def test_a_read_of_an_entry_made_by_another_is_recorded():
@@ -847,10 +891,12 @@ def quantifier_bounds(draw, ivars):
 
 @st.composite
 def quantified_formulas(draw, depth=0, ivars=(), funs=()):
-    """Prop formulas built around quantifiers: nested ones, and ones inside
-    a mu or nu body that apply that fixpoint, the shape of the mult dual.
-    The leaves are int_formulas over the names in scope."""
-    options = ["exists", "exists", "forall", "fix", "fix", "and_or"]
+    """Prop formulas built around quantifiers: nested ones, ones that reuse
+    an enclosing quantifier's name, and ones inside a mu or nu body that
+    apply that fixpoint, the shape of the mult dual.  The leaves are
+    int_formulas over the names in scope."""
+    options = ["exists", "exists", "forall", "fix", "fix", "and_or",
+               "shadow"]
     kind = draw(st.sampled_from(options if depth < 3 else ["leaf"]))
     if kind == "leaf":
         return draw(int_formulas(depth=4, ivars=ivars, funs=funs, binders=3,
@@ -860,6 +906,18 @@ def quantified_formulas(draw, depth=0, ivars=(), funs=()):
         return draw(st.sampled_from([And, Or]))(
             draw(quantified_formulas(**sub)), draw(quantified_formulas(**sub)))
     x = f"q{depth}"
+    if kind == "shadow":
+        # exists x. x op c /\ (exists x >= max(p, x + k). x op' c' \/ b):
+        # the inner x shadows the outer one, which the second bound reads
+        atoms = st.builds(Atom, st.sampled_from(CMP_OPS), st.just(IVar(x)),
+                          st.integers(-2, 2).map(IConst))
+        k = draw(st.integers(-2, 2))
+        reads = Add(IVar(x), IConst(k)) if k >= 0 else Sub(IVar(x),
+                                                             IConst(-k))
+        body = Or(draw(atoms), draw(quantified_formulas(
+            depth=depth + 1, ivars=ivars + (x,), funs=funs)))
+        inner = Exists(x, body, (draw(int_exprs(ivars)), reads))
+        return Exists(x, And(draw(atoms), inner), ())
     if kind != "fix":
         body = draw(quantified_formulas(depth=depth + 1, ivars=ivars + (x,),
                                         funs=funs))
@@ -888,6 +946,20 @@ def test_quantifier_folds_match_their_walks(m, phi, window):
     syntax.desugar_quantifier makes of it."""
     assert eval_bounded(phi, window, lts=m) == \
         eval_bounded(desugar_quantifiers(phi), window, lts=m)
+
+
+def test_a_later_bound_naming_the_quantifiers_variable_is_not_captured():
+    # the bounds after the first are guards inside the walk's \x; one that
+    # names an enclosing x must read that x, not the walk's parameter
+    x = IVar("x")
+    inner = Exists("x", Atom("=", x, IConst(1)), (IConst(-2), x))
+    phi = Exists("x", And(Atom("=", x, IConst(2)), inner), ())
+    assert typecheck(phi) == PROP
+    assert not eval_bounded(phi, 3)
+    assert not eval_bounded(desugar_quantifiers(phi), 3)
+    # a walk whose later bounds do not name x keeps x as its parameter
+    other = Exists("x", Atom("=", x, IConst(1)), (IConst(-2), IVar("y")))
+    assert syntax.desugar_quantifier(other).fun.body.var == "x"
 
 
 INT_PROP_TO_PROP = arrow(INT, PROP, PROP)
