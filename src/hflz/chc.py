@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
+from itertools import count
 
 from . import smt
 from .smt import ChcShapeError
 from .syntax import (
-    And, App, Atom, Box, Diamond, Exists, FALSE, FalseF, Forall, INT, IVar,
-    IntExpr, IntType, Lambda, Mu, Or, PROP, TRUE, TrueF, Var, Formula, app,
-    arg_types, arrow, base_name, dualize, fresh_name, int_vars, lam,
-    readable_name, spine, subformulas, subst_ints, substitute, typecheck,
+    DUAL_OP, And, App, Atom, Box, Diamond, Exists, FALSE, FalseF, Forall, INT,
+    IVar, IntExpr, IntType, Lambda, Mu, Nu, Or, PROP, TRUE, TrueF, Var,
+    Formula, alpha_eq, app, arg_types, arrow, base_name, dualize, fresh_name,
+    free_vars, int_vars, lam, readable_name, spine, subst_ints, substitute,
+    typecheck,
 )
 
 
@@ -158,124 +160,125 @@ def _clause_body(defs: dict[str, tuple[int, list[Clause]]], c: Clause,
 
 def hfl_to_chc(phi: Formula) -> ChcSystem:
     """Extract a refutation clause system from a closed first-order formula
-    whose only fixpoints are greatest fixpoints over int^k -> prop.
-
-    The formula is dualized (turning nu into mu); the mu-definitions become
-    definite clauses and the rest becomes goal clauses, so the system is
-    satisfiable iff the input formula is valid.
-    """
+    whose only fixpoints are greatest fixpoints over int^k -> prop: each
+    nu-definition becomes a predicate whose definite clauses derive where
+    it fails, and the formula's failures become goal clauses, so the
+    system is satisfiable iff the formula is valid."""
     t = typecheck(phi)
     if t != PROP:
         raise ChcShapeError(f"expected a closed prop formula, got type {t}")
-    _check_chc_fragment(phi)
-
-    preds: dict[str, int] = {}
-    definite: list[Clause] = []
-    goals = [Clause(None, tuple(items)) for items in _disjuncts(
-        dualize(phi), {}, {}, set(), partial(_define, preds, definite))]
-    return ChcSystem(preds=preds, definite=tuple(definite), goals=tuple(goals))
+    walk = _Extraction()
+    goals = tuple(Clause(None, b) for b in walk.go(phi, {}, set()))
+    return ChcSystem(walk.preds, tuple(walk.definite), goals)
 
 
-def _define(preds: dict[str, int], definite: list[Clause], mu: Mu) -> str:
-    """The predicate of mu; its clauses go to definite on first use.
-    Module-level, not a closure that calls itself through its own cell,
+class _Extraction:
+    """The one walk of hfl_to_chc: go(phi, ienv, taken) gives the bodies of
+    the clauses that refute phi, the DNF of its dual read off phi itself,
+    over the clause variables ienv renames to; a local avoids the names in
+    taken.  Methods, not a closure that calls itself through its own cell,
     so a call leaves no cyclic garbage."""
-    name = base_name(mu.var)
-    ats = arg_types(mu.vtype)
-    if name in preds:
-        # a nested copy of an already-extracted definition
-        if preds[name] != len(ats):
-            raise ChcShapeError(
-                f"two fixpoints named {name} with different arities")
-        return name
-    preds[name] = len(ats)
-    params: list[str] = []
-    body = mu.body
-    ienv: dict[str, IVar] = {}
-    taken: set[str] = set()
-    for at in ats:
-        if not isinstance(at, IntType):
-            raise ChcShapeError(
-                f"fixpoint {name} has a non-integer parameter; only "
-                "first-order clauses are supported")
-        if not isinstance(body, Lambda):
-            raise ChcShapeError(
-                f"fixpoint {name} body must be a lambda chain over its "
-                "parameters")
-        p = readable_name(body.var, taken)
-        taken.add(p)
-        ienv[body.var] = IVar(p)
-        params.append(p)
-        body = body.body
-    head = PredApp(name, tuple(IVar(p) for p in params))
-    definite.extend(Clause(head, tuple(items)) for items in _disjuncts(
-        body, ienv, {mu.var: name}, taken, partial(_define, preds, definite)))
-    return name
 
+    def __init__(self):
+        self.preds: dict[str, int] = {}
+        self.definite: list[Clause] = []
+        # the definitions met so far by base name: (nu, penv, predicate)
+        self.defs: dict[str, list[tuple[Nu, dict[str, str], str]]] = {}
+        # fixpoint variable in scope -> predicate
+        self.penv: dict[str, str] = {}
 
-def _check_chc_fragment(phi: Formula):
-    for s in subformulas(phi):
-        match s:
-            case Diamond(_, _) | Box(_, _):
+    def go(self, phi: Formula, ienv: dict[str, IVar],
+           taken: set[str]) -> list[tuple[Atom | PredApp, ...]]:
+        match phi:
+            case And(l, r):
+                return self.go(l, ienv, taken) + self.go(r, ienv, taken)
+            case Or(l, r):
+                left = self.go(l, ienv, taken)
+                # right's locals meet left's variables in one clause
+                right = self.go(r, ienv, taken.union(*(
+                    Clause(None, b).variables() for b in left)))
+                return [a + b for a in left for b in right]
+            case TrueF():
+                return []
+            case FalseF():
+                return [()]
+            case Atom(op, l, r):
+                return [(Atom(DUAL_OP[op], _to_source(l, ienv),
+                              _to_source(r, ienv)),)]
+            case Forall(x, b, pieces):
+                lname = readable_name(x, taken)
+                guards = tuple(Atom(">=", IVar(lname), _to_source(p, ienv))
+                               for p in pieces)
+                inner = self.go(b, {**ienv, x: IVar(lname)}, taken | {lname})
+                return [guards + items for items in inner]
+            case Exists(_, _, _):
                 raise ChcShapeError(
-                    "modal operators have no CHC counterpart")
+                    "universal quantification inside a clause body is outside "
+                    "the CHC fragment")
+            case App(_, _):
+                head, args = spine(phi)
+                if isinstance(head, Mu):
+                    return self.go(head, ienv, taken)  # refused there
+                if not all(isinstance(a, IntExpr) for a in args):
+                    raise ChcShapeError(
+                        "higher-order application is outside the CHC fragment")
+                sargs = tuple(_to_source(a, ienv) for a in args)
+                if isinstance(head, Var):
+                    if head.name not in self.penv:
+                        raise ChcShapeError(
+                            f"application head {base_name(head.name)} is not "
+                            "a fixpoint variable")
+                    return [(PredApp(self.penv[head.name], sargs),)]
+                if isinstance(head, Nu):
+                    return [(PredApp(self.define(head), sargs),)]
+                raise ChcShapeError(
+                    f"unsupported application head {type(head).__name__}")
+            case Diamond(_, _) | Box(_, _):
+                raise ChcShapeError("modal operators have no CHC counterpart")
             case Mu(x, _, _):
                 raise ChcShapeError(
                     f"least fixpoint {base_name(x)} in the input; run "
                     "mu-elimination first (the CHC side of validity only "
                     "covers nu-formulas)")
-
-
-def _disjuncts(phi: Formula, ienv: dict[str, IVar], penv: dict[str, str],
-               taken: set[str], define) -> list[list[Atom | PredApp]]:
-    """DNF expansion of a dualized (mu-side) body into clause item lists."""
-    match phi:
-        case Or(l, r):
-            return _disjuncts(l, ienv, penv, taken, define) \
-                + _disjuncts(r, ienv, penv, taken, define)
-        case And(l, r):
-            left = _disjuncts(l, ienv, penv, taken, define)
-            right = _disjuncts(r, ienv, penv, taken, define)
-            return [a + b for a in left for b in right]
-        case TrueF():
-            return [[]]
-        case FalseF():
-            return []
-        case Atom(op, l, r):
-            return [[Atom(op, _to_source(l, ienv), _to_source(r, ienv))]]
-        case Exists(x, b, pieces):
-            lname = readable_name(x, taken)
-            ienv2 = {**ienv, x: IVar(lname)}
-            guards: list[Atom | PredApp] = [
-                Atom(">=", IVar(lname), _to_source(p, ienv)) for p in pieces]
-            inner = _disjuncts(b, ienv2, penv, taken | {lname}, define)
-            return [guards + items for items in inner]
-        case Forall(_, _, _):
-            raise ChcShapeError(
-                "universal quantification inside a clause body is outside "
-                "the CHC fragment")
-        case App(_, _):
-            head, args = spine(phi)
-            if not all(isinstance(a, IntExpr) for a in args):
+            case Nu(_, _, _):
                 raise ChcShapeError(
-                    "higher-order application is outside the CHC fragment")
-            sargs = tuple(_to_source(a, ienv) for a in args)
-            if isinstance(head, Var):
-                if head.name not in penv:
-                    raise ChcShapeError(
-                        f"application head {base_name(head.name)} is not a "
-                        "fixpoint variable")
-                return [[PredApp(penv[head.name], sargs)]]
-            if isinstance(head, Mu):
-                return [[PredApp(define(head), sargs)]]
-            raise ChcShapeError(
-                f"unsupported application head {type(head).__name__}")
-        case Mu(_, _, _):
-            raise ChcShapeError(
-                "a fixpoint must be applied to its integer arguments to "
-                "become a clause predicate")
-    raise ChcShapeError(
-        f"{type(phi).__name__} is outside the CHC fragment")
+                    "a fixpoint must be applied to its integer arguments to "
+                    "become a clause predicate")
+        raise ChcShapeError(
+            f"{type(phi).__name__} is outside the CHC fragment")
+
+    def define(self, nu: Nu) -> str:
+        """nu's predicate: that of an alpha-equivalent earlier copy whose
+        free names stand for the same predicates, else base, base1, ..."""
+        base = base_name(nu.var)
+        defs = self.defs.setdefault(base, [])
+        for other, penv, name in defs:
+            if alpha_eq(other, nu) and all(
+                    penv.get(v) == self.penv.get(v) for v in free_vars(nu)):
+                return name
+        name = next(n for i in count() if (n := f"{base}{i or ''}")
+                    not in self.preds)
+        defs.append((nu, self.penv, name))
+        params, ienv, body = [], {}, nu.body
+        for at in arg_types(nu.vtype):
+            if not isinstance(at, IntType):
+                raise ChcShapeError(
+                    f"fixpoint {base} has a non-integer parameter; only "
+                    "first-order clauses are supported")
+            if not isinstance(body, Lambda):
+                raise ChcShapeError(
+                    f"fixpoint {base} body must be a lambda chain over its "
+                    "parameters")
+            params.append(readable_name(body.var, set(params)))
+            ienv[body.var] = IVar(params[-1])
+            body = body.body
+        self.preds[name] = len(params)
+        penv, self.penv = self.penv, {**self.penv, nu.var: name}
+        bodies = self.go(body, ienv, set(params))
+        self.penv = penv
+        head = PredApp(name, tuple(map(IVar, params)))
+        self.definite.extend(Clause(head, b) for b in bodies)
+        return name
 
 
 def _to_source(e: IntExpr, ienv: dict[str, IVar]) -> IntExpr:

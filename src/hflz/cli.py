@@ -55,10 +55,6 @@ def _load_lts(args: argparse.Namespace) -> Lts:
     return trivial_model()
 
 
-def _has_mu(phi: Formula) -> bool:
-    return any(isinstance(s, Mu) for s in subformulas(phi))
-
-
 @dataclass
 class _SideResult:
     valid: bool = False
@@ -101,14 +97,15 @@ def _run_side(phi: Formula, lts: Lts, args: argparse.Namespace,
             res.stage, res.valid, res.bound = "eval_bounded", True, args.window
             return res
 
+        has_mu = any(isinstance(s, Mu) for s in subformulas(phi))
         if args.solver:
-            for label, bound in schedule if _has_mu(phi) else [("-", None)]:
+            for label, bound in schedule if has_mu else [("-", None)]:
                 if cancel.is_set():
                     raise _Decided()
                 if _try_chc(phi, bound, label, args, cancel, res, timed):
                     return res
 
-        if args.preds and not _has_mu(phi):
+        if args.preds and not has_mu:
             abstracted = timed("abstract", lambda: _abstract(phi, args))
             if is_pure(abstracted) and timed(
                     "abstract+check_pure", lambda: check_pure(
@@ -251,7 +248,6 @@ def _cmd_validity(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     lts = _load_lts(args)
     phi = _load_formula(args.input, args)
-    typecheck(phi)
     if not is_pure(phi):
         raise HflError("check needs a pure formula; use 'validity' or 'eval' "
                        "for formulas with integers")

@@ -6,6 +6,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hflz.chc import (
     ChcShapeError, ChcSystem, Clause, PredApp, chc_to_hfl, emit_smtlib_horn,
@@ -115,12 +116,142 @@ def test_hfl_to_chc_rejects_bad_shapes():
             "(mu x: int -> prop. \\y: int. y = 0 \\/ x(y - 1))(3)"))
 
 
-def test_nested_duplicate_predicates_are_merged():
-    # Bekic nesting copies inner definitions; emission merges them by name
-    s = sec41_system()
-    assert list(s.preds) == sorted(s.preds)
-    text = emit_smtlib_horn(s)
-    assert text.count("declare-fun") == len(s.preds)
+def dag_system(d: int) -> ChcSystem:
+    """P_i(x) <= P_{i+1}(x) /\\ P_{i+1}(x + 1) for i < d, the fact
+    P_d(x) <= x >= 0, and the goal P_0(x) /\\ x < 0 => false"""
+    x = IVar("x")
+    definite = [Clause(PredApp(f"P{i}", (x,)),
+                       (PredApp(f"P{i + 1}", (x,)),
+                        PredApp(f"P{i + 1}", (Add(x, IConst(1)),))))
+                for i in range(d)]
+    definite.append(Clause(PredApp(f"P{d}", (x,)),
+                           (Atom(">=", x, IConst(0)),)))
+    return ChcSystem(
+        preds={f"P{i}": 1 for i in range(d + 1)}, definite=tuple(definite),
+        goals=(Clause(None, (PredApp("P0", (x,)),
+                             Atom("<", x, IConst(0)))),))
+
+
+def test_copies_of_one_definition_share_a_predicate():
+    # chc_to_hfl inlines P_{i+1} twice into P_i; the alpha-equivalent
+    # copies are one predicate again, where one per copy would be 15
+    s = hfl_to_chc(chc_to_hfl(dag_system(3)))
+    assert s.preds == {"P0": 1, "P1": 1, "P2": 1, "P3": 1}
+    assert len(s.definite) == 4 and len(s.goals) == 1
+    assert emit_smtlib_horn(s) == """(set-logic HORN)
+(declare-fun P0 (Int) Bool)
+(declare-fun P1 (Int) Bool)
+(declare-fun P2 (Int) Bool)
+(declare-fun P3 (Int) Bool)
+(assert (forall ((x Int)) (=> (>= x 0) (P3 x))))
+(assert (forall ((x Int)) (=> (and (P3 x) (P3 (+ x 1))) (P2 x))))
+(assert (forall ((x Int)) (=> (and (P2 x) (P2 (+ x 1))) (P1 x))))
+(assert (forall ((x Int)) (=> (and (P1 x) (P1 (+ x 1))) (P0 x))))
+(assert (forall ((x Int)) (=> (and (P0 x) (< x 0)) false)))
+(check-sat)
+"""
+
+
+def test_distinct_fixpoints_of_one_name_are_distinct_predicates():
+    s = hfl_to_chc(parse_formula(
+        "(nu x: int -> prop. \\y: int. y >= 0 /\\ x(y + 1))(0) /\\ "
+        "(nu x: int -> prop. \\y: int. y < 5 /\\ x(y + 1))(0)"))
+    assert s.preds == {"x": 1, "x1": 1}
+    assert [c.body[0].name for c in s.goals] == ["x", "x1"]
+    y = IVar("y")
+    facts = {c.head.name: c.body for c in s.definite
+             if isinstance(c.body[0], Atom)}
+    assert facts == {"x": (Atom("<", y, IConst(0)),),
+                     "x1": (Atom(">=", y, IConst(5)),)}
+
+
+def test_copies_under_different_fixpoints_are_different_predicates():
+    # two fixpoints x built with one binder name, each around the same
+    # inner w, whose free x is a different predicate in each
+    from hflz.syntax import INT, PROP, And, App, Lambda, Nu, arrow
+    t = arrow(INT, PROP)
+    inner = parse_formula(
+        "(nu w: int -> prop. \\v: int. x(v) /\\ w(v + 1))(y)",
+        {"x": t, "y": INT})
+
+    def outer(k):
+        return App(Nu("x", t, Lambda("y", INT, And(
+            Atom(">=", IVar("y"), IConst(k)), inner))), IConst(0))
+
+    s = hfl_to_chc(And(outer(0), outer(5)))
+    assert s.preds == {"x": 1, "w": 1, "x1": 1, "w1": 1}
+    assert {c.head.name: c.body[0].name for c in s.definite
+            if c.head.name in ("w", "w1")
+            and c.body[0].args == (IVar("v"),)} == {"w": "x", "w1": "x1"}
+
+
+def test_mutual_recursion_reads_back():
+    # chc_to_hfl nests q's definition inside p's, where q calls p
+    x = IVar("x")
+    s0 = ChcSystem(
+        preds={"p": 1, "q": 1},
+        definite=(Clause(PredApp("p", (IConst(0),)), ()),
+                  Clause(PredApp("p", (x,)),
+                         (PredApp("q", (Sub(x, IConst(1)),)),)),
+                  Clause(PredApp("q", (x,)),
+                         (PredApp("p", (Sub(x, IConst(1)),)),))),
+        goals=(Clause(None, (PredApp("p", (x,)), Atom("<", x, IConst(0)))),))
+    s1 = hfl_to_chc(chc_to_hfl(s0))
+    assert set(s1.preds) == {"p", "q"}
+    assert len(s1.definite) == 3 and len(s1.goals) == 1
+    s2 = hfl_to_chc(chc_to_hfl(s1))
+    assert emit_smtlib_horn(s1) == emit_smtlib_horn(s2)
+
+
+def test_locals_of_two_disjuncts_are_two_variables():
+    # both foralls refute in one goal clause; one variable y for both
+    # would make the clause body y <= 0 /\\ y > 0, never true
+    s = hfl_to_chc(parse_formula("(forall y. y > 0) \\/ (forall y. y <= 0)"))
+    assert emit_smtlib_horn(s) == (
+        "(set-logic HORN)\n"
+        "(assert (forall ((y Int) (y1 Int)) "
+        "(=> (and (<= y 0) (> y1 0)) false)))\n"
+        "(check-sat)\n")
+
+
+_WALK = st.tuples(st.sampled_from("xz"), st.integers(-3, 3),
+                  st.sampled_from("+-"), st.integers(1, 2),
+                  st.integers(-3, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_WALK, min_size=2, max_size=4))
+def test_each_walk_keeps_its_own_clauses(walks):
+    # names collide, and a walk may repeat another: each goal's predicate
+    # must carry exactly its own walk's fact y <= c and step
+    text = " /\\ ".join(
+        f"(nu {n}: int -> prop. \\y: int. y > {c} /\\ {n}(y {op} {k}))({m})"
+        for n, c, op, k, m in walks)
+    s = hfl_to_chc(parse_formula(text))
+    assert len(s.goals) == len(walks)
+    y = IVar("y")
+    for goal, (_, c, op, k, m) in zip(s.goals, walks):
+        (p,) = goal.body
+        assert p.args == (IConst(m) if m >= 0 else INeg(IConst(-m)),)
+        bound = IConst(c) if c >= 0 else INeg(IConst(-c))
+        step = (Add if op == "+" else Sub)(y, IConst(k))
+        assert {cl.body for cl in s.definite if cl.head.name == p.name} == {
+            (Atom("<=", y, bound),), (PredApp(p.name, (step,)),)}
+
+
+def test_extraction_is_one_walk(monkeypatch):
+    from hflz import chc, syntax
+
+    def refused(*args):
+        raise AssertionError("a second walk")
+
+    for module, name in ((chc, "dualize"), (syntax, "dualize"),
+                         (syntax, "subformulas")):
+        monkeypatch.setattr(module, name, refused)
+    s = hfl_to_chc(parse_formula(
+        "forall i. (nu x: int -> prop. \\y: int. y > 0 /\\ "
+        "(x(y - 1) \\/ y = 3))(i)"))
+    assert s.preds == {"x": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,55 @@ def test_unsat_after_mu_elimination_is_no_verdict(tmp_path, scripts,
     assert (doc["verdict"], doc["solver_verdict"]) == ("Unknown", "unsat")
 
 
+def test_two_walks_of_one_name_are_not_proved(tmp_path, scripts, capsys):
+    # invalid: the second walk never meets 0.  Merged into one predicate
+    # by their name, the dual's clauses lost the second walk, and the
+    # solver's unsat on that exact system read as a refutation: Valid
+    f = tmp_path / "phi.hfl"
+    f.write_text("(mu x: int -> prop. \\y: int. y = 0 \\/ x(y - 1))(3) /\\ "
+                 "(mu x: int -> prop. \\y: int. y = 0 \\/ x(y - 2))(3)\n")
+    rc = main(["validity", str(f), "--solver", solver_cmd(scripts)])
+    assert rc != 0
+    assert capsys.readouterr().out.splitlines()[0] != "Valid"
+
+
+def test_two_greatest_fixpoints_of_one_name(tmp_path, scripts, capsys):
+    # each walk gets its own predicate, x and x1, and its own fact; the
+    # second fails at y = 5, outside window 3
+    f = tmp_path / "phi.hfl"
+    f.write_text("(nu x: int -> prop. \\y: int. y >= 0 /\\ x(y + 1))(0) /\\ "
+                 "(nu x: int -> prop. \\y: int. y < 5 /\\ x(y + 1))(0)\n")
+    assert main(["validity", str(f), "--no-race", "--window", "3",
+                 "--solver", solver_cmd(scripts), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["stage"], doc["bound"],
+            doc["solver_verdict"]) == ("Invalid", "chc", "-", "unsat")
+    assert main(["to-chc", str(f)]) == 0
+    assert capsys.readouterr().out == """(set-logic HORN)
+(declare-fun x (Int) Bool)
+(declare-fun x1 (Int) Bool)
+(assert (forall ((y Int)) (=> (< y 0) (x y))))
+(assert (forall ((y Int)) (=> (x (+ y 1)) (x y))))
+(assert (forall ((y Int)) (=> (>= y 5) (x1 y))))
+(assert (forall ((y Int)) (=> (x1 (+ y 1)) (x1 y))))
+(assert (=> (x 0) false))
+(assert (=> (x1 0) false))
+(check-sat)
+"""
+
+
+def test_two_foralls_under_a_disjunction(tmp_path, scripts, capsys):
+    # invalid; with one clause variable for both foralls the goal body
+    # y <= 0 /\\ y > 0 could never hold, and the system's sat read Valid
+    f = tmp_path / "phi.hfl"
+    f.write_text("(forall y. y > 0) \\/ (forall y. y <= 0)\n")
+    assert main(["validity", str(f), "--no-race", "--window", "3",
+                 "--solver", solver_cmd(scripts), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["stage"], doc["solver_verdict"]) == \
+        ("Invalid", "chc", "unsat")
+
+
 def test_validity_program(corpus, capsys):
     rc = main(["validity", str(corpus / "mfile.lts"),
                str(corpus / "file_rec.prog"), "--no-race"])
