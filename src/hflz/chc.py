@@ -15,10 +15,10 @@ from . import smt
 from .smt import ChcShapeError
 from .syntax import (
     DUAL_OP, And, App, Atom, Box, Diamond, Exists, FALSE, FalseF, Forall, INT,
-    IVar, IntExpr, IntType, Lambda, Mu, Nu, Or, PROP, TRUE, TrueF, Var,
-    Formula, alpha_eq, app, arg_types, arrow, base_name, dualize, fresh_name,
-    free_vars, int_vars, lam, readable_name, spine, subst_ints, substitute,
-    typecheck,
+    HflTypeError, IVar, IntExpr, IntType, Lambda, Mu, Nu, Or, PROP, TRUE,
+    TrueF, Var, Formula, SimpleType, alpha_eq, app, arg_types, arrow,
+    base_name, dualize, fresh_name, free_vars, int_vars, lam, readable_name,
+    spine, subst_ints, substitute, var_type,
 )
 
 
@@ -106,7 +106,7 @@ def chc_to_hfl(system: ChcSystem) -> Formula:
 def _pred_formula(defs: dict[str, tuple[int, list[Clause]]], p: str,
                   outer: dict[str, Var]) -> Formula:
     arity, clauses = defs[p]
-    t = arrow(*([INT] * arity), PROP) if arity else PROP
+    t = arrow(*[INT] * arity, PROP)
     binder = fresh_name(p)
     outer = {**outer, p: Var(binder, t)}
     params = [fresh_name(b) for b in _param_names(clauses, arity)]
@@ -164,9 +164,6 @@ def hfl_to_chc(phi: Formula) -> ChcSystem:
     nu-definition becomes a predicate whose definite clauses derive where
     it fails, and the formula's failures become goal clauses, so the
     system is satisfiable iff the formula is valid."""
-    t = typecheck(phi)
-    if t != PROP:
-        raise ChcShapeError(f"expected a closed prop formula, got type {t}")
     walk = _Extraction()
     goals = tuple(Clause(None, b) for b in walk.go(phi, {}, set()))
     return ChcSystem(walk.preds, tuple(walk.definite), goals)
@@ -176,16 +173,17 @@ class _Extraction:
     """The one walk of hfl_to_chc: go(phi, ienv, taken) gives the bodies of
     the clauses that refute phi, the DNF of its dual read off phi itself,
     over the clause variables ienv renames to; a local avoids the names in
-    taken.  Methods, not a closure that calls itself through its own cell,
-    so a call leaves no cyclic garbage."""
+    taken.  It types phi as it goes: the fragment leaves only annotations
+    and arities to check.  Methods, not a closure that calls itself through
+    its own cell, so a call leaves no cyclic garbage."""
 
     def __init__(self):
         self.preds: dict[str, int] = {}
         self.definite: list[Clause] = []
         # the definitions met so far by base name: (nu, penv, predicate)
-        self.defs: dict[str, list[tuple[Nu, dict[str, str], str]]] = {}
-        # fixpoint variable in scope -> predicate
-        self.penv: dict[str, str] = {}
+        self.defs: dict[str, list[tuple[Nu, dict, str]]] = {}
+        # fixpoint variable in scope -> its predicate and type
+        self.penv: dict[str, tuple[str, SimpleType]] = {}
 
     def go(self, phi: Formula, ienv: dict[str, IVar],
            taken: set[str]) -> list[tuple[Atom | PredApp, ...]]:
@@ -215,7 +213,8 @@ class _Extraction:
                 raise ChcShapeError(
                     "universal quantification inside a clause body is outside "
                     "the CHC fragment")
-            case App(_, _):
+            case App(_, _) | Var(_, _) | Nu(_, _, _):
+                # every predicate use, nullary ones bare
                 head, args = spine(phi)
                 if isinstance(head, Mu):
                     return self.go(head, ienv, taken)  # refused there
@@ -228,11 +227,18 @@ class _Extraction:
                         raise ChcShapeError(
                             f"application head {base_name(head.name)} is not "
                             "a fixpoint variable")
-                    return [(PredApp(self.penv[head.name], sargs),)]
-                if isinstance(head, Nu):
-                    return [(PredApp(self.define(head), sargs),)]
-                raise ChcShapeError(
-                    f"unsupported application head {type(head).__name__}")
+                    name, t = self.penv[head.name]
+                    var_type(head.name, head.type, {head.name: t})
+                elif isinstance(head, Nu):
+                    name = self.define(head)
+                else:
+                    raise ChcShapeError(
+                        f"unsupported application head {type(head).__name__}")
+                if len(sargs) != self.preds[name]:
+                    raise ChcShapeError("a fixpoint must be applied to its "
+                                        "integer arguments to become a clause "
+                                        "predicate")
+                return [(PredApp(name, sargs),)]
             case Diamond(_, _) | Box(_, _):
                 raise ChcShapeError("modal operators have no CHC counterpart")
             case Mu(x, _, _):
@@ -240,10 +246,6 @@ class _Extraction:
                     f"least fixpoint {base_name(x)} in the input; run "
                     "mu-elimination first (the CHC side of validity only "
                     "covers nu-formulas)")
-            case Nu(_, _, _):
-                raise ChcShapeError(
-                    "a fixpoint must be applied to its integer arguments to "
-                    "become a clause predicate")
         raise ChcShapeError(
             f"{type(phi).__name__} is outside the CHC fragment")
 
@@ -269,11 +271,14 @@ class _Extraction:
                 raise ChcShapeError(
                     f"fixpoint {base} body must be a lambda chain over its "
                     "parameters")
+            if body.vtype != at:
+                raise HflTypeError(f"parameter {base_name(body.var)} of "
+                                   f"fixpoint {base} annotated {body.vtype}")
             params.append(readable_name(body.var, set(params)))
             ienv[body.var] = IVar(params[-1])
             body = body.body
         self.preds[name] = len(params)
-        penv, self.penv = self.penv, {**self.penv, nu.var: name}
+        penv, self.penv = self.penv, {**self.penv, nu.var: (name, nu.vtype)}
         bodies = self.go(body, ienv, set(params))
         self.penv = penv
         head = PredApp(name, tuple(map(IVar, params)))

@@ -149,16 +149,3 @@ def _parse_transition(line: str, lineno: int) -> tuple[str, str, str]:
         raise LtsFormatError(
             f"line {lineno}: transition must be 'src label dst', got {line!r}")
     return parts[0], parts[1], parts[2]
-
-
-def lts_to_text(m: Lts) -> str:
-    lines = ["states: " + " ".join(m.states)]
-    if m.labels:
-        lines.append("labels: " + " ".join(sorted(m.labels)))
-    lines.append(f"initial: {m.initial}")
-    lines.append("trans:")
-    order = {s: i for i, s in enumerate(m.states)}
-    for src, lbl, dst in sorted(m.transitions,
-                                key=lambda t: (order[t[0]], t[1], order[t[2]])):
-        lines.append(f"  {src} {lbl} {dst}")
-    return "\n".join(lines) + "\n"

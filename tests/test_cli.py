@@ -86,6 +86,18 @@ def test_to_chc_from_chc_round_trip(corpus, tmp_path, capsys):
     assert "(declare-fun mult (Int Int Int) Bool)" in emitted
 
 
+def test_nullary_predicates_read_back(tmp_path, capsys):
+    script = ("(set-logic HORN)\n(declare-fun p () Bool)\n(assert p)\n"
+              "(assert (=> p false))\n(check-sat)\n")
+    f = tmp_path / "p.smt2"
+    f.write_text(script)
+    assert main(["from-chc", str(f)]) == 0
+    g = tmp_path / "p.hfl"
+    g.write_text(capsys.readouterr().out)
+    assert main(["to-chc", str(g)]) == 0
+    assert capsys.readouterr().out == script
+
+
 def test_from_chc_names_a_malformed_form(tmp_path, capsys):
     f = tmp_path / "bad.smt2"
     f.write_text("(declare-fun p (Int) Bool)\n(assert)\n")
@@ -252,6 +264,39 @@ def test_two_foralls_under_a_disjunction(tmp_path, scripts, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert (doc["verdict"], doc["stage"], doc["solver_verdict"]) == \
         ("Invalid", "chc", "unsat")
+
+
+def test_validity_smt2_input(corpus, scripts, capsys):
+    # a HORN script is read through chc_to_hfl, and its system, extracted
+    # again without mu-elimination, is proved by the solver's sat
+    assert main(["validity", str(corpus / "mult.smt2"), "--window", "4",
+                 "--no-race", "--solver", solver_cmd(scripts),
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["stage"], doc["bound"]) == \
+        ("Valid", "chc", "-")
+
+
+@pytest.mark.parametrize("mode", [[], ["--no-race"]])
+def test_validity_preds_stage(corpus, capsys, mode):
+    assert main(["validity", str(corpus / "sec42.hfl"), "--preds",
+                 str(corpus / "sec42.preds"), "--format", "json",
+                 *mode]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["stage"]) == ("Valid", "abstract+check_pure")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the window oracle of abstract_predicates only checks "
+    "y in [-16, 16], so it proves y > 0 preserved by a walk that fails at "
+    "y = 100"))
+@pytest.mark.parametrize("mode", [[], ["--no-race"]])
+def test_preds_stage_proves_no_invalid_walk(tmp_path, capsys, mode):
+    f, preds = tmp_path / "phi.hfl", tmp_path / "phi.preds"
+    f.write_text("(nu x: int -> prop. \\y: int. y < 100 /\\ x(y + 1))(1)\n")
+    preds.write_text("y: y > 0\n")
+    main(["validity", str(f), "--preds", str(preds), *mode])
+    assert capsys.readouterr().out.splitlines()[0] != "Valid"
 
 
 def test_validity_program(corpus, capsys):
