@@ -1,11 +1,12 @@
 """Command-line driver.
 
-The ``validity`` subcommand races the formula against its de Morgan dual
-(a valid dual certifies invalidity).  Each side runs, until one stage
-decides: ``check_pure`` on a pure formula; else ``eval_bounded`` over the
-window, then with ``--solver`` mu-elimination at each entry of the
-``--bound`` schedule and the CHC path, then with ``--preds`` predicate
-abstraction.  Exit codes: 0 Valid, 1 Invalid, 2 Unknown, 3 error.
+The ``validity`` subcommand checks a pure formula once with
+``check_pure``, which is exact both ways.  Any other formula it races
+against its de Morgan dual (a valid dual certifies invalidity).  Each side
+runs, until one stage decides: ``eval_bounded`` over the window, then with
+``--solver`` mu-elimination at each entry of the ``--bound`` schedule and
+the CHC path, then with ``--preds`` predicate abstraction.  Exit codes:
+0 Valid, 1 Invalid, 2 Unknown, 3 error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .pretty import to_text
 from .programs import parse_program, translate_program
 from .semantics import check_pure, eval_bounded
 from .syntax import (
-    Formula, HflError, Mu, PROP, dualize, is_pure, subformulas, typecheck,
+    Exists, Forall, Formula, HflError, IntType, Lambda, Mu, base_name,
+    dualize, int_vars, is_pure, subformulas, typecheck,
 )
 from .transforms import (
     BoundExpr, PredicateSet, SmtEntailment, WindowEntailment,
@@ -65,7 +67,8 @@ class _SideResult:
     timings: dict = field(default_factory=dict)
 
 
-def _run_side(phi: Formula, lts: Lts, args: argparse.Namespace,
+def _run_side(phi: Formula, pure: bool, lts: Lts,
+              args: argparse.Namespace,
               schedule: list[tuple[str, BoundExpr]],
               cancel: threading.Event) -> _SideResult:
     """Run the one-sided pipeline; result.valid means this side's formula
@@ -83,7 +86,7 @@ def _run_side(phi: Formula, lts: Lts, args: argparse.Namespace,
         return out
 
     try:
-        if is_pure(phi):
+        if pure:
             verdict = timed("check_pure", lambda: check_pure(
                 lts, phi, table_cap=args.table_cap))
             res.stage = "check_pure"
@@ -137,6 +140,8 @@ def _try_chc(phi: Formula, bound: BoundExpr | None, label: str,
         elim = eliminate_mu(phi, bound) if bound is not None else phi
         system = hfl_to_chc(elim)
     except HflError:
+        # outside the CHC fragment, or the bound names a binder that is
+        # out of scope at some least fixpoint
         return False
     verdict = timed(f"chc[n={label}]", lambda: solve_external(
         system, args.solver, args.timeout, cancel))
@@ -187,44 +192,63 @@ def _emit(text: str, end: str = "\n") -> None:
         os.close(devnull)
 
 
+def _check_bound_names(phi: Formula,
+                       schedule: list[tuple[str, BoundExpr]]) -> None:
+    """Every name in the schedule, which the CHC stage instantiates, is the
+    source name of an integer binder of phi.  Whether that binder is in
+    scope at a least fixpoint is eliminate_mu's to check, entry by entry."""
+    names = {base_name(s.var) for s in subformulas(phi)
+             if isinstance(s, (Exists, Forall)) or isinstance(s, Lambda)
+             and isinstance(s.vtype, IntType)}
+    for label, bound in schedule:
+        for name in (n for p in bound.pieces for n in int_vars(p)):
+            if name not in names:
+                raise HflError(f"bound {label!r} names {name!r}, which is "
+                               "no integer binder of the formula")
+
+
 def _cmd_validity(args: argparse.Namespace) -> int:
     phi = _load_formula(args.input, args)
-    t = typecheck(phi)
-    if t != PROP:
-        raise HflError(f"formula must have type prop, got {t}")
     lts = _load_lts(args)
     schedule = BoundExpr.schedule(args.bound)
-    psi = dualize(phi)
+    # check_pure is exact both ways, so a pure formula needs no dual
+    pure = is_pure(phi)
+    if args.solver and not pure:
+        _check_bound_names(phi, schedule)
+    sides = [phi] if pure else [phi, dualize(phi)]
     cancel = threading.Event()
     results: list[_SideResult | None] = [None, None]
-    errors: list[Exception] = []
+    errors: dict[int, Exception] = {}
 
     def work(i, f):
         try:
-            results[i] = _run_side(f, lts, args, schedule, cancel)
+            results[i] = _run_side(f, pure, lts, args, schedule, cancel)
         except Exception as e:
             # a failed side is an error, never a verdict: stop the other
             # side and let the main thread raise it
-            errors.append(e)
+            errors[i] = e
             cancel.set()
             return
         if results[i].valid or results[i].exact_false:
             cancel.set()
 
     if not args.no_race:
+        # a pure side runs on its own thread too: a traced run (perfbench)
+        # tells the sides by their threads
         threads = [threading.Thread(target=work, args=(i, f))
-                   for i, f in enumerate((phi, psi))]
+                   for i, f in enumerate(sides)]
         for th in threads:
             th.start()
         for th in threads:
             th.join()
     else:
-        for i, f in enumerate((phi, psi)):
+        for i, f in enumerate(sides):
             work(i, f)
             if cancel.is_set():
                 break
     if errors:
-        raise errors[0]
+        # the formula's own error first: the dual's names dual connectives
+        raise errors[min(errors)]
 
     pos, neg = results
     if pos and pos.valid and neg and neg.valid:
@@ -337,7 +361,8 @@ _COMMANDS = {
                   "polarity"),
     "check": (_cmd_check, "exact model check of a pure formula on an LTS",
               "polarity lts table-cap format"),
-    "validity": (_cmd_validity, "full validity pipeline with dual racing",
+    "validity": (_cmd_validity, "full validity pipeline: a pure formula "
+                 "checked once, any other raced against its dual",
                  "polarity lts window bound solver timeout table-cap preds "
                  "no-race format"),
     "dualize": (_cmd_dualize, "print the de Morgan dual", "polarity"),

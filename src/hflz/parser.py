@@ -82,8 +82,8 @@ class TokenStream:
         self.toks = toks
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -197,7 +197,8 @@ class _Parser(TokenStream):
 
     def parse_bound(self, env: dict) -> tuple[IntExpr, ...]:
         t = self.peek()
-        if t.kind == "ident" and t.text == "max" and self.peek(1).kind == "(":
+        if t.kind == "ident" and t.text == "max" \
+                and self.toks[self.pos + 1].kind == "(":
             self.next()
             self.next()
             pieces = [self.to_int(self.parse_term(env))]

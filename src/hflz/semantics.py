@@ -70,8 +70,8 @@ from .syntax import (
     INT, PROP, Add, And, App, Arrow, Atom, Box, CMP_FN, Diamond, Exists,
     FalseF, Forall, HflError, IConst, INeg, IntExpr, IntType, IVar, Lambda,
     Mu, Nu, Or, PropType, Sub, TrueF, Var, Formula, SimpleType, arg_types,
-    check_int_var, expect_prop_operand, fixpoint_type, function_type,
-    is_pure, result_type, var_type,
+    check_int_var, expect_prop_formula, expect_prop_operand, fixpoint_type,
+    function_type, is_pure, result_type, var_type,
 )
 
 
@@ -585,8 +585,7 @@ def check_pure_stats(lts: Lts, phi: Formula,
         raise ImpureFormulaError("formula contains integers or quantifier sugar")
     ev = _BoundedEvaluator(lts, 0, table_cap)
     code, _, t = ev.compile(phi, {})
-    if not isinstance(t, PropType):
-        raise ImpureFormulaError(f"model checking needs type prop, got {t}")
+    expect_prop_formula(t)
     return ev.holds_initially(code), ev.stats
 
 
@@ -599,6 +598,5 @@ def eval_bounded(phi: Formula, window: int, lts: Lts | None = None,
     ev = _BoundedEvaluator(lts if lts is not None else trivial_model(),
                            window, table_cap)
     code, _, t = ev.compile(phi, {})
-    if not isinstance(t, PropType):
-        raise HflError(f"bounded evaluation needs type prop, got {t}")
+    expect_prop_formula(t)
     return ev.holds_initially(code)

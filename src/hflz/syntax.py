@@ -529,6 +529,12 @@ def expect_prop_operand(phi: Formula, t: SimpleType) -> None:
             f"{_OPERAND[type(phi)]} must have type prop, got {t}")
 
 
+def expect_prop_formula(t: SimpleType) -> None:
+    """The type t of a whole formula to check or evaluate is prop."""
+    if not isinstance(t, PropType):
+        raise HflTypeError(f"formula must have type prop, got {t}")
+
+
 def fixpoint_type(binder: SimpleType, body: SimpleType) -> SimpleType:
     if body != binder:
         raise HflTypeError(

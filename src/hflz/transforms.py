@@ -53,9 +53,11 @@ class BoundExpr:
     @classmethod
     def schedule(cls, text: str) -> list[tuple[str, BoundExpr]]:
         """A comma-separated bound schedule, split at top-level commas so
-        ``max(a, b)`` stays one entry; each entry is labelled by its text."""
-        return [(part.strip(), cls.parse(part))
-                for part in _split_commas(text)]
+        ``max(a, b)`` stays one entry; each entry is labelled by its text.
+        An entry is parsed at its offset, indented by as many spaces, so a
+        syntax error's column counts from the start of the one-line text."""
+        return [(part.strip(), cls.parse(" " * start + part))
+                for start, part in _split_commas(text)]
 
     def to_int_exprs(self, scope: dict[str, str]) -> list[IntExpr]:
         """Instantiate pieces; scope maps source variable names to the
@@ -70,19 +72,19 @@ class BoundExpr:
         return [subst_ints(piece, renaming) for piece in self.pieces]
 
 
-def _split_commas(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for c in text:
+def _split_commas(text: str) -> list[tuple[int, str]]:
+    """The pieces of text between its top-level commas, each with its
+    offset in text."""
+    parts, depth, start = [], 0, 0
+    for i, c in enumerate(text):
         if c == "(":
             depth += 1
         elif c == ")":
             depth -= 1
-        if c == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-    parts.append("".join(cur))
+        elif c == "," and depth == 0:
+            parts.append((start, text[start:i]))
+            start = i + 1
+    parts.append((start, text[start:]))
     return parts
 
 
@@ -352,7 +354,7 @@ class PredicateSet:
             name, rest = line.split(":", 1)
             name = name.strip()
             atoms = []
-            for part in _split_commas(rest):
+            for _, part in _split_commas(rest):
                 var = "x" if name == "*" else name
                 try:
                     f = parse_formula(part.strip(), {var: INT})

@@ -9,13 +9,15 @@ result it reads fails here, not only in the traced benchmark run.
 
 import importlib
 import importlib.util
+import json
 import pathlib
 import stat
 import sys
+import threading
 
 import pytest
 
-from hflz import chc
+from hflz import chc, cli
 from hflz.parser import parse_formula
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -80,3 +82,23 @@ def test_result_readers_apply_to_real_results(bench, corpus, tmp_path):
     assert t.counters["chc.emit_smtlib_horn.bytes"] > 0
     assert t.counters["chc.solve_external.sat"] == 1
     assert t.counters["chc.solve_external.cancelled"] == 0
+
+
+def test_a_pure_validity_side_runs_on_its_own_thread(bench, corpus, capsys):
+    # race_summary assigns each stage to a side by its thread and skips
+    # the main thread's spans, so a side checked on the main thread would
+    # leave the instance undecided
+    worker, tracer = bench
+    api = worker.load_api()
+    t = tracer.Tracer()
+    try:
+        t.install(api, tracer.on_result())
+        rc = cli.main(["validity", str(corpus / "mfile.lts"),
+                       str(corpus / "file_straight.prog"), "--format", "json"])
+    finally:
+        t.uninstall()
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0 and report["verdict"] == "Valid"
+    assert report["stage"] == "check_pure"
+    race = tracer.race_summary(t.spans, threading.get_ident(), report)
+    assert race["decided"] and not race["undecided"]

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from hflz import cli, syntax
 from hflz.cli import build_parser, main
 
 
@@ -166,6 +167,57 @@ def test_validity_pure(corpus, tmp_path, capsys):
     assert main(["validity", str(corpus / "mfile.lts"), str(f)]) == 0
     f.write_text("<end> true\n")
     assert main(["validity", str(corpus / "mfile.lts"), str(f)]) == 1
+
+
+@pytest.mark.parametrize("mode", [[], ["--no-race"]])
+def test_validity_refuses_a_formula_that_is_not_prop(corpus, capsys, mode):
+    assert main(["validity", str(corpus / "even.hfl"), *mode]) == 3
+    assert capsys.readouterr().err == \
+        "error: formula must have type prop, got int -> prop\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--no-race"]])
+def test_validity_never_calls_typecheck(corpus, scripts, monkeypatch, capsys,
+                                        mode):
+    def refuse(*args):
+        raise AssertionError("typecheck was called")
+    monkeypatch.setattr(cli, "typecheck", refuse)
+    monkeypatch.setattr(syntax, "typecheck", refuse)
+    assert main(["validity", str(corpus / "sec41.hfl"), "--bound",
+                 "max(i + 1, 1)", "--solver", solver_cmd(scripts), *mode]) == 0
+    assert main(["validity", str(corpus / "mfile.lts"),
+                 str(corpus / "file_mutated.prog"), *mode]) == 1
+
+
+def test_a_pure_formula_is_checked_once_without_its_dual(
+        corpus, tmp_path, monkeypatch, capsys):
+    calls = {"check_pure": 0, "is_pure": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def refuse(*args):
+        raise AssertionError("dualize was called")
+    monkeypatch.setattr(cli, "check_pure", counted("check_pure",
+                                                   cli.check_pure))
+    monkeypatch.setattr(cli, "is_pure", counted("is_pure", cli.is_pure))
+    monkeypatch.setattr(cli, "dualize", refuse)
+    f = tmp_path / "phi.hfl"
+    for text, rc in (("nu y: prop. <read> y", 0), ("[read] <end> true", 1)):
+        f.write_text(text + "\n")
+        outs = []
+        for mode in ([], ["--no-race"]):
+            calls.update(check_pure=0, is_pure=0)
+            assert main(["validity", str(corpus / "mfile.lts"), str(f),
+                         *mode]) == rc
+            assert calls == {"check_pure": 1, "is_pure": 1}
+            outs.append([line for line in capsys.readouterr().out.splitlines()
+                         if not line.startswith("  time[")])
+        assert outs[0] == outs[1] == [["Valid", "Invalid"][rc],
+                                      "  stage: check_pure"]
 
 
 def test_validity_chc_path(corpus, scripts, capsys):
@@ -354,6 +406,41 @@ def test_malformed_bound_entry_is_an_error(corpus, capsys):
                  "--bound", "1,x*y"]) == 3
     assert main(["elim-mu", str(corpus / "sec41.hfl"), "--bound", "1,"]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("bound, col", [
+    ("1,,2", 3), ("max(i+1, 1),, 2", 13), ("1, max(", 8)])
+def test_bound_errors_count_columns_from_the_option(corpus, capsys, bound,
+                                                    col):
+    assert main(["validity", str(corpus / "sec41.hfl"),
+                 "--bound", bound]) == 3
+    assert capsys.readouterr().err.startswith(f"error: 1:{col}: ")
+
+
+@pytest.mark.parametrize("mode", [[], ["--no-race"]])
+def test_a_bound_naming_no_binder_is_an_error(corpus, scripts, capsys, mode):
+    # a typo, j for i: an error before either side starts, not Unknown
+    assert main(["validity", str(corpus / "sec41.hfl"),
+                 "--bound", "max(j + 1, 1)", "--solver", solver_cmd(scripts),
+                 *mode]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: bound 'max(j + 1, 1)' names 'j', which is no integer binder "
+        "of the formula"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--no-race"]])
+def test_a_bound_out_of_scope_at_a_fixpoint_is_skipped(corpus, scripts,
+                                                       capsys, mode):
+    # y is the mu's own parameter, bound inside it: the entry cannot be
+    # instantiated there, so the CHC stage skips it
+    assert main(["validity", str(corpus / "sec41.hfl"),
+                 "--bound", "max(y + 1, 1)", "--solver", solver_cmd(scripts),
+                 *mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "Unknown"
+    assert captured.err == ""
 
 
 _OPTIONS = {

@@ -18,7 +18,7 @@ from hflz.semantics import (
 )
 from hflz.syntax import (
     INT, Add, And, App, Arrow, Atom, Box, CMP_OPS, Diamond, Exists, FALSE,
-    Forall, HflError, HflTypeError, IConst, IVar, Lambda, Mu, Nu, Or, PROP,
+    Forall, HflTypeError, IConst, IVar, Lambda, Mu, Nu, Or, PROP,
     Sub, TRUE, Var, app, arrow, dualize, is_pure, lam, map_children,
     subformulas, typecheck,
 )
@@ -1119,15 +1119,12 @@ def test_the_engine_raises_typechecks_first_error(engine_counts, phi):
     else:
         if t == PROP:
             return
-        error, text = HflError, f"bounded evaluation needs type prop, got {t}"
+        error, text = HflTypeError, f"formula must have type prop, got {t}"
     engine_counts.update(body=0, fixfuns=0)
     with pytest.raises(error) as raised:
         eval_bounded(phi, 2, lts=MODEL)
     assert type(raised.value) is error and str(raised.value) == text
     if is_pure(phi):
-        if error is HflError:
-            error, text = ImpureFormulaError, \
-                f"model checking needs type prop, got {t}"
         with pytest.raises(error) as raised:
             check_pure(MODEL, phi)
         assert type(raised.value) is error and str(raised.value) == text
@@ -1142,12 +1139,10 @@ def test_the_engine_keeps_the_quantifier_and_top_level_texts():
                                                r"type prop, got int -> prop$"):
             eval_bounded(q, 2)
     fun = Lambda("p", PROP, Var("p", PROP))
-    with pytest.raises(HflError, match=r"^bounded evaluation needs type prop, "
-                                       r"got prop -> prop$"):
-        eval_bounded(fun, 2)
-    with pytest.raises(ImpureFormulaError, match=r"^model checking needs type "
-                                                 r"prop, got prop -> prop$"):
-        check_pure(MODEL, fun)
+    for check in (lambda: eval_bounded(fun, 2), lambda: check_pure(MODEL, fun)):
+        with pytest.raises(HflTypeError, match=r"^formula must have type "
+                                               r"prop, got prop -> prop$"):
+            check()
 
 
 def test_the_entry_points_never_call_typecheck(monkeypatch, corpus):
