@@ -1,12 +1,14 @@
 """Command-line driver.
 
-The ``validity`` subcommand checks a pure formula once with
-``check_pure``, which is exact both ways.  Any other formula it races
-against its de Morgan dual (a valid dual certifies invalidity).  Each side
-runs, until one stage decides: ``eval_bounded`` over the window, then with
-``--solver`` mu-elimination at each entry of the ``--bound`` schedule and
-the CHC path, then with ``--preds`` predicate abstraction.  Exit codes:
-0 Valid, 1 Invalid, 2 Unknown, 3 error.
+``validity`` runs a list of stages on each side, cheapest first, until one
+proves the side or refutes it exactly: ``check_pure`` alone on a pure
+formula, which has no other side; else ``eval_bounded`` over the window,
+with ``--solver`` the CHC path at each ``--bound`` entry (once, exact, as
+``chc[n=-]`` without mu), and with ``--preds`` and no mu predicate
+abstraction, then ``check_pure``.  An impure formula races its de Morgan
+dual, whose proof refutes it and whose refutation proves it; sides that
+disagree are a soundness bug.  Exit codes: 0 Valid, 1 Invalid, 2 Unknown,
+3 error or disagreement.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ from .transforms import (
 )
 
 
-class _Decided(Exception):
-    pass
-
-
 def _load_formula(path: str, args: argparse.Namespace) -> Formula:
     with open(path) as f:
         text = f.read()
@@ -59,64 +57,80 @@ def _load_lts(args: argparse.Namespace) -> Lts:
 
 @dataclass
 class _SideResult:
-    valid: bool = False
-    exact_false: bool = False
+    holds: bool | None = None
     stage: str = ""
     bound: int | str | None = None
     solver_verdict: str | None = None
     timings: dict = field(default_factory=dict)
 
 
+def _stages(phi: Formula, pure: bool, lts: Lts, args: argparse.Namespace,
+            schedule: list[tuple[str, BoundExpr]], cancel: threading.Event,
+            res: _SideResult):
+    """One side's stages, cheapest first, as (stage, bound, timing key,
+    run).  run() is True when it proves phi, False when it refutes phi
+    exactly, None when it decides nothing.  Lazy: an entry's CHC system is
+    built only when the entry is asked for."""
+    if pure:
+        # check_pure is exact both ways
+        yield "check_pure", None, "check_pure", lambda: check_pure(
+            lts, phi, table_cap=args.table_cap)
+        return
+    # the window evaluation is an underapproximation: false decides nothing
+    yield "eval_bounded", args.window, "eval_bounded", lambda: eval_bounded(
+        phi, args.window, lts=lts, table_cap=args.table_cap) or None
+    has_mu = any(isinstance(s, Mu) for s in subformulas(phi))
+    if args.solver:
+        for label, bound in schedule if has_mu else [("-", None)]:
+            try:
+                system = hfl_to_chc(
+                    eliminate_mu(phi, bound) if bound is not None else phi)
+            except HflError:
+                # outside the CHC fragment, or the bound names a binder
+                # that is out of scope at some least fixpoint
+                continue
+            yield "chc", label, f"chc[n={label}]", \
+                lambda system=system, exact=bound is None: _solve(
+                    system, exact, args, cancel, res)
+    if args.preds and not has_mu:
+        # the abstraction decides nothing itself (append gives None)
+        abstracted = []
+        yield "abstract", None, "abstract", \
+            lambda: abstracted.append(_abstract(phi, args))
+        if is_pure(abstracted[0]):
+            yield "abstract+check_pure", None, "abstract+check_pure", \
+                lambda: check_pure(lts, abstracted[0],
+                                   table_cap=args.table_cap) or None
+
+
+def _solve(system, exact: bool, args: argparse.Namespace,
+           cancel: threading.Event, res: _SideResult) -> bool | None:
+    """sat proves the side; unsat refutes it only when exact, on a system
+    built without mu-elimination and so equivalent to the side."""
+    kind = res.solver_verdict = solve_external(
+        system, args.solver, args.timeout, cancel).kind
+    if kind == "sat":
+        return True
+    return False if kind == "unsat" and exact else None
+
+
 def _run_side(phi: Formula, pure: bool, lts: Lts,
               args: argparse.Namespace,
               schedule: list[tuple[str, BoundExpr]],
               cancel: threading.Event) -> _SideResult:
-    """Run the one-sided pipeline; result.valid means this side's formula
-    was proved valid.  exact_false is only set by an exact stage: the pure
-    checker, or the solver's unsat on a system built without
-    mu-elimination."""
+    """Run one side's stages until one decides or the other side has."""
     res = _SideResult()
-
-    def timed(stage, fn):
-        if cancel.is_set():
-            raise _Decided()
+    stages = _stages(phi, pure, lts, args, schedule, cancel, res)
+    # cancel is read before the next entry is asked for, so no CHC system
+    # is built once the other side has decided
+    while not cancel.is_set() and (entry := next(stages, None)):
+        stage, bound, key, run = entry
         t0 = time.monotonic()
-        out = fn()
-        res.timings[stage] = round(time.monotonic() - t0, 6)
-        return out
-
-    try:
-        if pure:
-            verdict = timed("check_pure", lambda: check_pure(
-                lts, phi, table_cap=args.table_cap))
-            res.stage = "check_pure"
-            res.valid = verdict
-            res.exact_false = not verdict
-            return res
-
-        # cheap first try: window-bounded evaluation of the formula as is
-        if timed("eval_bounded", lambda: eval_bounded(
-                phi, args.window, lts=lts, table_cap=args.table_cap)):
-            res.stage, res.valid, res.bound = "eval_bounded", True, args.window
-            return res
-
-        has_mu = any(isinstance(s, Mu) for s in subformulas(phi))
-        if args.solver:
-            for label, bound in schedule if has_mu else [("-", None)]:
-                if cancel.is_set():
-                    raise _Decided()
-                if _try_chc(phi, bound, label, args, cancel, res, timed):
-                    return res
-
-        if args.preds and not has_mu:
-            abstracted = timed("abstract", lambda: _abstract(phi, args))
-            if is_pure(abstracted) and timed(
-                    "abstract+check_pure", lambda: check_pure(
-                        lts, abstracted, table_cap=args.table_cap)):
-                res.stage, res.valid = "abstract+check_pure", True
-                return res
-    except _Decided:
-        res.stage = "cancelled"
+        holds = run()
+        res.timings[key] = round(time.monotonic() - t0, 6)
+        if holds is not None:
+            res.holds, res.stage, res.bound = holds, stage, bound
+            break
     return res
 
 
@@ -128,31 +142,6 @@ def _abstract(phi: Formula, args: argparse.Namespace) -> Formula:
     oracle = SmtEntailment(args.solver, timeout=args.timeout) if args.solver \
         else WindowEntailment(width=args.window)
     return abstract_predicates(desugar_quantifiers(phi), preds, oracle)
-
-
-def _try_chc(phi: Formula, bound: BoundExpr | None, label: str,
-             args: argparse.Namespace, cancel, res: _SideResult,
-             timed) -> bool:
-    """CHC path for first-order Horn-shaped formulas; True when decided.
-    A system built without mu-elimination is equivalent to phi, so its
-    unsat refutes phi as its sat proves it."""
-    try:
-        elim = eliminate_mu(phi, bound) if bound is not None else phi
-        system = hfl_to_chc(elim)
-    except HflError:
-        # outside the CHC fragment, or the bound names a binder that is
-        # out of scope at some least fixpoint
-        return False
-    verdict = timed(f"chc[n={label}]", lambda: solve_external(
-        system, args.solver, args.timeout, cancel))
-    res.solver_verdict = verdict.kind
-    if verdict.kind == "sat":
-        res.stage, res.valid, res.bound = "chc", True, label
-        return True
-    if verdict.kind == "unsat" and bound is None:
-        res.stage, res.exact_false, res.bound = "chc", True, label
-        return True
-    return False
 
 
 def _verdict_report(args: argparse.Namespace, verdict: str,
@@ -217,7 +206,7 @@ def _cmd_validity(args: argparse.Namespace) -> int:
         _check_bound_names(phi, schedule)
     sides = [phi] if pure else [phi, dualize(phi)]
     cancel = threading.Event()
-    results: list[_SideResult | None] = [None, None]
+    results: list[_SideResult] = [_SideResult() for _ in sides]
     errors: dict[int, Exception] = {}
 
     def work(i, f):
@@ -229,42 +218,35 @@ def _cmd_validity(args: argparse.Namespace) -> int:
             errors[i] = e
             cancel.set()
             return
-        if results[i].valid or results[i].exact_false:
+        if results[i].holds is not None:
             cancel.set()
 
-    if not args.no_race:
-        # a pure side runs on its own thread too: a traced run (perfbench)
-        # tells the sides by their threads
-        threads = [threading.Thread(target=work, args=(i, f))
-                   for i, f in enumerate(sides)]
-        for th in threads:
-            th.start()
-        for th in threads:
+    # each side runs on its own thread, a pure one too: a traced run
+    # (perfbench) tells the sides by their threads.  --no-race runs each
+    # side to its end before the next starts
+    threads = [threading.Thread(target=work, args=(i, f))
+               for i, f in enumerate(sides)]
+    for th in threads:
+        th.start()
+        if args.no_race:
             th.join()
-    else:
-        for i, f in enumerate(sides):
-            work(i, f)
-            if cancel.is_set():
-                break
+    for th in threads:
+        th.join()
     if errors:
         # the formula's own error first: the dual's names dual connectives
         raise errors[min(errors)]
 
-    pos, neg = results
-    if pos and pos.valid and neg and neg.valid:
-        print("soundness bug: both a formula and its dual were proved valid",
+    # each decided side's claim about phi, the dual's verdict negated
+    decided = [r for r in results if r.holds is not None]
+    claims = {r.holds if r is results[0] else not r.holds for r in decided}
+    if len(claims) > 1:
+        print("soundness bug: the formula and its dual disagree",
               file=sys.stderr)
         return 3
-    if pos and pos.valid:
-        verdict, side = "Valid", pos
-    elif neg and neg.valid:
-        verdict, side = "Invalid", neg
-    elif pos and pos.exact_false:
-        verdict, side = "Invalid", pos
-    elif neg and neg.exact_false:
-        verdict, side = "Valid", neg
-    else:
-        verdict, side = "Unknown", pos
+    # a proof is reported before an exact refutation
+    side = max(decided, key=lambda r: r.holds, default=results[0])
+    verdict = ("Valid" if claims.pop() else "Invalid") if claims \
+        else "Unknown"
     _emit(_verdict_report(args, verdict, side))
     return _EXIT[verdict]
 

@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from hflz import cli, syntax
+from hflz.chc import SolverVerdict
 from hflz.cli import build_parser, main
+from hflz.semantics import eval_bounded
 
 
 def solver_cmd(scripts, width=6):
@@ -390,6 +393,100 @@ def test_validity_without_solver_evaluates_only_the_window(
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "Unknown"
     assert list(doc["timings"]) == ["eval_bounded"]
+
+
+_WALK = "(mu x: int -> prop. \\y: int. y <= 0 \\/ x(y - 1))(3)"
+
+# formula (or corpus file), options, exit code, JSON stage, bound and
+# solver verdict, and the report's time[...] keys in order
+_STAGE_REPORTS = {
+    "check_pure": (
+        "<read> <close> <end> true", ["{corpus}/mfile.lts"], 0,
+        "check_pure", None, None, ["check_pure"]),
+    "eval_bounded": (
+        _WALK, ["--window", "8"], 0,
+        "eval_bounded", 8, None, ["eval_bounded"]),
+    "chc_schedule": (
+        "sec41.hfl", ["--bound", "1,max(i+1,1)", "--solver", "{solver}"], 0,
+        "chc", "max(i+1,1)", "sat",
+        ["eval_bounded", "chc[n=1]", "chc[n=max(i+1,1)]"]),
+    "chc_exact": (
+        "forall y. (nu x: int -> prop. \\y: int. y < 5 /\\ x(y + 1))(y)",
+        ["--window", "2", "--solver", "{solver}"], 1,
+        "chc", "-", "unsat", ["eval_bounded", "chc[n=-]"]),
+    "abstract": (
+        "sec42.hfl", ["--preds", "{corpus}/sec42.preds"], 0,
+        "abstract+check_pure", None, None,
+        ["eval_bounded", "abstract", "abstract+check_pure"]),
+    "unknown": (
+        "forall i. (mu x: int -> prop. \\y: int. y <= -2 \\/ x(y - 1))(i)",
+        ["--bound", "1", "--solver", "{solver}"], 2,
+        "", None, "unsat", ["eval_bounded", "chc[n=1]"]),
+}
+
+
+@pytest.mark.parametrize("mode", [[], ["--no-race"]])
+@pytest.mark.parametrize("case", list(_STAGE_REPORTS))
+def test_report_of_every_stage(corpus, scripts, tmp_path, capsys, case,
+                               mode):
+    text, options, rc, stage, bound, solver, keys = _STAGE_REPORTS[case]
+    f = corpus / text
+    if not text.endswith(".hfl"):
+        f = tmp_path / "phi.hfl"
+        f.write_text(text + "\n")
+    argv = ["validity", str(f), *mode] + [
+        o.format(corpus=corpus, solver=solver_cmd(scripts)) for o in options]
+    assert main(argv) == rc
+    lines = capsys.readouterr().out.splitlines()
+    verdict = ["Valid", "Invalid", "Unknown"][rc]
+    if rc == 2:
+        # an Unknown report names no stage, so it shows nothing else
+        assert lines == [verdict]
+    else:
+        assert lines[:2] == [verdict, f"  stage: {stage}"]
+        assert [line[len("  time["):line.rindex("]:")] for line in lines
+                if line.startswith("  time[")] == keys
+    assert main(argv + ["--format", "json"]) == rc
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["stage"], doc["bound"],
+            doc["solver_verdict"]) == (verdict, stage, bound, solver)
+    assert sorted(doc["timings"]) == sorted(keys)
+
+
+@pytest.mark.parametrize("answer", ["sat", "unsat"])
+def test_sides_that_disagree_are_a_soundness_bug(tmp_path, monkeypatch,
+                                                 capsys, answer):
+    # neither side decides 100 > 0 in window 2, and the stub gives both
+    # sides' exact systems the same answer once both have asked: sat
+    # proves the formula and its dual, unsat refutes both
+    both_asked = threading.Barrier(2, timeout=30)
+
+    def stub(system, command, timeout, cancel):
+        both_asked.wait()
+        return SolverVerdict(answer)
+    monkeypatch.setattr(cli, "solve_external", stub)
+    f = tmp_path / "phi.hfl"
+    f.write_text("100 > 0\n")
+    assert main(["validity", str(f), "--window", "2",
+                 "--solver", "x {file}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("soundness bug: ")
+
+
+def test_no_race_leaves_the_dual_alone_once_the_formula_is_decided(
+        tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eval_bounded(*args, **kwargs)
+    monkeypatch.setattr(cli, "eval_bounded", counted)
+    f = tmp_path / "phi.hfl"
+    f.write_text(_WALK + "\n")
+    assert main(["validity", str(f), "--no-race", "--window", "8"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Valid"
+    assert len(calls) == 1
 
 
 def test_bound_schedule_keeps_templates_whole(corpus, scripts, capsys):
