@@ -154,8 +154,11 @@ def _verdict_report(args: argparse.Namespace, verdict: str,
                "timings": side.timings if side else {}}
         return json.dumps(doc, sort_keys=True)
     lines = [verdict]
-    if side and side.stage:
-        lines.append(f"  stage: {side.stage}")
+    if side:
+        # an Unknown side has no stage, but may have a solver's answer and
+        # the time of each stage it ran
+        if side.stage:
+            lines.append(f"  stage: {side.stage}")
         if side.bound is not None:
             lines.append(f"  bound: {side.bound}")
         if side.solver_verdict:

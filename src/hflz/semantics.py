@@ -27,12 +27,13 @@ that created it, during which no entry of an enclosing table changes.  So
 a finished entry would never change again.
 
 Each evaluator compiles the formula once, into closures (Feeley &
-Lapalme, "Using closures for code generation", 1987): ``compile`` matches
-each node a single time and returns a function from an environment to the
-node's value with the node's free names and its type.  It types each node
-by the rules of ``syntax.typecheck``, in their order and with their
-errors, so the entry points walk the formula once before solving and
-raise any type error before they evaluate.  What a node fixes is bound
+Lapalme, "Using closures for code generation", 1987): ``compile`` visits
+each node a single time, dispatching on ``type(node)`` as the syntax kernel
+does, and returns a function from an environment to the node's value with
+the node's free names and its type.  It types each node by the rules of
+``syntax.typecheck``, in their order and with their errors, so the entry
+points walk the formula once before solving and raise any type error
+before they evaluate.  What a node fixes is bound
 into that function: its children's functions, a fixpoint's sorted free
 names, a comparison, the window, a label's predecessor index.  Lambda and
 fixpoint values carry their compiled bodies, so evaluation never walks
@@ -67,11 +68,11 @@ from operator import itemgetter
 
 from .lts import Lts, pre_image, trivial_model
 from .syntax import (
-    INT, PROP, Add, And, App, Arrow, Atom, Box, CMP_FN, Diamond, Exists,
-    FalseF, Forall, HflError, IConst, INeg, IntExpr, IntType, IVar, Lambda,
-    Mu, Nu, Or, PropType, Sub, TrueF, Var, Formula, SimpleType, arg_types,
-    check_int_var, expect_prop_formula, expect_prop_operand, fixpoint_type,
-    function_type, is_pure, result_type, var_type,
+    INT, INT_KINDS, PROP, Add, And, App, Arrow, Atom, Box, CMP_FN, Diamond,
+    Exists, FalseF, Forall, HflError, IConst, INeg, IntExpr, IntType, IVar,
+    Lambda, Mu, Nu, Or, PropType, Sub, TrueF, Var, Formula, SimpleType,
+    arg_types, check_int_var, expect_prop_formula, expect_prop_operand,
+    fixpoint_type, function_type, is_pure, result_type, var_type,
 )
 
 
@@ -126,23 +127,25 @@ def _compile_int(e: IntExpr, tenv: dict) -> tuple[Callable[[dict], int],
                                                  frozenset[str]]:
     """e as a function from an environment to its value, and e's names,
     each checked to have type int under tenv."""
-    match e:
-        case IConst(n):
-            return lambda env: n, _NO_NAMES
-        case IVar(x):
-            check_int_var(x, tenv)
-            return itemgetter(x), frozenset((x,))
-        case Add(l, r):
-            (lf, lnames), (rf, rnames) = (_compile_int(l, tenv),
-                                          _compile_int(r, tenv))
-            return lambda env: lf(env) + rf(env), lnames | rnames
-        case Sub(l, r):
-            (lf, lnames), (rf, rnames) = (_compile_int(l, tenv),
-                                          _compile_int(r, tenv))
-            return lambda env: lf(env) - rf(env), lnames | rnames
-        case INeg(b):
-            bf, names = _compile_int(b, tenv)
-            return lambda env: -bf(env), names
+    k = type(e)
+    if k is IVar:
+        x = e.name
+        check_int_var(x, tenv)
+        return itemgetter(x), frozenset((x,))
+    if k is IConst:
+        n = e.value
+        return lambda env: n, _NO_NAMES
+    if k is Add:
+        (lf, lnames), (rf, rnames) = (_compile_int(e.lhs, tenv),
+                                      _compile_int(e.rhs, tenv))
+        return lambda env: lf(env) + rf(env), lnames | rnames
+    if k is Sub:
+        (lf, lnames), (rf, rnames) = (_compile_int(e.lhs, tenv),
+                                      _compile_int(e.rhs, tenv))
+        return lambda env: lf(env) - rf(env), lnames | rnames
+    if k is INeg:
+        bf, names = _compile_int(e.body, tenv)
+        return lambda env: -bf(env), names
     raise TypeError(f"not an integer expression: {e!r}")
 
 
@@ -423,77 +426,14 @@ class _BoundedEvaluator:
                 ) -> tuple[Callable, frozenset[str], SimpleType]:
         """phi as a function from an environment to its value, phi's free
         names, and phi's type under tenv by the rules of syntax.typecheck:
-        the match runs here, once per node; the function only computes."""
-        match phi:
-            case Var(n, t):
-                return itemgetter(n), frozenset((n,)), var_type(n, t, tenv)
-            case TrueF():
-                full = self.full
-                return lambda env: full, _NO_NAMES, PROP
-            case FalseF():
-                return lambda env: 0, _NO_NAMES, PROP
-            # an absorbing left operand leaves the right one unevaluated,
-            # so its fixpoint calls add no table entries
-            case Or(l, r):
-                lf, lnames, lt = self.compile(l, tenv)
-                expect_prop_operand(phi, lt)
-                rf, rnames, rt = self.compile(r, tenv)
-                expect_prop_operand(phi, rt)
-                full = self.full
-
-                def or_(env):
-                    lv = _prop(lf(env))
-                    if lv == full:
-                        return lv
-                    return lv | _prop(rf(env))
-                f, names, t = or_, lnames | rnames, PROP
-            case And(l, r):
-                lf, lnames, lt = self.compile(l, tenv)
-                expect_prop_operand(phi, lt)
-                rf, rnames, rt = self.compile(r, tenv)
-                expect_prop_operand(phi, rt)
-
-                def and_(env):
-                    lv = _prop(lf(env))
-                    if not lv:
-                        return 0
-                    return lv & _prop(rf(env))
-                f, names, t = and_, lnames | rnames, PROP
-            case Diamond(a, b):
-                bf, names, bt = self.compile(b, tenv)
-                expect_prop_operand(phi, bt)
-                index = self.pre.get(a)
-                f, t = lambda env: pre_image(index, _prop(bf(env))), PROP
-            case Box(a, b):
-                bf, names, bt = self.compile(b, tenv)
-                expect_prop_operand(phi, bt)
-                index, full = self.pre.get(a), self.full
-                f, t = lambda env: full & ~pre_image(
-                    index, full & ~_prop(bf(env))), PROP
-            case Lambda(x, t, b):
-                bf, names, bt = self.compile(b, {**tenv, x: t})
-                return (lambda env: _Closure(x, t, bf, env), names - {x},
-                        Arrow(t, bt))
-            case Mu(x, t, b) | Nu(x, t, b):
-                bf, names, bt = self.compile(b, {**tenv, x: t})
-                t = fixpoint_type(t, bt)
-                code = _FixCode(x, bf, isinstance(phi, Mu), arg_types(t))
-                names, cache = names - {x}, self.fix_cache
-                keys = sorted(names)
-
-                def fixpoint(env):
-                    vals = tuple(env[n] for n in keys)
-                    if not all(isinstance(v, int) for v in vals):
-                        fix = _FixFun(code, env, self)
-                    else:
-                        fix = cache.get((code, vals))
-                        if fix is None:
-                            fix = cache[code, vals] = _FixFun(code, env, self)
-                    return _Partial(fix, ()) if code.argts else fix.call(())
-                return fixpoint, names, t
-            case App(fun, a) if isinstance(a, IntExpr):
-                ff, names, ft = self.compile(fun, tenv)
-                ft = function_type(ft)
+        the dispatch on type(phi) runs here, once per node; the function
+        only computes."""
+        k = type(phi)
+        if k is App:
+            ff, fnames, ft = self.compile(phi.fun, tenv)
+            ft = function_type(ft)
+            a = phi.arg
+            if type(a) in INT_KINDS:
                 af, anames = _compile_int(a, tenv)
                 window, apply = self.window, self.apply
 
@@ -509,54 +449,122 @@ class _BoundedEvaluator:
                     if type(fv) is _TableFun:
                         return fv.items[av + window]
                     return apply(fv, av)
-                f, names, t = app_int, names | anames, result_type(ft, INT)
-            case App(fun, a):
-                ff, fnames, ft = self.compile(fun, tenv)
-                ft = function_type(ft)
+                f, names, t = app_int, fnames | anames, result_type(ft, INT)
+            else:
                 af, anames, at = self.compile(a, tenv)
                 apply = self.apply
                 f, names, t = (lambda env: apply(ff(env), af(env)),
                                fnames | anames, result_type(ft, at))
-            case Atom(op, l, r):
-                (lf, lnames), (rf, rnames) = (_compile_int(l, tenv),
-                                              _compile_int(r, tenv))
-                cmp, full, window = CMP_FN[op], self.full, self.window
+        elif k is Var:
+            n = phi.name
+            return itemgetter(n), frozenset((n,)), var_type(n, phi.type, tenv)
+        # an absorbing left operand leaves the right one unevaluated, so its
+        # fixpoint calls add no table entries
+        elif k is Or:
+            lf, lnames, lt = self.compile(phi.lhs, tenv)
+            expect_prop_operand(phi, lt)
+            rf, rnames, rt = self.compile(phi.rhs, tenv)
+            expect_prop_operand(phi, rt)
+            full = self.full
 
-                def atom(env):
-                    lv = lf(env)
-                    rv = rf(env)
-                    if abs(lv) > window or abs(rv) > window:
-                        return 0
-                    return full if cmp(lv, rv) else 0
-                f, names, t = atom, lnames | rnames, PROP
-            case Exists(x, b, lower) | Forall(x, b, lower):
-                # typecheck's order: the bounds, then the body
-                bounds = [_compile_int(e, tenv) for e in lower]
-                bf, names, bt = self.compile(b, {**tenv, x: INT})
-                expect_prop_operand(phi, bt)
-                names = names.difference((x,)).union(
-                    *(bnames for _, bnames in bounds))
-                if isinstance(phi, Forall):
-                    # its walk applies itself at window + 1, or starts
-                    # outside the window, which is false: so its greatest
-                    # fixpoint is empty at every entry
-                    return lambda env: 0, names, PROP
-                lower_fs = [f for f, _ in bounds]
-                keys, cache, fold = sorted(names), self.fix_cache, self.fold
+            def or_(env):
+                lv = _prop(lf(env))
+                if lv == full:
+                    return lv
+                return lv | _prop(rf(env))
+            f, names, t = or_, lnames | rnames, PROP
+        elif k is And:
+            lf, lnames, lt = self.compile(phi.lhs, tenv)
+            expect_prop_operand(phi, lt)
+            rf, rnames, rt = self.compile(phi.rhs, tenv)
+            expect_prop_operand(phi, rt)
 
-                def exists(env):
-                    # cached by the rule of a fixpoint closed over
-                    # integers, keyed on this function
-                    vals = tuple(env[n] for n in keys)
-                    if not all(isinstance(v, int) for v in vals):
-                        return fold(x, bf, lower_fs, env)
-                    val = cache.get((exists, vals))
-                    if val is None:
-                        val = cache[exists, vals] = fold(x, bf, lower_fs, env)
-                    return val
-                return exists, names, PROP
-            case _:
-                raise TypeError(f"not a formula: {phi!r}")
+            def and_(env):
+                lv = _prop(lf(env))
+                if not lv:
+                    return 0
+                return lv & _prop(rf(env))
+            f, names, t = and_, lnames | rnames, PROP
+        elif k is Atom:
+            (lf, lnames), (rf, rnames) = (_compile_int(phi.lhs, tenv),
+                                          _compile_int(phi.rhs, tenv))
+            cmp, full, window = CMP_FN[phi.op], self.full, self.window
+
+            def atom(env):
+                lv = lf(env)
+                rv = rf(env)
+                if abs(lv) > window or abs(rv) > window:
+                    return 0
+                return full if cmp(lv, rv) else 0
+            f, names, t = atom, lnames | rnames, PROP
+        elif k is Lambda:
+            x, t = phi.var, phi.vtype
+            bf, names, bt = self.compile(phi.body, {**tenv, x: t})
+            return (lambda env: _Closure(x, t, bf, env), names - {x},
+                    Arrow(t, bt))
+        elif k is Mu or k is Nu:
+            x = phi.var
+            bf, names, bt = self.compile(phi.body, {**tenv, x: phi.vtype})
+            t = fixpoint_type(phi.vtype, bt)
+            code = _FixCode(x, bf, k is Mu, arg_types(t))
+            names, cache = names - {x}, self.fix_cache
+            keys = sorted(names)
+
+            def fixpoint(env):
+                vals = tuple(env[n] for n in keys)
+                if not all(isinstance(v, int) for v in vals):
+                    fix = _FixFun(code, env, self)
+                else:
+                    fix = cache.get((code, vals))
+                    if fix is None:
+                        fix = cache[code, vals] = _FixFun(code, env, self)
+                return _Partial(fix, ()) if code.argts else fix.call(())
+            return fixpoint, names, t
+        elif k is TrueF:
+            full = self.full
+            return lambda env: full, _NO_NAMES, PROP
+        elif k is FalseF:
+            return lambda env: 0, _NO_NAMES, PROP
+        elif k is Diamond:
+            bf, names, bt = self.compile(phi.body, tenv)
+            expect_prop_operand(phi, bt)
+            index = self.pre.get(phi.label)
+            f, t = lambda env: pre_image(index, _prop(bf(env))), PROP
+        elif k is Box:
+            bf, names, bt = self.compile(phi.body, tenv)
+            expect_prop_operand(phi, bt)
+            index, full = self.pre.get(phi.label), self.full
+            f, t = lambda env: full & ~pre_image(
+                index, full & ~_prop(bf(env))), PROP
+        elif k is Exists or k is Forall:
+            x = phi.var
+            # typecheck's order: the bounds, then the body
+            bounds = [_compile_int(e, tenv) for e in phi.lower]
+            bf, names, bt = self.compile(phi.body, {**tenv, x: INT})
+            expect_prop_operand(phi, bt)
+            names = names.difference((x,)).union(
+                *(bnames for _, bnames in bounds))
+            if k is Forall:
+                # its walk applies itself at window + 1, or starts outside
+                # the window, which is false: so its greatest fixpoint is
+                # empty at every entry
+                return lambda env: 0, names, PROP
+            lower_fs = [f for f, _ in bounds]
+            keys, cache, fold = sorted(names), self.fix_cache, self.fold
+
+            def exists(env):
+                # cached by the rule of a fixpoint closed over integers,
+                # keyed on this function
+                vals = tuple(env[n] for n in keys)
+                if not all(isinstance(v, int) for v in vals):
+                    return fold(x, bf, lower_fs, env)
+                val = cache.get((exists, vals))
+                if val is None:
+                    val = cache[exists, vals] = fold(x, bf, lower_fs, env)
+                return val
+            return exists, names, PROP
+        else:
+            raise TypeError(f"not a formula: {phi!r}")
         # Operators, modalities, atoms and applications reach here; the
         # other nodes returned above, a closed fixpoint or exists being
         # cached in fix_cache.  A closed prop node depends only on the model

@@ -439,13 +439,18 @@ def test_report_of_every_stage(corpus, scripts, tmp_path, capsys, case,
     assert main(argv) == rc
     lines = capsys.readouterr().out.splitlines()
     verdict = ["Valid", "Invalid", "Unknown"][rc]
-    if rc == 2:
-        # an Unknown report names no stage, so it shows nothing else
-        assert lines == [verdict]
-    else:
-        assert lines[:2] == [verdict, f"  stage: {stage}"]
-        assert [line[len("  time["):line.rindex("]:")] for line in lines
-                if line.startswith("  time[")] == keys
+    # an Unknown report names no stage, but shows the solver's answer and
+    # the timings, as its JSON does
+    head = [verdict]
+    if stage:
+        head.append(f"  stage: {stage}")
+    if bound is not None:
+        head.append(f"  bound: {bound}")
+    if solver:
+        head.append(f"  solver: {solver}")
+    assert lines[:len(head)] == head
+    assert [line[len("  time["):line.rindex("]:")]
+            for line in lines[len(head):]] == keys
     assert main(argv + ["--format", "json"]) == rc
     doc = json.loads(capsys.readouterr().out)
     assert (doc["verdict"], doc["stage"], doc["bound"],

@@ -1,20 +1,24 @@
 import gc
 import pathlib
+from typing import get_args
 
 import pytest
 
 from hflz.syntax import (
-    Add, And, App, Arrow, Atom, Box, Diamond, Exists, FALSE, Forall,
-    HflTypeError, IConst, INT, INeg, IVar, Lambda, Mu, Nu, Or, PROP, Sub,
-    TRUE, Var, alpha_eq, app, arrow, beta_step, beta_step_anywhere, children,
-    dualize, eval_int, free_vars, int_vars, is_predicate_type, is_pure, lam,
-    map_children, order_of, spine, subst_ints, substitute, typecheck,
-    unfold_fixpoint, NotAFixpoint, NoRedex,
+    Add, And, App, Arrow, Atom, Box, Diamond, Exists, FALSE, Forall, Formula,
+    HflTypeError, IConst, INT, INT_KINDS, INeg, IVar, IntExpr, Lambda, Mu, Nu,
+    Or, PROP, Sub, TRUE, Var, alpha_eq, app, arrow, beta_step,
+    beta_step_anywhere, children, dualize, eval_int, free_vars, int_vars,
+    is_predicate_type, is_pure, lam, map_children, order_of, spine,
+    subst_ints, substitute, typecheck, typecheck_int, unfold_fixpoint,
+    NotAFixpoint, NoRedex,
 )
 from hflz.chc import chc_to_hfl, hfl_to_chc
+from hflz.lts import trivial_model
 from hflz.parser import parse_formula
 from hflz.pretty import to_text
 from hflz.programs import parse_program, translate_program
+from hflz.semantics import _BoundedEvaluator, _compile_int
 from hflz.transforms import (
     BoundExpr, PredicateSet, WindowEntailment, abstract_predicates,
     desugar_quantifiers, eliminate_mu,
@@ -214,7 +218,7 @@ def _one_node_of_each_kind():
 
 def test_map_children_and_children_agree_on_every_kind():
     nodes = _one_node_of_each_kind()
-    assert len({type(n) for n, _ in nodes}) == 14
+    assert {type(n) for n, _ in nodes} == set(get_args(Formula))
     for node, kids in nodes:
         assert children(node) == kids
         assert map_children(node, lambda c: c) == node
@@ -232,6 +236,50 @@ def test_map_children_and_children_agree_on_every_kind():
         Forall("x", FALSE, (IVar("z"),))
     with pytest.raises(TypeError):
         map_children(IConst(1), lambda c: c)
+
+
+# the free names of _one_node_of_each_kind's nodes, typed
+_KIND_ENV = {"p": PROP, "q": PROP, "f": arrow(PROP, PROP),
+             "g": arrow(INT, PROP), "x": INT, "z": INT}
+
+
+def test_every_kind_goes_through_every_walker():
+    # the walkers dispatch on type(node), which, unlike a match on class
+    # patterns, gives no error for a kind left out: each kind of each union
+    # is run through each walker here, and checked against another walker
+    assert INT_KINDS == set(get_args(IntExpr))
+    ev = _BoundedEvaluator(trivial_model(), 1, 100)
+    impure = (Atom, Lambda, Exists, Forall)
+    for node, _ in _one_node_of_each_kind():
+        _, names, t = ev.compile(node, _KIND_ENV)
+        assert t == typecheck(node, _KIND_ENV)
+        assert names == free_vars(node)
+        assert is_pure(node) == (not isinstance(node, impure) and not (
+            isinstance(node, App) and type(node.arg) in INT_KINDS))
+        dual = dualize(node)
+        assert dualize(dual) == node
+        assert alpha_eq(node, node)
+        assert alpha_eq(node, dual) == (dual == node)
+    env = {"x": 4, "y": -1}
+    for e in [IConst(2), IVar("x"), Add(IVar("x"), IConst(1)),
+              Sub(IConst(1), IVar("y")), INeg(IVar("x"))]:
+        f, names = _compile_int(e, {"x": INT, "y": INT})
+        assert typecheck_int(e, {"x": INT, "y": INT}) == INT
+        assert names == set(int_vars(e))
+        assert f(env) == eval_int(e, env) == eval_int(
+            subst_ints(e, {"x": IConst(4)}), {"y": -1})
+    # a non-node is a TypeError, with the same text in every walker
+    for walk in (lambda e: map_children(e, lambda c: c), free_vars,
+                 typecheck, dualize, lambda e: ev.compile(e, {})):
+        with pytest.raises(TypeError) as err:
+            walk(IConst(1))
+        assert str(err.value) == "not a formula: IConst(value=1)"
+    for walk in (int_vars, lambda e: subst_ints(e, {}),
+                 lambda e: eval_int(e, {}), lambda e: typecheck_int(e, {}),
+                 lambda e: _compile_int(e, {})):
+        with pytest.raises(TypeError) as err:
+            walk(TRUE)
+        assert str(err.value) == "not an integer expression: TrueF()"
 
 
 def test_int_kernel():
